@@ -15,7 +15,7 @@ data return identical rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,19 +59,19 @@ class CalibrationSample:
         if n == 0:
             raise ValueError("calibration sample is empty")
         if self.scores is not None:
-            s = np.asarray(self.scores, dtype=float)
+            s = _finite(self.scores, "scores")
             if s.ndim != 1 or ((s < 0) | (s > 1)).any():
                 raise ValueError("scores must be a 1-d array with values in [0, 1]")
             object.__setattr__(self, "scores", s)
         if self.score_vectors is not None:
-            sv = np.asarray(self.score_vectors, dtype=float)
+            sv = _finite(self.score_vectors, "score_vectors")
             if sv.ndim != 2 or sv.shape[1] < 2:
                 raise ValueError("score_vectors must be n x K with K >= 2")
             if (sv < 0).any() or np.abs(sv.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("score vectors must be nonnegative and sum to 1")
             object.__setattr__(self, "score_vectors", sv)
         if self.xs is not None:
-            object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
+            object.__setattr__(self, "xs", _finite(self.xs, "xs"))
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=int)
             if lab.shape != (n,):
@@ -88,6 +88,21 @@ class CalibrationSample:
             if v is not None:
                 return len(v)
         return 0
+
+
+def _finite(values, name: str) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite (no NaN or infinity)")
+    return a
+
+
+def _binary_labels(cal: CalibrationSample) -> np.ndarray:
+    """The labels of a two-class sample, which must all be 1 or 2."""
+    labels = cal.labels
+    if not ((labels == 1) | (labels == 2)).all():
+        raise ValueError("binary calibration needs labels in {1, 2}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -186,14 +201,21 @@ class CalibrationReport:
 
     achieved holds the error estimates computed on the calibration data at
     selection time; feasible records whether the stated targets were met.
-    trace (optional) lists per-candidate diagnostics in selection order.
+
+    trace holds per-candidate diagnostics when the calibrator was asked for
+    them (want_trace=True), else it is empty.  It is a dict of columns: each
+    value is a 1-d numpy array with one entry per candidate, in selection
+    order, and all arrays have the same length.  The key order is the column
+    order of the trace CSV.  Accuracy modes give tau, decided, error and
+    running_min; the two-threshold modes give k, gamma, k_tilde,
+    type1_count, type2 (NaN where the candidate is not valid) and valid.
     """
 
     rule: Rule
     gamma_hat: float
     achieved: dict
     feasible: bool
-    trace: tuple = field(default_factory=tuple)
+    trace: dict = field(default_factory=dict)
 
 
 def _binary_confidence(scores: np.ndarray) -> np.ndarray:
@@ -216,7 +238,7 @@ def calibrate_accuracy(
         raise ValueError("alpha must lie in (0, 1)")
     if cal.scores is None:
         raise ValueError("accuracy calibration needs scalar scores")
-    s, labels = cal.scores, cal.labels
+    s, labels = cal.scores, _binary_labels(cal)
     n = len(s)
     conf = _binary_confidence(s)
     predicted = np.where(s >= 0.5, 1, 2)
@@ -232,17 +254,7 @@ def calibrate_accuracy(
         err = np.where(decided_count > 0, mis_suffix[start] / np.maximum(decided_count, 1), 0.0)
     running_min = np.minimum.accumulate(err)
     hits = np.flatnonzero(running_min <= alpha)
-    trace = ()
-    if want_trace:
-        trace = tuple(
-            {
-                "tau": float(conf_sorted[i]),
-                "decided": int(decided_count[i]),
-                "error": float(err[i]),
-                "running_min": float(running_min[i]),
-            }
-            for i in range(n)
-        )
+    trace = _accuracy_trace(conf_sorted, decided_count, err, running_min) if want_trace else {}
     if len(hits) == 0:
         return CalibrationReport(
             rule=SelectiveBinaryRule(tau=1.0),
@@ -265,6 +277,10 @@ def calibrate_accuracy(
     )
 
 
+def _accuracy_trace(conf_sorted, decided_count, err, running_min) -> dict:
+    return {"tau": conf_sorted, "decided": decided_count, "error": err, "running_min": running_min}
+
+
 def calibrate_accuracy_fixed_gamma(
     cal: CalibrationSample, gamma: float
 ) -> CalibrationReport:
@@ -273,7 +289,7 @@ def calibrate_accuracy_fixed_gamma(
         raise ValueError("gamma must lie in [0, 1)")
     if cal.scores is None:
         raise ValueError("accuracy calibration needs scalar scores")
-    s, labels = cal.scores, cal.labels
+    s, labels = cal.scores, _binary_labels(cal)
     n = len(s)
     conf = _binary_confidence(s)
     predicted = np.where(s >= 0.5, 1, 2)
@@ -293,6 +309,20 @@ def calibrate_accuracy_fixed_gamma(
     )
 
 
+class _GridChoice(NamedTuple):
+    """What _np_grid_select picked: abstention count k, thresholds in the
+    search's value order, estimates, the trace, and the estimates of the
+    gamma = 0 operating point (k = 0) of the same grid."""
+
+    k: int
+    tau1: float
+    tau2: float
+    achieved: dict
+    feasible: bool
+    trace: dict
+    achieved_gamma0: dict
+
+
 def _np_grid_select(
     values: np.ndarray,
     is_class1: np.ndarray,
@@ -303,12 +333,11 @@ def _np_grid_select(
     eval_is_class1: Optional[np.ndarray] = None,
     high_prob_delta: Optional[float] = None,
     want_trace: bool = False,
-):
+) -> _GridChoice:
     """Shared two-threshold grid search.
 
     values are ordered so that SMALL means class-2-like (the class-2 block is
-    a bottom prefix, abstention the next prefix, class 1 the rest).  Returns
-    (k, k_tilde, tau1_value, tau2_value, achieved dict, feasible, trace).
+    a bottom prefix, abstention the next prefix, class 1 the rest).
     """
     n = len(values)
     n1 = int(is_class1.sum())
@@ -342,19 +371,16 @@ def _np_grid_select(
     # full abstention always meets alpha2 vacuously (empty decided set); it
     # is excluded so feasible=False flags data where no substantive rule works
     feasible_ks = np.flatnonzero((type2 <= alpha2) & valid & (ks < n))
-    trace = ()
+    trace = {}
     if want_trace:
-        trace = tuple(
-            {
-                "k": int(k),
-                "gamma": float(gammas[k]),
-                "k_tilde": int(k_tilde[k]),
-                "type1_count": int(cum1_ext[min(k_tilde[k], n)]),
-                "type2": float(type2[k]) if valid[k] else float("nan"),
-                "valid": bool(valid[k]),
-            }
-            for k in ks
-        )
+        trace = {
+            "k": ks,
+            "gamma": gammas,
+            "k_tilde": k_tilde,
+            "type1_count": cum1_ext[np.minimum(k_tilde, n)],
+            "type2": np.where(valid, type2, np.nan),
+            "valid": valid,
+        }
 
     def thresholds(k: int):
         kt = int(k_tilde[k])
@@ -363,41 +389,41 @@ def _np_grid_select(
         tau2 = float(v_sorted[edge - 1]) if edge >= 1 else -np.inf
         return tau1, max(tau1, tau2)
 
-    if len(feasible_ks) == 0:
-        best = int(np.argmin(np.where(valid & (ks < n), type2, np.inf)))
-        tau1, tau2 = thresholds(best)
-        achieved = _np_achieved(cum1_ext, cum2_ext, n1, n2, int(k_tilde[best]), best)
-        return best, int(k_tilde[best]), tau1, tau2, achieved, False, trace
-    k = int(feasible_ks[0])
+    feasible = len(feasible_ks) > 0
+    if feasible:
+        k = int(feasible_ks[0])
+    else:
+        k = int(np.argmin(np.where(valid & (ks < n), type2, np.inf)))
     tau1, tau2 = thresholds(k)
     achieved = _np_achieved(cum1_ext, cum2_ext, n1, n2, int(k_tilde[k]), k)
-    if eval_values is not None and eval_is_class1 is not None:
-        achieved = dict(achieved)
-        achieved.update(
-            _np_holdout_achieved(eval_values, eval_is_class1, tau1, tau2)
-        )
-    return k, int(k_tilde[k]), tau1, tau2, achieved, True, trace
+    if feasible and eval_values is not None and eval_is_class1 is not None:
+        achieved.update(_np_holdout_achieved(eval_values, eval_is_class1, tau1, tau2))
+    achieved_gamma0 = _np_achieved(cum1_ext, cum2_ext, n1, n2, int(k_tilde[0]), 0)
+    return _GridChoice(k, tau1, tau2, achieved, feasible, trace, achieved_gamma0)
 
 
 def _type1_count_budget(n1: int, levels: np.ndarray, high_prob_delta: Optional[float]):
     """Class-1 count allowed in the class-2 block at each candidate gamma.
 
     Default: the plain empirical budget floor(level * n1) realized through a
-    <= comparison.  With high_prob_delta set, the largest count whose
-    exceedance probability under Binomial(n1, level) is at most delta — the
-    conservative order-statistic pick used by abstention-free type-I-control
-    baselines.
+    <= comparison.  With high_prob_delta set, the largest count j <=
+    floor(level * n1) with P(Binomial(n1, level) <= j - 1) <= delta: the
+    order-statistic rank of the NP umbrella algorithm (Tong, Feng & Li,
+    Sci. Adv. 2018), used by abstention-free type-I-control baselines.  That
+    count is one above the binomial delta-quantile m when the CDF at m is
+    still at most delta, else m itself, so one vectorized quantile and one
+    CDF evaluation per level give it.
     """
     if high_prob_delta is None:
         return np.floor(levels * n1 + 1e-12)
     from scipy.stats import binom
 
+    cap = np.floor(levels * n1)
     counts = np.zeros(len(levels))
-    for idx, p in enumerate(levels):
-        j = int(np.floor(p * n1))
-        while j > 0 and binom.cdf(j - 1, n1, p) > high_prob_delta:
-            j -= 1
-        counts[idx] = j
+    live = cap > 0  # a zero cap leaves no count to search
+    p = levels[live]
+    m = binom.ppf(high_prob_delta, n1, p)
+    counts[live] = np.maximum(np.minimum(cap[live], m + (binom.cdf(m, n1, p) <= high_prob_delta)), 0)
     return counts
 
 
@@ -452,10 +478,10 @@ def calibrate_np(
         raise ValueError("alpha1 and alpha2 must lie in (0, 1)")
     if cal.scores is None:
         raise ValueError("np calibration needs scalar scores")
-    is_class1 = cal.labels == 1
+    is_class1 = _binary_labels(cal) == 1
     hv = holdout.scores if holdout is not None else None
-    hc = (holdout.labels == 1) if holdout is not None else None
-    k, _, tau1, tau2, achieved, feasible, trace = _np_grid_select(
+    hc = (_binary_labels(holdout) == 1) if holdout is not None else None
+    choice = _np_grid_select(
         cal.scores,
         is_class1,
         alpha1,
@@ -466,11 +492,11 @@ def calibrate_np(
         want_trace=want_trace,
     )
     return CalibrationReport(
-        rule=NpRule(tau1=tau1, tau2=tau2),
-        gamma_hat=k / cal.n,
-        achieved=achieved,
-        feasible=feasible,
-        trace=trace,
+        rule=NpRule(tau1=choice.tau1, tau2=choice.tau2),
+        gamma_hat=choice.k / cal.n,
+        achieved=choice.achieved,
+        feasible=choice.feasible,
+        trace=choice.trace,
     )
 
 
@@ -522,35 +548,35 @@ def calibrate_np_mlr(
     predict 1 below tau2, 2 above tau1, abstain on the interval between.
     Also reports the power criterion: abstention is needed exactly when the
     empirical power of the abstention-free type-I-controlled test at alpha1
-    falls short of 1 - alpha2.
+    falls short of 1 - alpha2.  That test is the gamma = 0 point of the
+    same grid, so it uses the same type-I budget as the selection.
     """
     if not (0.0 < alpha1 < 1.0 and 0.0 < alpha2 < 1.0):
         raise ValueError("alpha1 and alpha2 must lie in (0, 1)")
     if cal.xs is None:
         raise ValueError("MLR calibration needs raw observations")
-    is_class1 = cal.labels == 1
-    neg = -cal.xs
-    k, _, t1_neg, t2_neg, achieved, feasible, trace = _np_grid_select(
-        neg,
+    is_class1 = _binary_labels(cal) == 1
+    choice = _np_grid_select(
+        -cal.xs,
         is_class1,
         alpha1,
         alpha2,
         high_prob_delta=high_prob_delta,
         want_trace=want_trace,
     )
-    tau1 = -t1_neg  # class-2 side: x >= tau1
-    tau2 = -t2_neg  # class-1 side: x <= tau2
-    achieved = dict(achieved)
-    # power of the gamma = 0 test: 1 - type II at k = 0
-    _, _, _, _, achieved0, _, _ = _np_grid_select(neg, is_class1, alpha1, 1.0 - 1e-12)
-    power0 = 1.0 - achieved0["type2"]
-    achieved["power_at_gamma0"] = power0
-    achieved["power_criterion_positive_gamma"] = bool(power0 < 1.0 - alpha2)
+    tau1 = -choice.tau1  # class-2 side: x >= tau1
+    tau2 = -choice.tau2  # class-1 side: x <= tau2
+    power0 = 1.0 - choice.achieved_gamma0["type2"]
     return CalibrationReport(
         rule=MlrNpRule(tau2=min(tau2, tau1), tau1=tau1),
-        gamma_hat=k / cal.n,
-        achieved=achieved,
-        feasible=feasible,
+        gamma_hat=choice.k / cal.n,
+        achieved={
+            **choice.achieved,
+            "power_at_gamma0": power0,
+            "power_criterion_positive_gamma": bool(power0 < 1.0 - alpha2),
+        },
+        feasible=choice.feasible,
+        trace=choice.trace,
     )
 
 
@@ -566,7 +592,7 @@ def calibrate_accuracy_mlr(
         raise ValueError("alpha must lie in (0, 1)")
     if cal.xs is None:
         raise ValueError("MLR calibration needs raw observations")
-    x, labels = cal.xs, cal.labels
+    x, labels = cal.xs, _binary_labels(cal)
     n = len(x)
     conf = np.abs(x)
     predicted = np.where(x >= 0.0, 2, 1)
@@ -579,17 +605,7 @@ def calibrate_accuracy_mlr(
     err = np.where(decided_count > 0, mis_suffix[start] / np.maximum(decided_count, 1), 0.0)
     running_min = np.minimum.accumulate(err)
     hits = np.flatnonzero(running_min <= alpha)
-    trace = ()
-    if want_trace:
-        trace = tuple(
-            {
-                "tau": float(conf_sorted[i]),
-                "decided": int(decided_count[i]),
-                "error": float(err[i]),
-                "running_min": float(running_min[i]),
-            }
-            for i in range(n)
-        )
+    trace = _accuracy_trace(conf_sorted, decided_count, err, running_min) if want_trace else {}
     if len(hits) == 0:
         return CalibrationReport(
             rule=MlrSymmetricRule(tau=float(conf_sorted[-1]) + 1.0),

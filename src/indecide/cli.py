@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import os
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -116,18 +119,82 @@ def _build_parser() -> argparse.ArgumentParser:
 # CSV ingestion
 
 
-def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: str, columns, *, labelled: bool = False) -> tuple[list[str], np.ndarray]:
+    """The header row and the body's leading numeric columns, n x m floats.
+
+    columns(path, header) raises SchemaError for a header the caller cannot
+    use, else returns (names, exact): the m leading columns to read, and
+    whether every row must have exactly m fields rather than at least m.
+    When labelled, the last of those columns must hold integer labels.
+
+    One np.loadtxt call parses the body of a regular file.  Input where it
+    could disagree with the per-row parser (quotes, blank lines, a cell
+    loadtxt rejects, a non-integer label) goes to _read_rows instead, which
+    returns the same table or raises the line-numbered SchemaError; so does
+    input that cannot be read twice, such as a pipe.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, header row required") from None
-            rows = list(reader)
+            raw = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    return header, rows
+    if '"' in raw or not os.path.isfile(path):  # a quoted field may hold a delimiter or a line break
+        return _read_rows(path, raw, columns, labelled)
+    if not raw:
+        raise SchemaError(f"{path}: empty file, header row required")
+    # line ends as the csv module and loadtxt both see them
+    text = raw.replace("\r\n", "\n").replace("\r", "\n") if "\r" in raw else raw
+    header_end = text.find("\n")
+    if header_end < 0:
+        header_end = len(text)
+    header = next(csv.reader([text[:header_end]]))
+    names, exact = columns(path, header)
+    body_start = header_end + 1
+    if body_start >= len(text):
+        return header, np.empty((0, len(names)))
+    lines = text.count("\n", body_start) + (not text.endswith("\n"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an all-blank body reads as no data
+            table = np.loadtxt(
+                path,
+                delimiter=",",
+                comments=None,
+                skiprows=1,
+                ndmin=2,
+                usecols=None if exact else range(len(names)),
+                encoding="utf-8",
+            )
+    except ValueError:
+        return _read_rows(path, raw, columns, labelled)
+    # loadtxt skips blank lines, which the per-row parser rejects
+    if table.shape != (lines, len(names)) or (labelled and not _is_label(table[:, -1]).all()):
+        return _read_rows(path, raw, columns, labelled)
+    return header, table
+
+
+def _read_rows(path: str, raw: str, columns, labelled: bool) -> tuple[list[str], np.ndarray]:
+    """_read_table on the file's text by csv.reader and float() per cell,
+    with line-numbered errors."""
+    reader = csv.reader(io.StringIO(raw, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, header row required") from None
+    rows = list(reader)
+    names, exact = columns(path, header)
+    width = len(names)
+    table = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        lineno = i + 2
+        if len(row) < width or (exact and len(row) > width):
+            raise SchemaError(f"{path}: line {lineno}: expected {width} column{'s' * (width != 1)}")
+        for j, name in enumerate(names):
+            value = _parse_float(row[j], path, lineno, name)
+            if labelled and j == width - 1 and not (value.is_integer() and abs(value) < _LABEL_LIMIT):
+                raise SchemaError(f"{path}: line {lineno}: column {name!r} is not an integer class index: {row[j]!r}")
+            table[i, j] = value
+    return header, table
 
 
 def _parse_float(value: str, path: str, lineno: int, column: str) -> float:
@@ -137,39 +204,38 @@ def _parse_float(value: str, path: str, lineno: int, column: str) -> float:
         raise SchemaError(f"{path}: line {lineno}: column {column!r} is not a number: {value!r}") from None
 
 
+# beyond 2**53 a parsed float no longer tells which integer the file wrote
+_LABEL_LIMIT = 2.0**53
+
+
+def _is_label(values: np.ndarray) -> np.ndarray:
+    """Elementwise: is the parsed label an integer below _LABEL_LIMIT."""
+    return (np.abs(values) < _LABEL_LIMIT) & (np.floor(values) == values)
+
+
+def _pair_columns(path: str, header: list[str], first: str):
+    if header[:2] != [first, "label"]:
+        raise SchemaError(f"{path}: expected header {first},label, got {header!r}")
+    return [first, "label"], False
+
+
+def _multiclass_columns(path: str, header: list[str]):
+    score_cols = [h for h in header if h.startswith("s_")]
+    if not score_cols or header != score_cols + ["label"]:
+        raise SchemaError(f"{path}: expected header s_1,...,s_K,label, got {header!r}")
+    return header, True
+
+
 def _load_sample(path: str, mode: str) -> CalibrationSample:
-    header, rows = _read_table(path)
-    if mode in ("accuracy", "np"):
-        if header[:2] != ["score", "label"]:
-            raise SchemaError(f"{path}: expected header score,label, got {header!r}")
-        scores, labels = [], []
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) < 2:
-                raise SchemaError(f"{path}: line {lineno}: expected 2 columns")
-            scores.append(_parse_float(row[0], path, lineno, "score"))
-            labels.append(int(_parse_float(row[1], path, lineno, "label")))
-        return CalibrationSample(scores=np.array(scores), labels=np.array(labels))
     if mode == "multiclass":
-        score_cols = [h for h in header if h.startswith("s_")]
-        if not score_cols or header != score_cols + ["label"]:
-            raise SchemaError(f"{path}: expected header s_1,...,s_K,label, got {header!r}")
-        vecs, labels = [], []
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}: line {lineno}: expected {len(header)} columns")
-            vecs.append([_parse_float(v, path, lineno, c) for v, c in zip(row, score_cols)])
-            labels.append(int(_parse_float(row[-1], path, lineno, "label")))
-        return CalibrationSample(score_vectors=np.array(vecs), labels=np.array(labels))
-    # MLR modes: raw observations
-    if header[:2] != ["x", "label"]:
-        raise SchemaError(f"{path}: expected header x,label, got {header!r}")
-    xs, labels = [], []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) < 2:
-            raise SchemaError(f"{path}: line {lineno}: expected 2 columns")
-        xs.append(_parse_float(row[0], path, lineno, "x"))
-        labels.append(int(_parse_float(row[1], path, lineno, "label")))
-    return CalibrationSample(xs=np.array(xs), labels=np.array(labels))
+        _, table = _read_table(path, _multiclass_columns, labelled=True)
+        return CalibrationSample(score_vectors=table[:, :-1], labels=table[:, -1].astype(int))
+    first = "score" if mode in ("accuracy", "np") else "x"
+    _, table = _read_table(path, partial(_pair_columns, first=first), labelled=True)
+    values, labels = table[:, 0].copy(), table[:, 1].astype(int)
+    if first == "score":
+        return CalibrationSample(scores=values, labels=labels)
+    return CalibrationSample(xs=values, labels=labels)
 
 
 def _require(args, names: list[str], mode: str) -> None:
@@ -276,50 +342,59 @@ def cmd_calibrate(args) -> int:
         report_entries[f"achieved_{key}"] = value
     write_kv(report_entries, out_dir / "report.kv")
     outputs = ["rule.kv", "report.kv"]
-    if want_trace and report.trace:
-        trace_path = out_dir / "trace.csv"
-        cols = list(report.trace[0].keys())
-        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for row in report.trace:
-                writer.writerow([
-                    format(v, ".17g") if isinstance(v, float) else v for v in (row[c] for c in cols)
-                ])
+    if report.trace:
+        _write_columns(out_dir / "trace.csv", report.trace)
         outputs.append("trace.csv")
     _write_manifest(out_dir, f"calibrate-{mode}", [args.input], outputs + ["manifest.kv"], {})
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
+# printf-style cell format per dtype kind: floats with 17 significant digits
+# (nan for NaN), integers as str() prints them, booleans as True/False
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
+_WRITE_ROWS = 1 << 16  # rows formatted per write, which bounds the text held at once
+
+
+def _write_columns(path: Path, columns: dict) -> None:
+    """CSV of equal-length 1-d arrays: the keys as header, then one row per index."""
+    row_format = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns.values()) + "\n"
+    n = len(next(iter(columns.values())))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, n, _WRITE_ROWS):
+            cells = (c[start : start + _WRITE_ROWS].tolist() for c in columns.values())
+            fh.write("".join(map(row_format.__mod__, zip(*cells))))
+
+
+def _rule_columns(path: str, header: list[str], expected: str):
+    if not header or header[0] != expected:
+        raise SchemaError(f"{path}: header {header!r} does not match rule input {expected!r}")
+    if expected == "s_1":
+        return header[: sum(h.startswith("s_") for h in header)], False
+    return [expected], False
+
+
+def _read_rule_input(path: str, rule) -> np.ndarray:
+    """What rule.apply takes from the input CSV: the leading column, or the
+    leading s_* columns as score vectors for a max-score rule."""
+    if isinstance(rule, (SelectiveBinaryRule, NpRule)):
+        expected = "score"
+    elif isinstance(rule, (MlrNpRule, MlrSymmetricRule)):
+        expected = "x"
+    else:
+        expected = "s_1"
+    _, table = _read_table(path, partial(_rule_columns, expected=expected))
+    return table if expected == "s_1" else table[:, 0].copy()
+
+
 def cmd_apply(args) -> int:
     rule = _rule_from_kv(read_kv(args.rule))
-    header, rows = _read_table(args.input)
-    if isinstance(rule, (SelectiveBinaryRule, NpRule)):
-        expected, column = "score", 0
-    elif isinstance(rule, (MlrNpRule, MlrSymmetricRule)):
-        expected, column = "x", 0
-    else:
-        expected, column = "s_1", None
-    if not header or header[0] != expected:
-        raise SchemaError(f"{args.input}: header {header!r} does not match rule input {expected!r}")
-    if column is None:
-        score_cols = [h for h in header if h.startswith("s_")]
-        values = np.array(
-            [
-                [_parse_float(row[i], args.input, lineno, header[i]) for i in range(len(score_cols))]
-                for lineno, row in enumerate(rows, start=2)
-            ]
-        )
-    else:
-        values = np.array(
-            [_parse_float(row[column], args.input, lineno, expected) for lineno, row in enumerate(rows, start=2)]
-        )
+    values = _read_rule_input(args.input, rule)
     decisions = rule.apply(values) if len(values) else np.array([], dtype=int)
+    # decision d is written as words[d]: "abstain" for 0, else the class index
+    words = np.array(["abstain", *map(str, range(1, int(decisions.max(initial=0)) + 1))])
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["decision"])
-        for d in decisions:
-            writer.writerow(["abstain" if d == 0 else str(int(d))])
+        fh.write("\n".join(["decision", *words[decisions].tolist()]) + "\n")
         abstained = float((decisions == 0).mean()) if len(decisions) else 0.0
         fh.write(f"# abstention_fraction = {abstained:.17g}; rows = {len(decisions)}\n")
     return EXIT_OK

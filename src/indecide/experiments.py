@@ -218,9 +218,7 @@ def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
         cal = CalibrationSample(scores=s_cal, labels=y_cal)
 
         report = calibrate_np(cal, cfg.alpha1, cfg.alpha2, want_trace=True)
-        type2_curve = [
-            row["type2"] for row in report.trace if row["valid"] and not math.isnan(row["type2"])
-        ]
+        type2_curve = report.trace["type2"][report.trace["valid"]].tolist()  # NaN exactly where not valid
 
         # abstention-free baseline: same type-I budget at gamma = 0
         order = np.lexsort((np.arange(len(s_cal)), s_cal))

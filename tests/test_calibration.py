@@ -10,6 +10,8 @@ import pytest
 from indecide import gmm
 from indecide.calibration import (
     CalibrationSample,
+    _np_grid_select,
+    _type1_count_budget,
     MaxScoreRule,
     MlrNpRule,
     MlrSymmetricRule,
@@ -59,6 +61,43 @@ class TestCalibrationSample:
         with pytest.raises(ValueError):
             CalibrationSample(scores=np.array([0.5, 0.6]), labels=np.array([1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            CalibrationSample(scores=np.array([0.5, bad]), labels=np.array([1, 2]))
+        with pytest.raises(ValueError, match="xs must be finite"):
+            CalibrationSample(xs=np.array([0.5, bad]), labels=np.array([1, 2]))
+        with pytest.raises(ValueError, match="score_vectors must be finite"):
+            CalibrationSample(score_vectors=np.array([[0.5, 0.5], [bad, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "calibrate",
+        [
+            lambda cal: calibrate_accuracy(cal, 0.1),
+            lambda cal: calibrate_accuracy_fixed_gamma(cal, 0.1),
+            lambda cal: calibrate_np(cal, 0.1, 0.1),
+        ],
+    )
+    def test_binary_calibrators_reject_third_label(self, calibrate):
+        cal = CalibrationSample(scores=np.array([0.9, 0.6, 0.2]), labels=np.array([1, 3, 2]))
+        with pytest.raises(ValueError, match="labels in"):
+            calibrate(cal)
+
+    @pytest.mark.parametrize(
+        "calibrate",
+        [lambda cal: calibrate_np_mlr(cal, 0.1, 0.1), lambda cal: calibrate_accuracy_mlr(cal, 0.1)],
+    )
+    def test_mlr_calibrators_reject_third_label(self, calibrate):
+        cal = CalibrationSample(xs=np.array([-1.0, 0.0, 1.0]), labels=np.array([1, 3, 2]))
+        with pytest.raises(ValueError, match="labels in"):
+            calibrate(cal)
+
+    def test_holdout_labels_checked(self):
+        cal = CalibrationSample(scores=np.array([0.9, 0.2]), labels=np.array([1, 2]))
+        hold = CalibrationSample(scores=np.array([0.9, 0.2]), labels=np.array([1, 3]))
+        with pytest.raises(ValueError, match="labels in"):
+            calibrate_np(cal, 0.1, 0.1, holdout=hold)
+
 
 class TestRules:
     def test_selective_binary(self):
@@ -105,13 +144,15 @@ class TestCalibrateAccuracy:
         assert report.gamma_hat == pytest.approx(0.4)
         assert report.achieved["conditional_error"] == 0.0
         assert report.feasible
+        assert list(report.trace) == ["tau", "decided", "error", "running_min"]
+        assert all(len(col) == 5 for col in report.trace.values())
         # candidate thresholds ascend through the sorted confidences
-        taus = [row["tau"] for row in report.trace]
+        taus = report.trace["tau"].tolist()
         assert taus == sorted(taus)
         # decided counts shrink, running minimum never rises
-        decided = [row["decided"] for row in report.trace]
+        decided = report.trace["decided"].tolist()
         assert decided == sorted(decided, reverse=True)
-        mins = [row["running_min"] for row in report.trace]
+        mins = report.trace["running_min"].tolist()
         assert all(b <= a + 1e-15 for a, b in zip(mins, mins[1:]))
 
     def test_perfect_scores_need_no_abstention(self):
@@ -203,17 +244,20 @@ class TestCalibrateNp:
         report = calibrate_np(self.golden_sample(), 1 / 3, 1 / 3, want_trace=True)
         with open(DATA / "np_trace_golden.csv", newline="") as fh:
             expected = list(csv.DictReader(fh))
-        assert len(report.trace) == len(expected)
-        for got, want in zip(report.trace, expected):
-            assert got["k"] == int(want["k"])
-            assert got["gamma"] == pytest.approx(float(want["gamma"]), abs=1e-15)
-            assert got["k_tilde"] == int(want["k_tilde"])
-            assert got["type1_count"] == int(want["type1_count"])
-            assert got["valid"] is (want["valid"] == "True")
+        trace = report.trace
+        assert list(trace) == list(expected[0])
+        assert all(len(col) == len(expected) for col in trace.values())
+        assert trace["valid"].dtype == bool
+        for i, want in enumerate(expected):
+            assert trace["k"][i] == int(want["k"])
+            assert trace["gamma"][i] == pytest.approx(float(want["gamma"]), abs=1e-15)
+            assert trace["k_tilde"][i] == int(want["k_tilde"])
+            assert trace["type1_count"][i] == int(want["type1_count"])
+            assert trace["valid"][i] == (want["valid"] == "True")
             if want["type2"] == "nan":
-                assert math.isnan(got["type2"])
+                assert math.isnan(trace["type2"][i])
             else:
-                assert got["type2"] == pytest.approx(float(want["type2"]), abs=1e-15)
+                assert trace["type2"][i] == pytest.approx(float(want["type2"]), abs=1e-15)
 
     def test_needs_both_classes(self):
         cal = CalibrationSample(
@@ -239,9 +283,9 @@ class TestCalibrateNp:
         report = calibrate_np(cal, 0.1, 0.3, want_trace=True)
         if report.feasible:
             k_sel = round(report.gamma_hat * cal.n)
-            for row in report.trace:
-                if row["k"] < k_sel and row["valid"]:
-                    assert row["type2"] > 0.3
+            trace = report.trace
+            earlier = (trace["k"] < k_sel) & trace["valid"]
+            assert (trace["type2"][earlier] > 0.3).all()
 
     def test_holdout_estimates_reported(self):
         rng = seeded_stream(26, 0)
@@ -268,6 +312,37 @@ class TestCalibrateNp:
         )
         report = calibrate_np(cal, 0.2, 0.01)
         assert not report.feasible
+
+
+def loop_type1_count_budget(n1, levels, high_prob_delta):
+    """The per-level loop the vectorized high-probability budget replaced."""
+    from scipy.stats import binom
+
+    counts = np.zeros(len(levels))
+    for idx, p in enumerate(levels):
+        j = int(np.floor(p * n1))
+        while j > 0 and binom.cdf(j - 1, n1, p) > high_prob_delta:
+            j -= 1
+        counts[idx] = j
+    return counts
+
+
+class TestType1Budget:
+    @pytest.mark.parametrize("delta", [1e-6, 0.05, 0.5])
+    def test_matches_per_level_loop(self, delta):
+        rng = np.random.default_rng(41)
+        for n1 in [*range(1, 61), 257, 1000, 3001]:
+            step = max(1, n1 // 10)
+            levels = np.concatenate(
+                [
+                    np.arange(0, n1 + 1, step) / n1,  # level * n1 an integer, up to rounding
+                    (1.0 - np.arange(0, 21) / 20) * 0.1,  # the grid calibrate_np sweeps
+                    rng.random(4),
+                    [1e-300, 1e-12, 1e-6, 0.5 / n1],  # tiny levels
+                ]
+            )
+            got = _type1_count_budget(n1, levels, delta)
+            np.testing.assert_array_equal(got, loop_type1_count_budget(n1, levels, delta), err_msg=f"n1={n1}")
 
 
 class TestCalibrateMulticlass:
@@ -321,6 +396,31 @@ class TestCalibrateMlr:
             if report.feasible:
                 needs = report.achieved["power_criterion_positive_gamma"]
                 assert needs == (report.gamma_hat > 0.0)
+
+    def test_power_at_gamma0_from_the_single_grid_search(self):
+        # tie-heavy samples: observations on a few half-integers, class 2 to the right
+        rng = np.random.default_rng(33)
+        branches = set()
+        for rep in range(60):
+            n = int(rng.integers(3, 60))
+            labels = rng.integers(1, 3, n)
+            if len(np.unique(labels)) < 2:
+                continue
+            xs = np.round(rng.normal(labels - 1.5, 1.0) * 2) / 2
+            report = calibrate_np_mlr(CalibrationSample(xs=xs, labels=labels), 0.1, 0.2, want_trace=True)
+            # what the former second grid search (alpha2 just below 1) reported
+            old = _np_grid_select(-xs, labels == 1, 0.1, 1.0 - 1e-12)
+            branches.add(old.k == 0)
+            if old.k == 0:
+                assert report.achieved["power_at_gamma0"] == 1.0 - old.achieved["type2"]
+            else:  # it skipped gamma = 0, which here has type II error 1
+                assert report.trace["type2"][0] == 1.0
+                assert report.achieved["power_at_gamma0"] == 0.0
+            if report.feasible:
+                assert report.achieved["power_criterion_positive_gamma"] == (report.gamma_hat > 0.0)
+            assert list(report.trace) == ["k", "gamma", "k_tilde", "type1_count", "type2", "valid"]
+            assert all(len(col) == n + 1 for col in report.trace.values())
+        assert branches == {True, False}
 
     def test_separated_data_needs_no_abstention(self):
         xs = np.concatenate([np.linspace(-5, -3, 50), np.linspace(3, 5, 50)])

@@ -55,6 +55,18 @@ class TestCalibrateCommand:
         assert rule["rule_type"] == "np"
         assert rule["tau1"] == pytest.approx(0.55)
 
+    def test_accuracy_trace_matches_golden_file(self, tmp_path):
+        # golden file written by the row-dict trace writer this one replaced
+        out = tmp_path / "out"
+        code = main(
+            [
+                "calibrate", "--mode", "accuracy", "--input", str(DATA / "accuracy_cal_golden.csv"),
+                "--alpha", "0.35", "--out-dir", str(out), "--trace",
+            ]
+        )
+        assert code == EXIT_OK
+        assert (out / "trace.csv").read_bytes() == (DATA / "accuracy_trace_golden.csv").read_bytes()
+
     def test_infeasible_exit_code(self, tmp_path):
         inp = write_csv(
             tmp_path / "cal.csv",
@@ -107,12 +119,19 @@ class TestCalibrateCommand:
         inp = write_csv(tmp_path / "cal.csv", "\n".join(lines) + "\n")
         out = tmp_path / "out"
         code = main(
-            ["calibrate", "--mode", "mlr-np", "--input", inp, "--alpha1", "0.1", "--alpha2", "0.1", "--out-dir", str(out)]
+            [
+                "calibrate", "--mode", "mlr-np", "--input", inp, "--alpha1", "0.1", "--alpha2", "0.1",
+                "--out-dir", str(out), "--trace",
+            ]
         )
         assert code == EXIT_OK
         rule = read_kv(out / "rule.kv")
         assert rule["rule_type"] == "mlr-np"
         assert rule["tau2"] <= rule["tau1"]
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "k,gamma,k_tilde,type1_count,type2,valid"
+        assert len(trace) == 1 + 41  # one row per k in 0..n
+        assert trace[1].startswith("0,0,") and trace[-1].startswith("40,1,")
 
 
 class TestApplyCommand:
