@@ -312,7 +312,7 @@ def calibrate_accuracy_fixed_gamma(
 class _GridChoice(NamedTuple):
     """What _np_grid_select picked: abstention count k, thresholds in the
     search's value order, estimates, the trace, and the estimates of the
-    gamma = 0 operating point (k = 0) of the same grid."""
+    gamma = 0 operating point (k = 0) under the plain type-I budget."""
 
     k: int
     tau1: float
@@ -398,7 +398,8 @@ def _np_grid_select(
     achieved = _np_achieved(cum1_ext, cum2_ext, n1, n2, int(k_tilde[k]), k)
     if feasible and eval_values is not None and eval_is_class1 is not None:
         achieved.update(_np_holdout_achieved(eval_values, eval_is_class1, tau1, tau2))
-    achieved_gamma0 = _np_achieved(cum1_ext, cum2_ext, n1, n2, int(k_tilde[0]), 0)
+    kt0 = np.searchsorted(cum1, _type1_count_budget(n1, np.array([alpha1]), None)[0] + 0.5)
+    achieved_gamma0 = _np_achieved(cum1_ext, cum2_ext, n1, n2, int(kt0), 0)
     return _GridChoice(k, tau1, tau2, achieved, feasible, trace, achieved_gamma0)
 
 
@@ -549,7 +550,7 @@ def calibrate_np_mlr(
     Also reports the power criterion: abstention is needed exactly when the
     empirical power of the abstention-free type-I-controlled test at alpha1
     falls short of 1 - alpha2.  That test is the gamma = 0 point of the
-    same grid, so it uses the same type-I budget as the selection.
+    same grid, with the plain type-I budget also when high_prob_delta is set.
     """
     if not (0.0 < alpha1 < 1.0 and 0.0 < alpha2 < 1.0):
         raise ValueError("alpha1 and alpha2 must lie in (0, 1)")

@@ -127,48 +127,45 @@ def _read_table(path: str, columns, *, labelled: bool = False) -> tuple[list[str
     whether every row must have exactly m fields rather than at least m.
     When labelled, the last of those columns must hold integer labels.
 
-    One np.loadtxt call parses the body of a regular file.  Input where it
-    could disagree with the per-row parser (quotes, blank lines, a cell
-    loadtxt rejects, a non-integer label) goes to _read_rows instead, which
-    returns the same table or raises the line-numbered SchemaError; so does
-    input that cannot be read twice, such as a pipe.
+    The file is read once, and one np.loadtxt call parses the body of that
+    text.  Input where loadtxt could disagree with the per-row parser
+    (quotes, blank lines, a cell loadtxt rejects, a non-integer label) goes
+    to _read_rows instead, which returns the same table or raises the
+    line-numbered SchemaError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    if '"' in raw or not os.path.isfile(path):  # a quoted field may hold a delimiter or a line break
+    if '"' in raw:  # a quoted field may hold a delimiter or a line break
         return _read_rows(path, raw, columns, labelled)
     if not raw:
         raise SchemaError(f"{path}: empty file, header row required")
-    # line ends as the csv module and loadtxt both see them
+    # line ends as the csv module sees them
     text = raw.replace("\r\n", "\n").replace("\r", "\n") if "\r" in raw else raw
-    header_end = text.find("\n")
-    if header_end < 0:
-        header_end = len(text)
-    header = next(csv.reader([text[:header_end]]))
+    lines = text.split("\n")
+    if lines[-1] == "":  # the last line's end
+        lines.pop()
+    header = next(csv.reader(lines[:1]))
     names, exact = columns(path, header)
-    body_start = header_end + 1
-    if body_start >= len(text):
+    if len(lines) == 1:
         return header, np.empty((0, len(names)))
-    lines = text.count("\n", body_start) + (not text.endswith("\n"))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an all-blank body reads as no data
             table = np.loadtxt(
-                path,
+                lines,
                 delimiter=",",
                 comments=None,
                 skiprows=1,
                 ndmin=2,
                 usecols=None if exact else range(len(names)),
-                encoding="utf-8",
             )
     except ValueError:
         return _read_rows(path, raw, columns, labelled)
     # loadtxt skips blank lines, which the per-row parser rejects
-    if table.shape != (lines, len(names)) or (labelled and not _is_label(table[:, -1]).all()):
+    if table.shape != (len(lines) - 1, len(names)) or (labelled and not _is_label(table[:, -1]).all()):
         return _read_rows(path, raw, columns, labelled)
     return header, table
 

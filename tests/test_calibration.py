@@ -408,6 +408,9 @@ class TestCalibrateMlr:
                 continue
             xs = np.round(rng.normal(labels - 1.5, 1.0) * 2) / 2
             report = calibrate_np_mlr(CalibrationSample(xs=xs, labels=labels), 0.1, 0.2, want_trace=True)
+            # the gamma = 0 test keeps the plain budget under a high-probability selection
+            strict = calibrate_np_mlr(CalibrationSample(xs=xs, labels=labels), 0.1, 0.2, high_prob_delta=0.05)
+            assert strict.achieved["power_at_gamma0"] == report.achieved["power_at_gamma0"]
             # what the former second grid search (alpha2 just below 1) reported
             old = _np_grid_select(-xs, labels == 1, 0.1, 1.0 - 1e-12)
             branches.add(old.k == 0)

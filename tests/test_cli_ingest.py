@@ -245,16 +245,28 @@ def test_clean_input_takes_fast_path(tmp_path, monkeypatch, ending):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_pipe_input_is_read_once(tmp_path):
+def test_pipe_input_is_read_once(tmp_path, monkeypatch):
     fifo = tmp_path / "cal.csv"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=("score,label\n0.9,1\n0.2,2\n",), daemon=True)
     writer.start()
+    refuse_per_row(monkeypatch)
     sample = cli._load_sample(str(fifo), "np")
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert sample.scores.tolist() == [0.9, 0.2]
     assert sample.labels.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_compression_suffix_does_not_change_reading(tmp_path, monkeypatch, suffix):
+    # the file is plain text whatever its name says
+    path = write(tmp_path / f"cal.csv{suffix}", "score,label\n0.9,1\n0.2,2\n")
+    refuse_per_row(monkeypatch)
+    sample = cli._load_sample(path, "np")
+    assert sample.scores.tolist() == [0.9, 0.2]
+    assert sample.labels.tolist() == [1, 2]
+    assert cli._read_rule_input(path, NpRule(tau1=0.2, tau2=0.6)).tolist() == [0.9, 0.2]
 
 
 def test_bad_label_reaches_per_row_parser(tmp_path, monkeypatch):
