@@ -44,7 +44,7 @@ from .experiments import (
     sim_result_to_csv,
     sim_result_to_svg,
 )
-from .kvdoc import read_kv, write_kv
+from .kvdoc import read_kv, write_columns, write_kv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -340,27 +340,10 @@ def cmd_calibrate(args) -> int:
     write_kv(report_entries, out_dir / "report.kv")
     outputs = ["rule.kv", "report.kv"]
     if report.trace:
-        _write_columns(out_dir / "trace.csv", report.trace)
+        write_columns(out_dir / "trace.csv", report.trace)
         outputs.append("trace.csv")
     _write_manifest(out_dir, f"calibrate-{mode}", [args.input], outputs + ["manifest.kv"], {})
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
-
-
-# printf-style cell format per dtype kind: floats with 17 significant digits
-# (nan for NaN), integers as str() prints them, booleans as True/False
-_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
-_WRITE_ROWS = 1 << 16  # rows formatted per write, which bounds the text held at once
-
-
-def _write_columns(path: Path, columns: dict) -> None:
-    """CSV of equal-length 1-d arrays: the keys as header, then one row per index."""
-    row_format = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns.values()) + "\n"
-    n = len(next(iter(columns.values())))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, n, _WRITE_ROWS):
-            cells = (c[start : start + _WRITE_ROWS].tolist() for c in columns.values())
-            fh.write("".join(map(row_format.__mod__, zip(*cells))))
 
 
 def _rule_columns(path: str, header: list[str], expected: str):
@@ -462,11 +445,11 @@ def cmd_experiment(args) -> int:
 
     if args.name == "phase":
         for panel, cfg in _phase_configs(args, overrides):
-            cells = gmm.phase_grid(cfg)
+            grid = gmm.phase_grid(cfg)
             csv_path = out_dir / f"phase_{panel}.csv"
             svg_path = out_dir / f"phase_{panel}.svg"
-            gmm.phase_grid_to_csv(cells, csv_path)
-            gmm.phase_grid_to_svg(cells, cfg, svg_path)
+            gmm.phase_grid_to_csv(grid, csv_path)
+            gmm.phase_grid_to_svg(grid, cfg, svg_path)
             outputs += [csv_path.name, svg_path.name]
         _write_manifest(out_dir, "experiment-phase", inputs, outputs + ["manifest.kv"], extra)
         return EXIT_OK

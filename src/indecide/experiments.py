@@ -35,7 +35,6 @@ __all__ = [
     "run_np_sweep",
     "run_intro_tradeoff",
     "run_consistency_trend",
-    "run_phase_experiment",
     "sim_result_to_csv",
     "plugin_population_risk",
 ]
@@ -219,6 +218,7 @@ def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
 
         report = calibrate_np(cal, cfg.alpha1, cfg.alpha2, want_trace=True)
         type2_curve = report.trace["type2"][report.trace["valid"]].tolist()  # NaN exactly where not valid
+        curve_p5, curve_p95 = _percentile(type2_curve, 5.0), _percentile(type2_curve, 95.0)
 
         # abstention-free baseline: same type-I budget at gamma = 0
         order = np.lexsort((np.arange(len(s_cal)), s_cal))
@@ -248,8 +248,8 @@ def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
                     "type2": stats["type2"],
                     "conditional_error": stats["conditional_error"],
                     "feasible": int(report.feasible) if arm == "algorithm2" else 1,
-                    "cal_type2_curve_p5": _percentile(type2_curve, 5.0),
-                    "cal_type2_curve_p95": _percentile(type2_curve, 95.0),
+                    "cal_type2_curve_p5": curve_p5,
+                    "cal_type2_curve_p95": curve_p95,
                 }
             )
     return rows
@@ -478,15 +478,6 @@ def run_consistency_trend(
         row_columns=_CONSISTENCY_ROW_COLS,
         aggregate_columns=_agg_columns(("n_train",), ("risk_gap",)),
     )
-
-
-# ---------------------------------------------------------------------------
-# phase-transition grid
-
-
-def run_phase_experiment(cfg: gmm.PhaseGridConfig):
-    """Capped risk-ratio grid with the two critical-exponent envelopes."""
-    return gmm.phase_grid(cfg)
 
 
 # ---------------------------------------------------------------------------

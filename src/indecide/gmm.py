@@ -15,12 +15,12 @@ delta_target, and computes where risk / delta_target crosses 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kvdoc import write_columns
 from .numerics import BracketError, normal_tail, normal_tail_vec
 from .svgchart import heatmap_svg
 
@@ -28,7 +28,7 @@ __all__ = [
     "GmmSpec",
     "OracleOperatingPoint",
     "PhaseGridConfig",
-    "PhaseCell",
+    "PhaseGrid",
     "InfeasibleTargetError",
     "operating_point_at_t",
     "threshold_for_gamma",
@@ -102,19 +102,31 @@ class PhaseGridConfig:
             raise ValueError("cap interval must be ordered")
 
 
-@dataclass(frozen=True)
-class PhaseCell:
-    """One (c, m) cell of the phase diagram."""
+@dataclass(frozen=True, eq=False)
+class PhaseGrid:
+    """The phase diagram as equal-length columns, one entry per (c, m) cell.
 
-    c: float
-    m: float
-    gamma: float
-    gamma_complement: float
-    t: float
-    risk: float
-    risk_ratio_raw: float
-    risk_ratio_capped: float
-    resolved: bool
+    Cells are in row-major order, c outer and m inner.  Unresolved cells
+    hold NaN in every float column but c and m.  max_iterations and
+    max_residual describe the solver on this panel: the most bisection steps
+    any cell took to reach its fixed point, and the largest
+    |value(t) - target| over all solved cells, resolved or not.
+    """
+
+    c: np.ndarray
+    m: np.ndarray
+    gamma: np.ndarray
+    gamma_complement: np.ndarray
+    t: np.ndarray
+    risk: np.ndarray
+    risk_ratio_raw: np.ndarray
+    risk_ratio_capped: np.ndarray
+    resolved: np.ndarray
+    max_iterations: int
+    max_residual: float
+
+    def __len__(self) -> int:
+        return self.c.size
 
 
 def operating_point_at_t(spec: GmmSpec, t: float) -> OracleOperatingPoint:
@@ -281,124 +293,102 @@ def m_lower(c: float, gamma_delta: float) -> float:
     return (2.0 * c - 1.0 + eps) ** 2
 
 
-def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool) -> np.ndarray:
-    """Lockstep vectorized bisection in t for every (delta, target) pair."""
+def _t_map(delta: np.ndarray, t: np.ndarray, increasing: bool) -> np.ndarray:
+    """gamma at threshold t when increasing, else its complement 1 - gamma."""
+    if increasing:
+        return normal_tail_vec(delta - t) - normal_tail_vec(delta + t)
+    return normal_tail_vec(t - delta) + normal_tail_vec(delta + t)
 
-    def value_at(t: np.ndarray) -> np.ndarray:
-        if increasing:
-            return normal_tail_vec(delta - t) - normal_tail_vec(delta + t)
-        return normal_tail_vec(t - delta) + normal_tail_vec(delta + t)
 
+def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool):
+    """Vectorized bisection in t for every (delta, target) pair.
+
+    The upper bracket doubles (at most 70 times) until it holds the target,
+    then at most 110 bisection steps run.  A step is a pure function of
+    (lo, hi), so a cell drops out at the first step that moves neither end:
+    every later step would leave it unchanged too.  Returns t and the number
+    of steps that moved each cell.
+    """
     lo = np.zeros_like(delta)
     hi = delta + 2.0
+    idx = np.arange(delta.size)
     for _ in range(70):
-        short = (value_at(hi) < target) == increasing
-        if not short.any():
+        idx = idx[(_t_map(delta[idx], hi[idx], increasing) < target[idx]) == increasing]
+        if not idx.size:
             break
-        hi = np.where(short, hi * 2.0, hi)
+        hi[idx] *= 2.0
+    steps = np.zeros(delta.size, dtype=int)
+    # the live cells, kept compact: positions, inputs and bracket ends
+    pos, d, tg, l, h = np.arange(delta.size), delta, target, lo, hi
     for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        below = (value_at(mid) < target) == increasing
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        if not pos.size:
+            break
+        mid = 0.5 * (l + h)
+        below = (_t_map(d, mid, increasing) < tg) == increasing
+        moved = np.where(below, mid != l, mid != h)
+        l, h = np.where(below, mid, l), np.where(below, h, mid)
+        lo[pos], hi[pos] = l, h
+        pos, d, tg, l, h = pos[moved], d[moved], tg[moved], l[moved], h[moved]
+        steps[pos] += 1
+    return 0.5 * (lo + hi), steps
 
 
-def phase_grid(cfg: PhaseGridConfig) -> list[PhaseCell]:
+def phase_grid(cfg: PhaseGridConfig) -> PhaseGrid:
     """Capped risk ratios risk / delta_target over the (c, m) grid.
 
     Cells inside the dead band around c = 1/2, or whose abstention mass is
     numerically 1, are emitted with resolved=False rather than dropped.
-    Cell order is row-major: c outer, m inner.
     """
     dt = cfg.delta_target
     log_inv = math.log(1.0 / dt)
-    lo_cap, hi_cap = cfg.cap
-
-    cells: list[PhaseCell] = []
-    cs = np.asarray(cfg.c_grid)
-    ms = np.asarray(cfg.m_grid)
-    c_mat, m_mat = np.meshgrid(cs, ms, indexing="ij")
-    c_flat, m_flat = c_mat.ravel(), m_mat.ravel()
-    delta_sep = c_flat * math.sqrt(2.0 * log_inv)
-    upper_side = c_flat > 0.5
-    dead = np.abs(c_flat - 0.5) <= cfg.dead_band
+    c_mat, m_mat = np.meshgrid(np.asarray(cfg.c_grid), np.asarray(cfg.m_grid), indexing="ij")
+    c, m = c_mat.ravel(), m_mat.ravel()
+    delta_sep = c * math.sqrt(2.0 * log_inv)
+    upper_side = c > 0.5
     # gamma = dt**m above c=1/2, 1 - dt**m below; solve each side in its
-    # well-conditioned parameterization
-    small = dt**m_flat
-    t_sol = np.where(
-        upper_side,
-        _solve_t_grid(delta_sep, small, increasing=True),
-        _solve_t_grid(delta_sep, small, increasing=False),
-    )
-    upper_tail = normal_tail_vec(delta_sep + t_sol)
+    # well-conditioned parameterization, on that side's cells only
+    small = dt**m
+    t = np.empty_like(small)
+    steps = np.empty(small.size, dtype=int)
+    residual = np.empty_like(small)
+    for side, increasing in ((upper_side, True), (~upper_side, False)):
+        t[side], steps[side] = _solve_t_grid(delta_sep[side], small[side], increasing)
+        residual[side] = np.abs(_t_map(delta_sep[side], t[side], increasing) - small[side])
     complement = np.where(upper_side, 1.0 - small, small)
     gamma = np.where(upper_side, small, 1.0 - small)
-    risk = upper_tail / complement
-    unresolved = dead | (complement <= 0.0)
-    for i in range(c_flat.size):
-        if unresolved[i]:
-            cells.append(
-                PhaseCell(
-                    c=float(c_flat[i]),
-                    m=float(m_flat[i]),
-                    gamma=math.nan,
-                    gamma_complement=math.nan,
-                    t=math.nan,
-                    risk=math.nan,
-                    risk_ratio_raw=math.nan,
-                    risk_ratio_capped=math.nan,
-                    resolved=False,
-                )
-            )
-            continue
-        raw = float(risk[i]) / dt
-        cells.append(
-            PhaseCell(
-                c=float(c_flat[i]),
-                m=float(m_flat[i]),
-                gamma=float(gamma[i]),
-                gamma_complement=float(complement[i]),
-                t=float(t_sol[i]),
-                risk=float(risk[i]),
-                risk_ratio_raw=raw,
-                risk_ratio_capped=min(max(raw, lo_cap), hi_cap),
-                resolved=True,
-            )
-        )
-    return cells
+    risk = normal_tail_vec(delta_sep + t) / complement
+    resolved = (np.abs(c - 0.5) > cfg.dead_band) & (complement > 0.0)
+    raw = risk / dt
+
+    def shown(column: np.ndarray) -> np.ndarray:
+        return np.where(resolved, column, math.nan)
+
+    return PhaseGrid(
+        c=c,
+        m=m,
+        gamma=shown(gamma),
+        gamma_complement=shown(complement),
+        t=shown(t),
+        risk=shown(risk),
+        risk_ratio_raw=shown(raw),
+        risk_ratio_capped=shown(np.clip(raw, *cfg.cap)),
+        resolved=resolved,
+        max_iterations=int(steps.max()),
+        max_residual=float(residual.max()),
+    )
 
 
-def phase_grid_to_csv(cells: list[PhaseCell], path) -> None:
-    """Write cells as CSV: c, m, gamma, t, risk_ratio_raw, risk_ratio_capped."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["c", "m", "gamma", "t", "risk_ratio_raw", "risk_ratio_capped"])
-        for cell in cells:
-            writer.writerow(
-                [
-                    format(cell.c, ".17g"),
-                    format(cell.m, ".17g"),
-                    format(cell.gamma, ".17g"),
-                    format(cell.t, ".17g"),
-                    format(cell.risk_ratio_raw, ".17g"),
-                    format(cell.risk_ratio_capped, ".17g"),
-                ]
-            )
+def phase_grid_to_csv(grid: PhaseGrid, path) -> None:
+    """Write the grid as CSV: c, m, gamma, t, risk_ratio_raw, risk_ratio_capped."""
+    names = ("c", "m", "gamma", "t", "risk_ratio_raw", "risk_ratio_capped")
+    write_columns(path, {name: getattr(grid, name) for name in names})
 
 
-def phase_grid_to_svg(cells: list[PhaseCell], cfg: PhaseGridConfig, path) -> None:
+def phase_grid_to_svg(grid: PhaseGrid, cfg: PhaseGridConfig, path) -> None:
     """Render the capped risk-ratio grid as a heatmap with envelope curves."""
-    cs = sorted({cell.c for cell in cells})
-    ms = sorted({cell.m for cell in cells})
-    index = {(cell.c, cell.m): cell for cell in cells}
-    values = [
-        [
-            index[(c, m)].risk_ratio_capped if index[(c, m)].resolved else math.nan
-            for c in cs
-        ]
-        for m in ms
-    ]
+    n_m = len(cfg.m_grid)
+    cs, ms = grid.c[::n_m].tolist(), grid.m[:n_m].tolist()
+    values = grid.risk_ratio_capped.reshape(len(cs), n_m).T
     overlays = []
     for label, fn in (
         ("m*", lambda c: m_star(c)),
@@ -412,7 +402,7 @@ def phase_grid_to_svg(cells: list[PhaseCell], cfg: PhaseGridConfig, path) -> Non
                 y = fn(c)
             except ValueError:
                 continue
-            if min(ms) <= y <= max(ms):
+            if ms[0] <= y <= ms[-1]:
                 pts.append((c, y))
         if pts:
             overlays.append((label, pts))

@@ -1,4 +1,5 @@
-"""Flat, line-oriented key-value documents for rules, reports, manifests.
+"""Flat, line-oriented key-value documents for rules, reports, manifests,
+and the column-wise CSV writer for traces and phase grids.
 
 Format: one `key = value` pair per line, UTF-8, LF endings, keys sorted at
 write time, a mandatory `format_version` entry.  Floats are serialized with
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 FORMAT_VERSION = "1"
 
-__all__ = ["FORMAT_VERSION", "dump_kv", "load_kv", "write_kv", "read_kv"]
+__all__ = ["FORMAT_VERSION", "dump_kv", "load_kv", "write_kv", "read_kv", "write_columns"]
 
 
 def _encode(value) -> str:
@@ -74,3 +75,20 @@ def write_kv(entries: dict, path) -> None:
 def read_kv(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return load_kv(fh.read())
+
+
+# printf-style cell format per dtype kind: floats with 17 significant digits
+# (nan for NaN), integers as str() prints them, booleans as True/False
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
+_WRITE_ROWS = 1 << 16  # rows formatted per write, which bounds the text held at once
+
+
+def write_columns(path, columns: dict) -> None:
+    """CSV of equal-length 1-d arrays: the keys as header, then one row per index."""
+    row_format = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns.values()) + "\n"
+    n = len(next(iter(columns.values())))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, n, _WRITE_ROWS):
+            cells = (c[start : start + _WRITE_ROWS].tolist() for c in columns.values())
+            fh.write("".join(map(row_format.__mod__, zip(*cells))))

@@ -18,7 +18,6 @@ __all__ = [
     "RootFindConfig",
     "normal_tail",
     "normal_tail_vec",
-    "log_normal_tail",
     "normal_quantile",
     "bisect_monotone",
     "seeded_stream",
@@ -77,11 +76,6 @@ def normal_tail(t: float) -> float:
 def normal_tail_vec(t) -> np.ndarray:
     """Vectorized upper tail, same accuracy contract as normal_tail."""
     return special.ndtr(-np.asarray(t, dtype=float))
-
-
-def log_normal_tail(t) -> np.ndarray:
-    """log P(xi >= t), stable far into the tail."""
-    return special.log_ndtr(-np.asarray(t, dtype=float))
 
 
 def normal_quantile(p: float) -> float:

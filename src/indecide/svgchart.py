@@ -6,7 +6,7 @@ chart embeds its source values in an XML comment for auditability.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 __all__ = ["heatmap_svg", "line_chart_svg"]
 
@@ -18,16 +18,25 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _color(v: float) -> str:
-    """Blue (0) -> white (0.5) -> red (1) diverging ramp; v clipped to [0,1]."""
-    v = min(1.0, max(0.0, v))
-    if v < 0.5:
-        s = v / 0.5
-        r, g, b = int(60 + 195 * s), int(80 + 175 * s), 255
-    else:
-        s = (v - 0.5) / 0.5
-        r, g, b = 255, int(255 - 175 * s), int(255 - 195 * s)
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _fills(values: np.ndarray, vmin: float, vmax: float, missing: str) -> np.ndarray:
+    """Cell colors on a blue (0) -> white (0.5) -> red (1) diverging ramp.
+
+    v = (value - vmin) / (vmax - vmin) is clipped to [0, 1] and each channel
+    truncated to an int; NaN cells, or every cell when vmax <= vmin, get
+    `missing`.
+    """
+    nan = np.isnan(values)
+    if not vmax > vmin:
+        return np.full(values.shape, missing)
+    v = np.minimum(1.0, np.maximum(0.0, (np.where(nan, vmin, values) - vmin) / (vmax - vmin)))
+    low = v < 0.5
+    s = np.where(low, v / 0.5, (v - 0.5) / 0.5)
+    r = np.where(low, 60 + 195 * s, 255).astype(int)
+    g = np.where(low, 80 + 175 * s, 255 - 175 * s).astype(int)
+    b = np.where(low, 255, 255 - 195 * s).astype(int)
+    codes, index = np.unique(((r << 16) | (g << 8) | b).ravel(), return_inverse=True)
+    names = np.array(["#%06x" % code for code in codes.tolist()])
+    return np.where(nan, missing, names[index].reshape(values.shape))
 
 
 def heatmap_svg(
@@ -45,9 +54,11 @@ def heatmap_svg(
 ) -> str:
     """Render a dense grid as colored cells.
 
-    values[j][i] corresponds to (xs[i], ys[j]); NaN cells use the `missing`
-    color.  `overlays` are (label, [(x, y), ...]) curves drawn on top.
+    values[j][i] corresponds to (xs[i], ys[j]); NaN or None cells use the
+    `missing` color.  `overlays` are (label, [(x, y), ...]) curves drawn on
+    top.
     """
+    values = np.asarray(values, dtype=float)  # None becomes NaN
     nx, ny = len(xs), len(ys)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
@@ -66,17 +77,12 @@ def heatmap_svg(
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            v = values[j][i]
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                fill = missing
-            else:
-                fill = _color((v - vmin) / (vmax - vmin)) if vmax > vmin else missing
-            parts.append(
-                f'<rect x="{_fmt(px(x) - cw / 2)}" y="{_fmt(py(y) - ch / 2)}" '
-                f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{fill}"/>'
-            )
+    # each position is formatted once; a rect is x, then its row's y and size, then fill
+    rect_xs = [f'<rect x="{_fmt(px(x) - cw / 2)}" y="' for x in xs]
+    size = f'" width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="'
+    for y, fills in zip(ys, _fills(values, vmin, vmax, missing).tolist()):
+        rest = _fmt(py(y) - ch / 2) + size
+        parts += [f'{x}{rest}{fill}"/>' for x, fill in zip(rect_xs, fills)]
     for label, pts in overlays or []:
         path = " ".join(
             f"{'M' if k == 0 else 'L'}{_fmt(px(x))},{_fmt(py(y))}" for k, (x, y) in enumerate(pts)
@@ -89,10 +95,8 @@ def heatmap_svg(
                 f'font-family="sans-serif">{label}</text>'
             )
     parts += _axes_and_labels(x0, x1, y0, y1, title, xlabel, ylabel, px, py)
-    data_comment = "; ".join(
-        ",".join(_fmt(v) if v is not None and not math.isnan(v) else "nan" for v in row)
-        for row in values
-    )
+    row_format = ",".join(["%.6g"] * nx)  # _fmt per value, nan for NaN
+    data_comment = "; ".join(row_format % tuple(row) for row in values.tolist())
     parts.append(f"<!-- data: {data_comment} -->")
     parts.append("</svg>")
     return "\n".join(parts)

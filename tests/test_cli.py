@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,35 @@ class TestExperimentCommand:
         assert code == EXIT_OK
         for name in ("phase_lower.csv", "phase_upper.csv", "phase_lower.svg", "phase_upper.svg"):
             assert (out / name).exists()
+
+    def test_phase_outputs_match_golden_files(self, tmp_path):
+        # tests/data/phase_*_golden.* were written by the per-cell implementation
+        # (one PhaseCell object per cell) at grid_points = 12
+        from indecide.kvdoc import write_kv
+
+        cfg = tmp_path / "cfg.kv"
+        write_kv({"grid_points": 12}, cfg)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["experiment", "phase", "--config", str(cfg), "--out-dir", str(out)])
+        assert code == EXIT_OK
+        for panel in ("lower", "upper"):
+            for ext in ("csv", "svg"):
+                golden = DATA / f"phase_{panel}_golden.{ext}"
+                assert (out / f"phase_{panel}.{ext}").read_bytes() == golden.read_bytes()
+        # the solver diagnostics stay out of the manifest
+        assert set(read_kv(out / "manifest.kv")) == {
+            "format_version",
+            "full",
+            "inputs",
+            "outputs",
+            "seed",
+            "sha256_cfg.kv",
+            "subcommand",
+            "toolkit_version",
+            "workers_requested",
+        }
 
 
 class TestUsage:

@@ -3,12 +3,13 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indecide import gmm
-from indecide.numerics import normal_tail
+from indecide.numerics import normal_tail, normal_tail_vec
 
 
 class TestOperatingPoint:
@@ -158,7 +159,84 @@ class TestCriticalExponent:
                 w1 = width
 
 
+def lockstep_solve_t_grid(delta, target, increasing):
+    """The phase grid's former solver, kept as the oracle: bracket doubling,
+    then exactly 110 lockstep bisection steps on every cell.  Also returns,
+    per cell, the last step that moved its bracket."""
+
+    def value_at(t):
+        if increasing:
+            return normal_tail_vec(delta - t) - normal_tail_vec(delta + t)
+        return normal_tail_vec(t - delta) + normal_tail_vec(delta + t)
+
+    lo = np.zeros_like(delta)
+    hi = delta + 2.0
+    for _ in range(70):
+        short = (value_at(hi) < target) == increasing
+        if not short.any():
+            break
+        hi = np.where(short, hi * 2.0, hi)
+    last_move = np.zeros(delta.size, dtype=int)
+    for step in range(1, 111):
+        mid = 0.5 * (lo + hi)
+        below = (value_at(mid) < target) == increasing
+        new_lo, new_hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        last_move[(new_lo != lo) | (new_hi != hi)] = step
+        lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi), last_move
+
+
+class TestSolveTGrid:
+    @staticmethod
+    def _pairs(seed):
+        rng = np.random.default_rng(seed)
+        # wide random pairs: tiny deltas with tiny targets run into the
+        # 110-step cap, targets near 1 need the bracket to grow
+        delta = 10.0 ** rng.uniform(-4.0, 1.0, 3000)
+        target = 10.0 ** rng.uniform(-300.0, -1e-4, 3000)
+        # upper-panel cells near c = 0.55 at delta_target = 1e-15, where t is
+        # near 1e-10 and the fixed point takes about 90 steps
+        dt = 1e-15
+        c = rng.uniform(0.55, 0.6, 500)
+        m = rng.uniform(0.95, 0.995, 500)
+        delta = np.concatenate([delta, c * math.sqrt(2.0 * math.log(1.0 / dt))])
+        target = np.concatenate([target, dt**m])
+        return delta, target
+
+    @pytest.mark.parametrize("increasing", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_equal_to_lockstep_oracle(self, increasing, seed):
+        delta, target = self._pairs(seed)
+        t, steps = gmm._solve_t_grid(delta, target, increasing)
+        t_ref, last_move = lockstep_solve_t_grid(delta, target, increasing)
+        assert np.array_equal(t, t_ref)
+        # moves are consecutive up to the fixed point, so the count is the last move
+        assert np.array_equal(steps, last_move)
+
+    def test_pairs_reach_the_cap_and_ninety_steps(self):
+        delta, target = self._pairs(0)
+        _, steps = gmm._solve_t_grid(delta, target, True)
+        assert (steps == 110).sum() > 100
+        assert 85 <= steps[-500:].max() < 110
+
+    def test_empty_side(self):
+        t, steps = gmm._solve_t_grid(np.array([]), np.array([]), True)
+        assert t.size == 0 and steps.size == 0
+
+
 class TestPhaseGrid:
+    COLUMNS = (
+        "c",
+        "m",
+        "gamma",
+        "gamma_complement",
+        "t",
+        "risk",
+        "risk_ratio_raw",
+        "risk_ratio_capped",
+        "resolved",
+    )
+
     def _cfg(self, **kw):
         base = dict(
             delta_target=1e-7,
@@ -170,52 +248,85 @@ class TestPhaseGrid:
 
     def test_row_major_order_and_count(self):
         cfg = self._cfg()
-        cells = gmm.phase_grid(cfg)
-        assert len(cells) == len(cfg.c_grid) * len(cfg.m_grid)
-        assert [cell.c for cell in cells[:3]] == [0.1, 0.1, 0.1]
-        assert [cell.m for cell in cells[:3]] == [0.1, 0.5, 0.9]
+        grid = gmm.phase_grid(cfg)
+        assert len(grid) == len(cfg.c_grid) * len(cfg.m_grid)
+        assert all(getattr(grid, name).shape == (len(grid),) for name in self.COLUMNS)
+        assert grid.c[:3].tolist() == [0.1, 0.1, 0.1]
+        assert grid.m[:3].tolist() == [0.1, 0.5, 0.9]
 
     def test_dead_band_unresolved(self):
-        cells = gmm.phase_grid(self._cfg())
-        for cell in cells:
-            if abs(cell.c - 0.5) <= 0.05:
-                assert not cell.resolved
-                assert math.isnan(cell.risk_ratio_capped)
+        grid = gmm.phase_grid(self._cfg())
+        for c, resolved, capped in zip(grid.c, grid.resolved, grid.risk_ratio_capped):
+            if abs(c - 0.5) <= 0.05:
+                assert not resolved
+                assert math.isnan(capped)
             else:
-                assert cell.resolved
+                assert resolved
 
     def test_cap_respected(self):
-        cells = gmm.phase_grid(self._cfg())
-        for cell in cells:
-            if cell.resolved:
-                assert 0.5 <= cell.risk_ratio_capped <= 2.0
+        grid = gmm.phase_grid(self._cfg())
+        for resolved, capped in zip(grid.resolved, grid.risk_ratio_capped):
+            if resolved:
+                assert 0.5 <= capped <= 2.0
 
     def test_ratio_side_of_critical_curve(self):
         # deep below the critical exponent the target is met (ratio <= 1);
         # well above it the risk blows past the target
         cfg = self._cfg(delta_target=1e-10, c_grid=(0.8,), m_grid=(0.05, 0.9))
-        lo_cell, hi_cell = gmm.phase_grid(cfg)
+        lo_ratio, hi_ratio = gmm.phase_grid(cfg).risk_ratio_raw
         assert gmm.m_star(0.8) == pytest.approx(0.36, abs=1e-12)
-        assert lo_cell.risk_ratio_raw <= 1.0
-        assert hi_cell.risk_ratio_raw > 1.0
+        assert lo_ratio <= 1.0
+        assert hi_ratio > 1.0
 
     def test_csv_round_trip(self, tmp_path):
-        cells = gmm.phase_grid(self._cfg())
+        grid = gmm.phase_grid(self._cfg())
         path = tmp_path / "grid.csv"
-        gmm.phase_grid_to_csv(cells, path)
+        gmm.phase_grid_to_csv(grid, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["c", "m", "gamma", "t", "risk_ratio_raw", "risk_ratio_capped"]
-        assert len(rows) == 1 + len(cells)
-        assert float(rows[1][0]) == cells[0].c
+        assert len(rows) == 1 + len(grid)
+        assert float(rows[1][0]) == grid.c[0]
 
     def test_svg_written(self, tmp_path):
         cfg = self._cfg()
-        cells = gmm.phase_grid(cfg)
+        grid = gmm.phase_grid(cfg)
         path = tmp_path / "grid.svg"
-        gmm.phase_grid_to_svg(cells, cfg, path)
+        gmm.phase_grid_to_svg(grid, cfg, path)
         text = path.read_text()
         assert text.startswith("<svg") or "<svg" in text
+
+    @pytest.mark.parametrize(
+        "delta_target, c_grid",
+        [
+            (1e-7, tuple(np.linspace(0.05, 0.45, 9))),
+            (1e-15, tuple(np.linspace(0.55, 0.95, 9))),
+            (1e-7, (0.1, 0.3, 0.48, 0.52, 0.7, 0.9)),
+        ],
+    )
+    def test_solver_diagnostics(self, delta_target, c_grid):
+        cfg = self._cfg(
+            delta_target=delta_target, c_grid=c_grid, m_grid=tuple(np.linspace(0.005, 0.995, 9))
+        )
+        grid = gmm.phase_grid(cfg)
+        # every cell is solved, dead band included, on its own side
+        delta = grid.c * math.sqrt(2.0 * math.log(1.0 / delta_target))
+        target = delta_target**grid.m
+        last_moves, residuals = [], []
+        for side, increasing in ((grid.c > 0.5, True), (grid.c <= 0.5, False)):
+            t_ref, last_move = lockstep_solve_t_grid(delta[side], target[side], increasing)
+            shown = grid.resolved[side]
+            assert np.array_equal(grid.t[side][shown], t_ref[shown])
+            if increasing:
+                value = normal_tail_vec(delta[side] - t_ref) - normal_tail_vec(delta[side] + t_ref)
+            else:
+                value = normal_tail_vec(t_ref - delta[side]) + normal_tail_vec(delta[side] + t_ref)
+            last_moves.append(last_move)
+            residuals.append(np.abs(value - target[side]))
+        assert grid.max_iterations == np.concatenate(last_moves).max()
+        assert grid.max_residual == np.concatenate(residuals).max()
+        assert 0.0 < grid.max_residual < 1e-14
+        assert 40 < grid.max_iterations <= 110
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from indecide.numerics import (
     IterationLimitError,
     RootFindConfig,
     bisect_monotone,
-    log_normal_tail,
     normal_quantile,
     normal_tail,
     normal_tail_vec,
@@ -47,18 +46,6 @@ class TestNormalTail:
         vec = normal_tail_vec(ts)
         for t, v in zip(ts, vec):
             assert v == pytest.approx(normal_tail(t), rel=1e-13, abs=1e-300)
-
-    def test_log_tail_agrees_where_tail_is_normal_sized(self):
-        for t in (0.0, 1.0, 3.0, 8.0):
-            assert float(log_normal_tail(t)) == pytest.approx(
-                math.log(normal_tail(t)), rel=1e-12
-            )
-
-    def test_log_tail_finite_far_out(self):
-        val = float(log_normal_tail(100.0))
-        assert math.isfinite(val)
-        # leading order -t^2/2
-        assert val == pytest.approx(-5000.0, rel=1e-2)
 
     @given(st.floats(min_value=-30.0, max_value=30.0))
     def test_monotone_decreasing(self, t):
