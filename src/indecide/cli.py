@@ -434,6 +434,19 @@ def _phase_configs(args, overrides: dict) -> list[tuple[str, gmm.PhaseGridConfig
     return configs
 
 
+def _write_phase_panel(out_dir: Path, panel: str, cfg: gmm.PhaseGridConfig) -> list[str]:
+    """Solve one phase panel and write its CSV and SVG; returns the file names.
+
+    The grid is local here, so it is freed before the next panel is solved.
+    """
+    grid = gmm.phase_grid(cfg)
+    csv_path = out_dir / f"phase_{panel}.csv"
+    svg_path = out_dir / f"phase_{panel}.svg"
+    gmm.phase_grid_to_csv(grid, csv_path)
+    gmm.phase_grid_to_svg(grid, cfg, svg_path)
+    return [csv_path.name, svg_path.name]
+
+
 def cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -445,12 +458,7 @@ def cmd_experiment(args) -> int:
 
     if args.name == "phase":
         for panel, cfg in _phase_configs(args, overrides):
-            grid = gmm.phase_grid(cfg)
-            csv_path = out_dir / f"phase_{panel}.csv"
-            svg_path = out_dir / f"phase_{panel}.svg"
-            gmm.phase_grid_to_csv(grid, csv_path)
-            gmm.phase_grid_to_svg(grid, cfg, svg_path)
-            outputs += [csv_path.name, svg_path.name]
+            outputs += _write_phase_panel(out_dir, panel, cfg)
         _write_manifest(out_dir, "experiment-phase", inputs, outputs + ["manifest.kv"], extra)
         return EXIT_OK
 

@@ -220,13 +220,9 @@ def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
         type2_curve = report.trace["type2"][report.trace["valid"]].tolist()  # NaN exactly where not valid
         curve_p5, curve_p95 = _percentile(type2_curve, 5.0), _percentile(type2_curve, 95.0)
 
-        # abstention-free baseline: same type-I budget at gamma = 0
-        order = np.lexsort((np.arange(len(s_cal)), s_cal))
-        cum1 = np.cumsum((y_cal == 1)[order])
-        n1 = int(cum1[-1])
-        budget = math.floor(cfg.alpha1 * n1 + 1e-12)
-        kt0 = int(np.searchsorted(cum1, budget + 0.5, side="left"))
-        tau0 = float(s_cal[order[kt0 - 1]]) if kt0 >= 1 else -np.inf
+        # abstention-free baseline: the selection's own class-2 block at gamma = 0
+        kt0 = int(report.trace["k_tilde"][0])
+        tau0 = float(np.partition(s_cal, kt0 - 1)[kt0 - 1]) if kt0 >= 1 else -np.inf
         baseline = np.where(s_te <= tau0, 2, 1)
 
         bayes = np.where(s_te >= 0.5, 1, 2)

@@ -16,6 +16,8 @@ delta_target, and computes where risk / delta_target crosses 1.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,7 +302,38 @@ def _t_map(delta: np.ndarray, t: np.ndarray, increasing: bool) -> np.ndarray:
     return normal_tail_vec(t - delta) + normal_tail_vec(delta + t)
 
 
+_SOLVE_CHUNK = 16384  # cells per solver task; larger chunks raise each thread's peak memory
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool):
+    """_solve_t_cells over fixed-size chunks of the pairs, on one thread per CPU.
+
+    Each cell's bisection depends only on its own pair, and ndtr and the
+    numpy ufuncs release the GIL, so the chunks run in parallel and t and the
+    step counts are bit-identical at any chunking and any thread count.
+    """
+    t = np.empty_like(delta)
+    steps = np.empty(delta.size, dtype=int)
+    starts = range(0, delta.size, _SOLVE_CHUNK)
+
+    def solve(start: int) -> None:
+        stop = start + _SOLVE_CHUNK
+        t[start:stop], steps[start:stop] = _solve_t_cells(delta[start:stop], target[start:stop], increasing)
+
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(solve, starts))  # re-raises the first error of any chunk
+    return t, steps
+
+
+def _solve_t_cells(delta: np.ndarray, target: np.ndarray, increasing: bool):
     """Vectorized bisection in t for every (delta, target) pair.
 
     The upper bracket doubles (at most 70 times) until it holds the target,

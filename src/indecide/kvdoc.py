@@ -9,6 +9,8 @@ parsed back as int, float, bool, or string in that order of preference.
 
 from __future__ import annotations
 
+import numpy as np
+
 FORMAT_VERSION = "1"
 
 __all__ = ["FORMAT_VERSION", "dump_kv", "load_kv", "write_kv", "read_kv", "write_columns"]
@@ -83,12 +85,28 @@ _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
 _WRITE_ROWS = 1 << 16  # rows formatted per write, which bounds the text held at once
 
 
+def _column_cells(chunk: np.ndarray) -> tuple[str, list]:
+    """The printf format and the cell values of one column chunk.
+
+    A chunk with repeated values formats each distinct bit pattern once and
+    hands the texts on through %s.  Distinct bits, not distinct values: equal
+    floats with different bits (0.0 and -0.0) print differently, and every
+    NaN prints nan whatever its bits.
+    """
+    cell_format = _CELL_FORMATS[chunk.dtype.kind]
+    bits, inverse = np.unique(chunk.view(f"u{chunk.itemsize}"), return_inverse=True)
+    if bits.size == chunk.size:
+        return cell_format, chunk.tolist()
+    texts = np.array(list(map(cell_format.__mod__, bits.view(chunk.dtype).tolist())), dtype=object)
+    return "%s", texts[inverse].tolist()
+
+
 def write_columns(path, columns: dict) -> None:
     """CSV of equal-length 1-d arrays: the keys as header, then one row per index."""
-    row_format = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns.values()) + "\n"
     n = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, n, _WRITE_ROWS):
-            cells = (c[start : start + _WRITE_ROWS].tolist() for c in columns.values())
+            formats, cells = zip(*(_column_cells(c[start : start + _WRITE_ROWS]) for c in columns.values()))
+            row_format = ",".join(formats) + "\n"
             fh.write("".join(map(row_format.__mod__, zip(*cells))))

@@ -1,7 +1,7 @@
 """Scalar numerical kernels shared by every other module.
 
-Standard normal tail and tail quantile, bisection for monotone maps, and the
-deterministic seeded random-stream contract used by the simulation harness.
+Standard normal tail, bisection for monotone maps, and the deterministic
+seeded random-stream contract used by the simulation harness.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "RootFindConfig",
     "normal_tail",
     "normal_tail_vec",
-    "normal_quantile",
     "bisect_monotone",
     "seeded_stream",
 ]
@@ -76,19 +75,6 @@ def normal_tail(t: float) -> float:
 def normal_tail_vec(t) -> np.ndarray:
     """Vectorized upper tail, same accuracy contract as normal_tail."""
     return special.ndtr(-np.asarray(t, dtype=float))
-
-
-def normal_quantile(p: float) -> float:
-    """Tail quantile: the t with normal_tail(t) == p, for p in (0, 1)."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"tail probability must lie in (0, 1), got {p!r}")
-    t = -float(special.ndtri(p))
-    # one Newton polish step against the forward tail
-    pdf = math.exp(-0.5 * t * t) / _SQRT_2PI
-    if pdf > 0.0:
-        t += (normal_tail(t) - p) / pdf
-    return t
 
 
 def bisect_monotone(f, target: float, cfg: RootFindConfig) -> float:

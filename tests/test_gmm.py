@@ -1,7 +1,9 @@
 """Tests for the closed-form Gaussian-mixture abstention oracle."""
 
 import csv
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +225,82 @@ class TestSolveTGrid:
         t, steps = gmm._solve_t_grid(np.array([]), np.array([]), True)
         assert t.size == 0 and steps.size == 0
 
+    @staticmethod
+    @functools.cache
+    def _chunked_case(increasing):
+        """Pairs over three and a half solver chunks, and the oracle's answer.
+
+        Half are wide random pairs, half take the target 1 - gamma at a
+        threshold below 1e-20, where the decreasing side runs into the cap.
+        """
+        rng = np.random.default_rng(7)
+        n = 3 * gmm._SOLVE_CHUNK + gmm._SOLVE_CHUNK // 2
+        delta = 10.0 ** rng.uniform(-4.0, 1.0, n)
+        tiny = 10.0 ** rng.uniform(-300.0, -20.0, n)
+        target = np.where(
+            rng.random(n) < 0.5,
+            10.0 ** rng.uniform(-300.0, -1e-4, n),
+            normal_tail_vec(tiny - delta) + normal_tail_vec(delta + tiny),
+        )
+        return delta, target, lockstep_solve_t_grid(delta, target, increasing)
+
+    @pytest.mark.parametrize("increasing", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_chunks_on_any_pool_size_match_the_oracle(self, monkeypatch, cpus, increasing):
+        delta, target, (t_ref, last_move) = self._chunked_case(increasing)
+        monkeypatch.setattr(gmm, "_usable_cpus", lambda: cpus)
+        chunks, solve_cells = [], gmm._solve_t_cells
+
+        def spy(d, tg, inc):
+            chunks.append(d.size)
+            return solve_cells(d, tg, inc)
+
+        monkeypatch.setattr(gmm, "_solve_t_cells", spy)
+        t, steps = gmm._solve_t_grid(delta, target, increasing)
+        assert sorted(chunks) == sorted([gmm._SOLVE_CHUNK] * 3 + [gmm._SOLVE_CHUNK // 2])
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(steps, last_move)
+        # cells at the 110-step cap sit in every chunk
+        capped = np.flatnonzero(steps == 110) // gmm._SOLVE_CHUNK
+        assert set(capped.tolist()) == {0, 1, 2, 3}
+
+    def test_many_small_chunks_on_more_threads_than_cpus(self, monkeypatch):
+        # disjoint slices of the shared output arrays: a lost or misplaced
+        # write shows as a difference from the oracle
+        delta, target, (t_ref, last_move) = self._chunked_case(True)
+        monkeypatch.setattr(gmm, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(gmm, "_SOLVE_CHUNK", 257)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t, steps = gmm._solve_t_grid(delta, target, True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(steps, last_move)
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(gmm.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(gmm.os, "cpu_count", lambda: 64)
+        assert gmm._usable_cpus() == 1
+        monkeypatch.delattr(gmm.os, "sched_getaffinity")
+        assert gmm._usable_cpus() == 64
+
+    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
+        sizes = []
+        executor = gmm.ThreadPoolExecutor
+
+        def recording_executor(max_workers):
+            sizes.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(gmm, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(gmm, "ThreadPoolExecutor", recording_executor)
+        delta, target = self._pairs(0)
+        gmm._solve_t_grid(delta, target, True)
+        gmm._solve_t_grid(np.concatenate([delta] * 7), np.concatenate([target] * 7), True)
+        assert sizes == [1, 2]
+
 
 class TestPhaseGrid:
     COLUMNS = (
@@ -327,6 +405,29 @@ class TestPhaseGrid:
         assert grid.max_residual == np.concatenate(residuals).max()
         assert 0.0 < grid.max_residual < 1e-14
         assert 40 < grid.max_iterations <= 110
+
+    @pytest.mark.parametrize("delta_target", [1e-7, 1e-15])
+    def test_diagnostics_equal_the_serial_solver(self, monkeypatch, delta_target):
+        # more than two chunks per side, solved on a pool of two threads
+        monkeypatch.setattr(gmm, "_usable_cpus", lambda: 2)
+        cfg = self._cfg(
+            delta_target=delta_target,
+            c_grid=tuple(np.linspace(0.05, 0.95, 300)),
+            m_grid=tuple(np.linspace(0.005, 0.995, 240)),
+        )
+        grid = gmm.phase_grid(cfg)
+        delta = grid.c * math.sqrt(2.0 * math.log(1.0 / delta_target))
+        target = delta_target**grid.m
+        steps, residuals = [], []
+        for side, increasing in ((grid.c > 0.5, True), (grid.c <= 0.5, False)):
+            assert side.sum() > 2 * gmm._SOLVE_CHUNK
+            t, side_steps = gmm._solve_t_cells(delta[side], target[side], increasing)
+            shown = grid.resolved[side]
+            assert np.array_equal(grid.t[side][shown], t[shown])
+            steps.append(side_steps)
+            residuals.append(np.abs(gmm._t_map(delta[side], t, increasing) - target[side]))
+        assert grid.max_iterations == np.concatenate(steps).max()
+        assert grid.max_residual == np.concatenate(residuals).max()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

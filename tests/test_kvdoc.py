@@ -1,8 +1,13 @@
-"""Tests for the flat key-value document format."""
+"""Tests for the flat key-value document format and the column writer."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from indecide.kvdoc import FORMAT_VERSION, dump_kv, load_kv, read_kv, write_kv
+from indecide.kvdoc import FORMAT_VERSION, dump_kv, load_kv, read_kv, write_columns, write_kv
 
 
 class TestDump:
@@ -55,3 +60,85 @@ class TestFiles:
         assert read_kv(path)["tau"] == 0.75
         # LF endings regardless of platform
         assert b"\r" not in path.read_bytes()
+
+
+def row_format_write_columns(path, columns: dict) -> None:
+    """The column writer before repeated values were formatted once, kept as
+    the oracle: one printf row format per dtype, every cell formatted inline."""
+    cell_formats = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
+    row_format = ",".join(cell_formats[c.dtype.kind] for c in columns.values()) + "\n"
+    n = len(next(iter(columns.values())))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, n, 1 << 16):
+            cells = (c[start : start + (1 << 16)].tolist() for c in columns.values())
+            fh.write("".join(map(row_format.__mod__, zip(*cells))))
+
+
+def _nan_with(sign: int, payload: int) -> float:
+    bits = np.array([0x7FF8000000000000 | payload | (sign << 63)], dtype=np.uint64)
+    return float(bits.view(np.float64)[0])
+
+
+# values whose text is easy to get wrong when cells are deduplicated: signed
+# zeros, NaNs with other signs and payloads (all print nan), infinities, subnormals
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, _nan_with(1, 0), _nan_with(0, 12345), math.inf, -math.inf,
+                  5e-324, -5e-324, 2.225073858507201e-308, 1.0 / 3.0, -1e300]
+LENGTHS = [0, 1, 2, 7, 65535, 65536, 65537]
+
+
+@st.composite
+def column_sets(draw):
+    """1-4 equal-length columns of float64, int64, uint64 or bool."""
+    n = draw(st.sampled_from(LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float-repeats", "float-distinct", "float-mixed", "int64", "uint64", "bool"]))
+        if kind.startswith("float"):
+            pool = draw(st.lists(st.floats(allow_subnormal=True), max_size=12)) + SPECIAL_FLOATS
+            repeats = np.array(pool)[rng.integers(0, len(pool), n)]
+            distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+            if kind == "float-repeats":
+                column = repeats
+            elif kind == "float-distinct":
+                column = distinct
+            else:
+                column = np.where(rng.random(n) < 0.01, repeats, distinct)
+        elif kind == "int64":
+            pool = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8)))
+            column = pool.astype(np.int64)[rng.integers(0, pool.size, n)]
+        elif kind == "uint64":
+            column = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+            if n and draw(st.booleans()):
+                column = column[rng.integers(0, min(n, 5), n)]
+        else:
+            column = rng.random(n) < draw(st.floats(0.0, 1.0))
+        columns[f"{kind}_{i}"] = column
+    return columns
+
+
+class TestWriteColumns:
+    @settings(max_examples=25, deadline=None)
+    @given(column_sets())
+    def test_same_bytes_as_the_row_format_writer(self, tmp_path_factory, columns):
+        out = tmp_path_factory.mktemp("columns")
+        write_columns(out / "new.csv", columns)
+        row_format_write_columns(out / "oracle.csv", columns)
+        assert (out / "new.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+    def test_signed_zero_and_nan_payloads(self, tmp_path):
+        x = np.array([0.0, -0.0, 0.0, math.nan, _nan_with(1, 7), -0.0, math.inf, 5e-324, 5e-324])
+        write_columns(tmp_path / "x.csv", {"x": x, "k": np.arange(9) % 2, "b": x == 0.0})
+        rows = (tmp_path / "x.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == [
+            "0", "-0", "0", "nan", "nan", "-0", "inf", "4.9406564584124654e-324", "4.9406564584124654e-324"
+        ]
+        assert rows[2] == "-0,1,True"
+        assert rows[4] == "nan,1,False"
+
+    def test_non_contiguous_columns(self, tmp_path):
+        x = np.repeat(np.arange(5.0), 3)[::2]
+        write_columns(tmp_path / "x.csv", {"x": x})
+        row_format_write_columns(tmp_path / "oracle.csv", {"x": x})
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -12,7 +12,6 @@ from indecide.numerics import (
     IterationLimitError,
     RootFindConfig,
     bisect_monotone,
-    normal_quantile,
     normal_tail,
     normal_tail_vec,
     seeded_stream,
@@ -50,25 +49,6 @@ class TestNormalTail:
     @given(st.floats(min_value=-30.0, max_value=30.0))
     def test_monotone_decreasing(self, t):
         assert normal_tail(t + 1e-3) <= normal_tail(t)
-
-
-class TestNormalQuantile:
-    def test_median(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-14)
-
-    def test_round_trip_centiles(self):
-        for k in range(1, 100):
-            p = k / 100.0
-            assert normal_tail(normal_quantile(p)) == pytest.approx(p, abs=1e-14)
-
-    def test_round_trip_deep(self):
-        for p in (1e-3, 1e-8, 1e-15, 1e-100):
-            assert normal_tail(normal_quantile(p)) == pytest.approx(p, rel=1e-10)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, math.nan])
-    def test_rejects_out_of_range(self, p):
-        with pytest.raises(ValueError):
-            normal_quantile(p)
 
 
 class TestBisectMonotone:
