@@ -382,14 +382,18 @@ def cmd_apply(args) -> int:
 
 def _resolve_workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("INDECIDE_WORKERS")
-    if env:
+        workers, source = args.workers, "--workers"
+    else:
+        env = os.environ.get("INDECIDE_WORKERS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers, source = int(env), "INDECIDE_WORKERS"
         except ValueError:
             raise SchemaError(f"INDECIDE_WORKERS must be an integer, got {env!r}") from None
-    return 1
+    if workers < 1:
+        raise SchemaError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _sim_config(args, overrides: dict) -> SimConfig:
@@ -448,10 +452,10 @@ def _write_phase_panel(out_dir: Path, panel: str, cfg: gmm.PhaseGridConfig) -> l
 
 
 def cmd_experiment(args) -> int:
+    workers = _resolve_workers(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     overrides = read_kv(args.config) if args.config else {}
-    workers = _resolve_workers(args)
     inputs = [args.config] if args.config else []
     outputs: list[str] = []
     extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": workers}

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special
 
 from . import gmm
 from .calibration import (
@@ -86,6 +85,8 @@ class SimResult:
 
 def _sample_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-CDF normal draws: platform-independent for a fixed stream."""
+    from scipy import special  # imported here so the CLI starts without scipy
+
     u = rng.random(size)
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
     return -special.ndtri(u)
@@ -217,7 +218,7 @@ def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
         cal = CalibrationSample(scores=s_cal, labels=y_cal)
 
         report = calibrate_np(cal, cfg.alpha1, cfg.alpha2, want_trace=True)
-        type2_curve = report.trace["type2"][report.trace["valid"]].tolist()  # NaN exactly where not valid
+        type2_curve = report.trace["type2"][report.trace["valid"]]  # NaN exactly where not valid
         curve_p5, curve_p95 = _percentile(type2_curve, 5.0), _percentile(type2_curve, 95.0)
 
         # abstention-free baseline: the selection's own class-2 block at gamma = 0
@@ -481,12 +482,21 @@ def run_consistency_trend(
 
 
 def _percentile(values, q: float) -> float:
-    """Order-statistic percentile (no interpolation beyond nearest rank)."""
-    vals = sorted(v for v in values if not (isinstance(v, float) and math.isnan(v)))
-    if not vals:
+    """Order-statistic percentile (no interpolation beyond nearest rank).
+
+    NaNs are dropped.  0.0 and -0.0 compare equal, so when the rank falls
+    among the zeros the one returned is the one a stable sort puts there,
+    with the zeros in input order.
+    """
+    vals = np.asarray(values, dtype=float)
+    vals = vals[~np.isnan(vals)]
+    if not vals.size:
         return math.nan
-    rank = min(len(vals) - 1, max(0, math.ceil(q / 100.0 * len(vals)) - 1))
-    return float(vals[rank])
+    rank = min(vals.size - 1, max(0, math.ceil(q / 100.0 * vals.size) - 1))
+    value = np.partition(vals, rank)[rank]
+    if value == 0.0:
+        value = vals[vals == 0.0][rank - np.count_nonzero(vals < 0.0)]
+    return float(value)
 
 
 def _median(values) -> float:

@@ -7,6 +7,7 @@ piped in through the CSV interfaces instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,15 +110,18 @@ def fit_lda(features, labels) -> LdaModel:
     )
 
 
-def _lda_log_scores(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    """Per-class linear discriminant scores (log posterior up to a constant)."""
+def _lda_log_scores(model: LdaModel, x: np.ndarray) -> list[np.ndarray]:
+    """Per-class linear discriminant scores (log posterior up to a constant).
+
+    One column per class, in class order.
+    """
     cov_inv = np.linalg.inv(model.pooled_covariance)
     scores = []
     for mu, prior in zip(model.class_means, model.priors):
         w = cov_inv @ mu
         b = -0.5 * float(mu @ cov_inv @ mu) + math.log(prior)
         scores.append(x @ w + b)
-    return np.column_stack(scores)
+    return scores
 
 
 def predict_eta(model, x) -> np.ndarray:
@@ -126,10 +130,12 @@ def predict_eta(model, x) -> np.ndarray:
     if isinstance(model, LdaModel):
         if feats.shape[1] != model.class_means.shape[1]:
             raise ValueError("feature dimension does not match the model")
-        log_scores = _lda_log_scores(model, feats)
-        shifted = log_scores - log_scores.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        return probs[:, 0] / probs.sum(axis=1)
+        # the row max, exponentials and row sum of predict_scores, one column
+        # at a time and in the same order, so the result is bit-identical
+        cols = _lda_log_scores(model, feats)
+        top = functools.reduce(np.maximum, cols)
+        probs = [np.exp(col - top) for col in cols]
+        return probs[0] / sum(probs[1:], probs[0])
     if isinstance(model, LogisticModel):
         if feats.shape[1] != len(model.weights):
             raise ValueError("feature dimension does not match the model")
@@ -147,7 +153,7 @@ def predict_eta(model, x) -> np.ndarray:
 def predict_scores(model: LdaModel, x) -> np.ndarray:
     """Full posterior matrix (n x K) from a fitted discriminant model."""
     feats = _as_features(x)
-    log_scores = _lda_log_scores(model, feats)
+    log_scores = np.column_stack(_lda_log_scores(model, feats))
     shifted = log_scores - log_scores.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     return probs / probs.sum(axis=1, keepdims=True)

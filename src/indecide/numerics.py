@@ -1,24 +1,19 @@
 """Scalar numerical kernels shared by every other module.
 
-Standard normal tail, bisection for monotone maps, and the deterministic
-seeded random-stream contract used by the simulation harness.
+Standard normal tail and the deterministic seeded random-stream contract
+used by the simulation harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "BracketError",
-    "IterationLimitError",
-    "RootFindConfig",
     "normal_tail",
     "normal_tail_vec",
-    "bisect_monotone",
     "seeded_stream",
 ]
 
@@ -33,28 +28,6 @@ _TAIL_SWITCH = 40.0
 
 class BracketError(ValueError):
     """The requested target is not enclosed by the bracket."""
-
-
-class IterationLimitError(RuntimeError):
-    """Bisection failed to converge within the iteration budget."""
-
-
-@dataclass(frozen=True)
-class RootFindConfig:
-    """Bracket and stopping rule for monotone bisection."""
-
-    bracket: tuple[float, float]
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        low, high = self.bracket
-        if not (math.isfinite(low) and math.isfinite(high) and low < high):
-            raise ValueError(f"invalid bracket {self.bracket!r}")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def normal_tail(t: float) -> float:
@@ -74,36 +47,9 @@ def normal_tail(t: float) -> float:
 
 def normal_tail_vec(t) -> np.ndarray:
     """Vectorized upper tail, same accuracy contract as normal_tail."""
+    from scipy import special  # imported here so the CLI starts without scipy
+
     return special.ndtr(-np.asarray(t, dtype=float))
-
-
-def bisect_monotone(f, target: float, cfg: RootFindConfig) -> float:
-    """Solve f(x) == target for monotone f on cfg.bracket by bisection.
-
-    Stops when |f(mid) - target| <= abs_tol or the bracket width falls
-    below abs_tol.  Raises BracketError when the target is not enclosed and
-    IterationLimitError when max_iter is exhausted first.
-    """
-    lo, hi = cfg.bracket
-    f_lo, f_hi = f(lo), f(hi)
-    increasing = f_hi >= f_lo
-    f_min, f_max = (f_lo, f_hi) if increasing else (f_hi, f_lo)
-    if not f_min <= target <= f_max:
-        raise BracketError(
-            f"target {target!r} outside f-range [{f_min!r}, {f_max!r}] on bracket {cfg.bracket!r}"
-        )
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid - target) <= cfg.abs_tol or (hi - lo) <= cfg.abs_tol:
-            return mid
-        if (f_mid < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    raise IterationLimitError(
-        f"no convergence within {cfg.max_iter} iterations (bracket width {hi - lo:.3e})"
-    )
 
 
 _MASK64 = (1 << 64) - 1

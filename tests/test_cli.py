@@ -252,6 +252,23 @@ class TestExperimentCommand:
         code = main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, env",
+        [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "0")],
+        ids=["flag-zero", "flag-negative", "env-zero"],
+    )
+    def test_worker_count_below_one(self, tmp_path, monkeypatch, capsys, flag, env):
+        cfg = self.small_config(tmp_path)
+        if env is None:
+            monkeypatch.delenv("INDECIDE_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("INDECIDE_WORKERS", env)
+        out = tmp_path / "o"
+        code = main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(out), *flag])
+        assert code == EXIT_USAGE
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path):
         from indecide.kvdoc import write_kv
 

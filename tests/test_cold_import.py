@@ -1,0 +1,89 @@
+"""scipy is loaded only where it is called, each check in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script: str, cwd: Path) -> dict:
+    """Run script in a new interpreter with the package on its path; return its last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+CLI_SCRIPT = """
+import json, sys
+import indecide.cli
+from indecide.cli import main
+
+with open("cal.csv", "w") as fh:
+    fh.write("score,label\\n")
+    for i in range(20):
+        fh.write(f"{(7 * i % 20) / 20 + 0.01},{1 if i % 2 else 2}\\n")
+codes = [
+    main(["calibrate", "--mode", "np", "--input", "cal.csv", "--alpha1", "0.3", "--alpha2", "0.3",
+          "--out-dir", "np", "--trace"]),
+    main(["apply", "--rule", "np/rule.kv", "--input", "cal.csv", "--output", "decisions.csv"]),
+    main(["calibrate", "--mode", "accuracy", "--input", "cal.csv", "--alpha", "0.4", "--out-dir", "acc"]),
+    main(["oracle", "--delta", "1.0", "--gamma", "0.2"]),
+    main(["oracle", "--delta", "1.0", "--target-risk", "0.05"]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+SOLVER_SCRIPT = """
+import importlib.abc, json, sys, threading
+import numpy as np
+from indecide import gmm
+
+first_lookup = []  # the thread that first asks for scipy.special
+
+
+class Spy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special" and not first_lookup:
+            first_lookup.append(threading.current_thread() is threading.main_thread())
+        return None
+
+
+scipy_before = "scipy" in sys.modules
+sys.meta_path.insert(0, Spy())
+gmm._usable_cpus = lambda: 2
+rng = np.random.default_rng(5)
+n = 2 * gmm._SOLVE_CHUNK + gmm._SOLVE_CHUNK // 2
+delta = 10.0 ** rng.uniform(-4.0, 1.0, n)
+target = 10.0 ** rng.uniform(-300.0, -1e-4, n)
+t, steps = gmm._solve_t_grid(delta, target, True)
+t_ref, steps_ref = gmm._solve_t_cells(delta, target, True)
+print(json.dumps({
+    "scipy_before": scipy_before,
+    "first_lookup_on_main_thread": first_lookup,
+    "t_equal": t.tobytes() == t_ref.tobytes(),
+    "steps_equal": bool(np.array_equal(steps, steps_ref)),
+    "capped": int((steps == 110).sum()),
+}))
+"""
+
+
+def test_cli_commands_run_without_scipy(tmp_path):
+    out = run_fresh(CLI_SCRIPT, tmp_path)
+    assert out["codes"] == [0, 0, 0, 0, 0]
+    # a scipy import at module level anywhere on these paths shows up here
+    assert out["scipy"] == []
+
+
+def test_first_scipy_import_on_solver_threads(tmp_path):
+    out = run_fresh(SOLVER_SCRIPT, tmp_path)
+    assert out["scipy_before"] is False
+    assert out["first_lookup_on_main_thread"] == [False]
+    assert out["t_equal"] and out["steps_equal"]
+    assert out["capped"] > 0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indecide import gmm
 from indecide.experiments import (
@@ -166,7 +168,48 @@ class TestConsistencyTrend:
         assert bad > 0.5 > good
 
 
+def sorted_list_percentile(values, q):
+    """Nearest-rank percentile by sorted() over a Python list.
+
+    The earlier _percentile, kept as the oracle for the numpy one.
+    """
+    vals = sorted(v for v in values if not (isinstance(v, float) and math.isnan(v)))
+    if not vals:
+        return math.nan
+    rank = min(len(vals) - 1, max(0, math.ceil(q / 100.0 * len(vals)) - 1))
+    return float(vals[rank])
+
+
+def same_float(a, b):
+    """Equal as values and in the sign of zero, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# few distinct values, so ties (0.0 against -0.0 among them) are common
+_TIED = st.sampled_from([0.0, -0.0, math.nan, -math.nan, 1.0, -1.0, 0.5, math.inf, -math.inf])
+
+
 class TestAggregation:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(_TIED | st.floats(), max_size=60),
+        st.sampled_from([0.0, 5.0, 50.0, 95.0, 100.0]) | st.floats(0.0, 100.0),
+        st.booleans(),
+    )
+    def test_percentile_equals_sorted_list_oracle(self, values, q, as_array):
+        data = np.array(values, dtype=float) if as_array else values
+        assert same_float(_percentile(data, q), sorted_list_percentile(values, q))
+
+    def test_percentile_keeps_the_first_of_equal_zeros(self):
+        for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], np.array([math.nan, -0.0, 0.0, 0.0])):
+            for q in (5.0, 50.0, 95.0):
+                assert same_float(_percentile(values, q), sorted_list_percentile(values, q))
+        assert math.copysign(1.0, _percentile([-0.0, 0.0, 1.0], 5.0)) == -1.0
+        assert math.isnan(_percentile(np.array([]), 50.0))
+        assert math.isnan(_percentile(np.array([math.nan]), 50.0))
+
     def test_percentile_order_statistics(self):
         vals = list(range(1, 101))
         assert _percentile(vals, 5.0) == 5.0

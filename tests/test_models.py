@@ -1,7 +1,11 @@
 """Tests for the built-in plug-in score estimators."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indecide.experiments import _draw_mixture, oracle_eta
 from indecide.models import (
@@ -13,6 +17,46 @@ from indecide.models import (
     predict_scores,
 )
 from indecide.numerics import seeded_stream
+
+
+def matrix_lda_eta(model, x):
+    """Class-1 LDA posterior reduced along axis 1 of an (n, K) score matrix.
+
+    The earlier predict_eta, kept as the oracle for the column-by-column one.
+    """
+    feats = np.asarray(x, dtype=float)
+    if feats.ndim == 1:
+        feats = feats[:, None]
+    cov_inv = np.linalg.inv(model.pooled_covariance)
+    scores = []
+    for mu, prior in zip(model.class_means, model.priors):
+        w = cov_inv @ mu
+        b = -0.5 * float(mu @ cov_inv @ mu) + math.log(prior)
+        scores.append(feats @ w + b)
+    log_scores = np.column_stack(scores)
+    shifted = log_scores - log_scores.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    return probs[:, 0] / probs.sum(axis=1)
+
+
+@st.composite
+def lda_cases(draw):
+    """A valid K-class model in d dimensions and n x d features out to +-1e3."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 2))
+
+    def matrix(rows, cols, elements):
+        row = st.lists(elements, min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    means = matrix(k, d, st.floats(-5.0, 5.0))
+    a = matrix(d, d, st.floats(-2.0, 2.0))
+    cov = a @ a.T + draw(st.floats(0.01, 3.0)) * np.eye(d)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    model = LdaModel(class_means=means, pooled_covariance=cov, priors=weights / weights.sum())
+    n = draw(st.integers(0, 40))
+    x = matrix(n, d, st.floats(-1e3, 1e3))
+    return model, x.reshape(n, d)
 
 
 class TestLda:
@@ -125,6 +169,24 @@ class TestLogistic:
 
 
 class TestPredictEta:
+    @settings(max_examples=300, deadline=None)
+    @given(lda_cases())
+    def test_lda_bit_equal_to_matrix_oracle(self, case):
+        model, x = case
+        got, want = predict_eta(model, x), matrix_lda_eta(model, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if x.shape[1] == 1:
+            assert predict_eta(model, x[:, 0]).tobytes() == want.tobytes()
+
+    def test_lda_bit_equal_on_fitted_models(self):
+        grid = np.linspace(-1e3, 1e3, 2001)
+        for rep in range(40):
+            rng = seeded_stream(44, rep)
+            x, y = _draw_mixture(rng, 200, 0.25 + 0.05 * rep)
+            model = fit_lda(x, y)
+            for xs in (x, grid):
+                assert predict_eta(model, xs).tobytes() == matrix_lda_eta(model, xs).tobytes()
+
     def test_feature_dimension_checked(self):
         rng = seeded_stream(43, 0)
         x, y = _draw_mixture(rng, 200, 1.0)

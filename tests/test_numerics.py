@@ -4,18 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from indecide.numerics import (
-    BracketError,
-    IterationLimitError,
-    RootFindConfig,
-    bisect_monotone,
-    normal_tail,
-    normal_tail_vec,
-    seeded_stream,
-)
+from indecide.numerics import normal_tail, normal_tail_vec, seeded_stream
 
 
 class TestNormalTail:
@@ -49,48 +41,6 @@ class TestNormalTail:
     @given(st.floats(min_value=-30.0, max_value=30.0))
     def test_monotone_decreasing(self, t):
         assert normal_tail(t + 1e-3) <= normal_tail(t)
-
-
-class TestBisectMonotone:
-    def test_increasing(self):
-        cfg = RootFindConfig(bracket=(0.0, 10.0))
-        x = bisect_monotone(lambda v: v * v, 9.0, cfg)
-        assert x == pytest.approx(3.0, abs=1e-6)
-
-    def test_decreasing(self):
-        cfg = RootFindConfig(bracket=(0.1, 10.0))
-        x = bisect_monotone(lambda v: 1.0 / v, 2.0, cfg)
-        assert x == pytest.approx(0.5, abs=1e-9)
-
-    def test_bracket_error(self):
-        cfg = RootFindConfig(bracket=(0.0, 1.0))
-        with pytest.raises(BracketError):
-            bisect_monotone(lambda v: v, 5.0, cfg)
-
-    def test_iteration_limit(self):
-        cfg = RootFindConfig(bracket=(0.0, 1.0), abs_tol=1e-30, max_iter=3)
-        with pytest.raises(IterationLimitError):
-            bisect_monotone(lambda v: v, 0.123456789, cfg)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"bracket": (1.0, 0.0)},
-            {"bracket": (0.0, math.inf)},
-            {"bracket": (0.0, 1.0), "abs_tol": 0.0},
-            {"bracket": (0.0, 1.0), "max_iter": 0},
-        ],
-    )
-    def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RootFindConfig(**kwargs)
-
-    @settings(max_examples=30)
-    @given(st.floats(min_value=-5.0, max_value=5.0))
-    def test_solves_affine(self, target):
-        cfg = RootFindConfig(bracket=(-10.0, 10.0))
-        x = bisect_monotone(lambda v: 2.0 * v + 1.0, target, cfg)
-        assert 2.0 * x + 1.0 == pytest.approx(target, abs=1e-9)
 
 
 class TestSeededStream:
