@@ -118,8 +118,8 @@ class SelectiveBinaryRule:
         """0 = abstain, 1, 2."""
         s = np.asarray(scores, dtype=float)
         out = np.zeros(len(s), dtype=int)
-        out[s >= self.tau] = 1
         out[(1.0 - s) >= self.tau] = 2
+        out[s >= self.tau] = 1  # s = 0.5 predicts 1, as calibrate_accuracy counts it
         return out
 
 
@@ -174,8 +174,8 @@ class MlrSymmetricRule:
     def apply(self, xs) -> np.ndarray:
         x = np.asarray(xs, dtype=float)
         out = np.zeros(len(x), dtype=int)
-        out[x >= self.tau] = 2
         out[x <= -self.tau] = 1
+        out[x >= self.tau] = 2  # x = 0 predicts 2, as calibrate_accuracy_mlr counts it
         return out
 
 
@@ -383,11 +383,12 @@ def _np_grid_select(
         }
 
     def thresholds(k: int):
+        # class 2 up to rank kt, abstain on the next k ranks, class 1 from rank kt + k + 1
         kt = int(k_tilde[k])
         tau1 = float(v_sorted[kt - 1]) if kt >= 1 else -np.inf
-        edge = kt + k
-        tau2 = float(v_sorted[edge - 1]) if edge >= 1 else -np.inf
-        return tau1, max(tau1, tau2)
+        if k == 0:
+            return tau1, tau1
+        return tau1, float(v_sorted[kt + k]) if kt + k < n else np.inf
 
     feasible = len(feasible_ks) > 0
     if feasible:
@@ -569,7 +570,7 @@ def calibrate_np_mlr(
     tau2 = -choice.tau2  # class-1 side: x <= tau2
     power0 = 1.0 - choice.achieved_gamma0["type2"]
     return CalibrationReport(
-        rule=MlrNpRule(tau2=min(tau2, tau1), tau1=tau1),
+        rule=MlrNpRule(tau2=tau2, tau1=tau1),
         gamma_hat=choice.k / cal.n,
         achieved={
             **choice.achieved,

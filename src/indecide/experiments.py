@@ -24,7 +24,7 @@ from .calibration import (
     calibrate_np,
 )
 from .models import fit_lda, fit_logistic, predict_eta
-from .numerics import normal_tail, seeded_stream
+from .numerics import normal_tail, seeded_stream, sigmoid
 from .svgchart import line_chart_svg
 
 __all__ = [
@@ -102,13 +102,7 @@ def _draw_mixture(rng: np.random.Generator, n: int, delta: float):
 
 def oracle_eta(x: np.ndarray, delta: float) -> np.ndarray:
     """Exact class-1 posterior of the symmetric mixture: sigmoid(2 delta x)."""
-    z = 2.0 * delta * np.asarray(x, dtype=float)
-    out = np.empty(len(z))
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return sigmoid(2.0 * delta * np.asarray(x, dtype=float))
 
 
 def _fit_scorer(scorer: str, x: np.ndarray, labels: np.ndarray, delta: float):

@@ -302,7 +302,18 @@ def _t_map(delta: np.ndarray, t: np.ndarray, increasing: bool) -> np.ndarray:
     return normal_tail_vec(t - delta) + normal_tail_vec(delta + t)
 
 
+def _below(delta: np.ndarray, target: np.ndarray, t: np.ndarray, increasing: bool) -> np.ndarray:
+    """The bisection's predicate: t lies below the root of _t_map(delta, t) = target."""
+    return (_t_map(delta, t, increasing) < target) == increasing
+
+
 _SOLVE_CHUNK = 16384  # cells per solver task; larger chunks raise each thread's peak memory
+_NEWTON_STEPS = 4
+_WINDOWS = (1e-13, 1e-9, 1e-6)  # relative half-widths tried around the estimate, tightest first
+# scipy's ndtr can step down between arguments a few ulps apart; sampled
+# over the solver's argument range it never does across this many
+_MONOTONE_ULPS = 16
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _usable_cpus() -> int:
@@ -333,36 +344,111 @@ def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool):
     return t, steps
 
 
+def _normal_density(x: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * x * x) / _SQRT_2PI
+
+
+def _t_estimate(delta: np.ndarray, target: np.ndarray, increasing: bool) -> np.ndarray:
+    """Newton estimate of the root t of _t_map(delta, t) = target, per cell.
+
+    It starts from a closed-form guess and takes _NEWTON_STEPS Newton steps
+    in log t, with the derivative phi(delta - t) + phi(delta + t) of either
+    map and each step clipped to a factor e.  Nothing trusts the result:
+    _t_window checks it, and it may be NaN, 0 or inf.
+    """
+    from scipy.special import ndtri  # imported here so the CLI starts without scipy
+
+    sign = 1.0 if increasing else -1.0
+    with np.errstate(all="ignore"):
+        if increasing:
+            # the smaller of the linearization gamma ~ 2 phi(delta) t and the
+            # root of tail(delta - t) = target + tail(delta), which is above t
+            t = np.fmin(target / (2.0 * _normal_density(delta)), delta + ndtri(target + normal_tail_vec(delta)))
+        else:
+            # one fixed-point step of tail(t - delta) = target - tail(delta + t)
+            # from the root of tail(t - delta) = target, which is below t
+            t = np.fmax(delta - ndtri(target), 0.0)
+            t = delta - ndtri(target - normal_tail_vec(delta + t))
+        for _ in range(_NEWTON_STEPS):
+            slope = _normal_density(delta - t) + _normal_density(delta + t)
+            step = sign * (_t_map(delta, t, increasing) - target) / (t * slope)
+            t = t * np.exp(-np.clip(step, -1.0, 1.0))
+    return t
+
+
+def _t_window(delta: np.ndarray, target: np.ndarray, increasing: bool):
+    """Per cell, the ts where the bisection's predicate is proven without evaluating it.
+
+    _below must hold at the lower edge of a window t_hat (1 -+ rho) around the
+    estimate and fail at its upper edge; the rhos of _WINDOWS are tried in
+    turn.  _t_map is monotone in t except where ndtr steps down between
+    arguments fewer than _MONOTONE_ULPS ulps apart, so the predicate is true
+    at every t that lies that far below the lower edge, and false that far
+    above the upper edge.  Returns those two bounds, -inf and inf for a cell
+    where every window fails.
+    """
+    est = _t_estimate(delta, target, increasing)
+    true_to = np.full_like(delta, -np.inf)
+    false_from = np.full_like(delta, np.inf)
+    todo = np.flatnonzero(np.isfinite(est) & (est > 0.0))
+    for rho in _WINDOWS:
+        d, tg, lower, upper = delta[todo], target[todo], est[todo] * (1.0 - rho), est[todo] * (1.0 + rho)
+        ok = _below(d, tg, lower, increasing)
+        ok[ok] = ~_below(d[ok], tg[ok], upper[ok], increasing)
+        # |delta -+ t| <= delta + t: the margin spans _MONOTONE_ULPS ulps of either argument
+        margin = _MONOTONE_ULPS * np.spacing(d[ok] + upper[ok])
+        true_to[todo[ok]], false_from[todo[ok]] = lower[ok] - margin, upper[ok] + margin
+        todo = todo[~ok]
+    return true_to, false_from
+
+
+def _below_or_proven(d, tg, true_to, false_from, t, increasing: bool) -> np.ndarray:
+    """_below at t, evaluated only between true_to and false_from."""
+    below = t <= true_to
+    open_ = np.flatnonzero((t > true_to) & (t < false_from))
+    below[open_] = _below(d[open_], tg[open_], t[open_], increasing)
+    return below
+
+
 def _solve_t_cells(delta: np.ndarray, target: np.ndarray, increasing: bool):
     """Vectorized bisection in t for every (delta, target) pair.
 
     The upper bracket doubles (at most 70 times) until it holds the target,
     then at most 110 bisection steps run.  A step is a pure function of
-    (lo, hi), so a cell drops out at the first step that moves neither end:
-    every later step would leave it unchanged too.  Returns t and the number
-    of steps that moved each cell.
+    (lo, hi), so a cell stops at the first step that moves neither end:
+    every later step leaves it unchanged too, and it leaves the live set
+    once a sixteenth of that set has stopped.  The predicate takes its
+    proven value outside each cell's window from _t_window and is evaluated
+    inside it, so t and the step counts are those of evaluating it at every
+    step, bit for bit.  Returns t and the number of steps that moved each
+    cell.
     """
+    true_to, false_from = _t_window(delta, target, increasing)
     lo = np.zeros_like(delta)
     hi = delta + 2.0
     idx = np.arange(delta.size)
     for _ in range(70):
-        idx = idx[(_t_map(delta[idx], hi[idx], increasing) < target[idx]) == increasing]
+        idx = idx[_below_or_proven(delta[idx], target[idx], true_to[idx], false_from[idx], hi[idx], increasing)]
         if not idx.size:
             break
         hi[idx] *= 2.0
     steps = np.zeros(delta.size, dtype=int)
-    # the live cells, kept compact: positions, inputs and bracket ends
-    pos, d, tg, l, h = np.arange(delta.size), delta, target, lo, hi
+    # the live cells: positions, inputs, proven bounds, bracket ends and moves
+    pos, d, tg, a, b, l, h, moves = np.arange(delta.size), delta, target, true_to, false_from, lo, hi, steps
     for _ in range(110):
         if not pos.size:
             break
         mid = 0.5 * (l + h)
-        below = (_t_map(d, mid, increasing) < tg) == increasing
-        moved = np.where(below, mid != l, mid != h)
-        l, h = np.where(below, mid, l), np.where(below, h, mid)
-        lo[pos], hi[pos] = l, h
-        pos, d, tg, l, h = pos[moved], d[moved], tg[moved], l[moved], h[moved]
-        steps[pos] += 1
+        below = _below_or_proven(d, tg, a, b, mid, increasing).astype(float)
+        # 0 <= l <= mid <= h, all finite: np.where(below, mid, l) and
+        # np.where(below, h, mid) without a branch on the unpredictable below
+        new_l, new_h = np.maximum(l, mid * below), np.minimum(h, np.maximum(mid, h * below))
+        moved = (new_l != l) | (new_h != h)
+        l, h, moves = new_l, new_h, moves + moved
+        if 16 * (moved.size - np.count_nonzero(moved)) > moved.size:
+            lo[pos], hi[pos], steps[pos] = l, h, moves
+            pos, d, tg, a, b, l, h, moves = (column[moved] for column in (pos, d, tg, a, b, l, h, moves))
+    lo[pos], hi[pos], steps[pos] = l, h, moves
     return 0.5 * (lo + hi), steps
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import sigmoid
+
 __all__ = [
     "LdaModel",
     "LogisticModel",
@@ -139,14 +141,7 @@ def predict_eta(model, x) -> np.ndarray:
     if isinstance(model, LogisticModel):
         if feats.shape[1] != len(model.weights):
             raise ValueError("feature dimension does not match the model")
-        z = feats @ model.weights + model.bias
-        # sigmoid without overflow at large |z|
-        out = np.empty(len(z))
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        return sigmoid(feats @ model.weights + model.bias)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -178,12 +173,7 @@ def fit_logistic(features, labels, tol: float = 1e-8, max_iter: int = 100) -> Lo
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        z = design @ beta
-        p = np.empty(n)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
+        p = sigmoid(design @ beta)
         grad = design.T @ (p - target) + ridge * beta
         if np.linalg.norm(grad) <= tol:
             converged = True

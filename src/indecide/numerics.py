@@ -1,7 +1,7 @@
 """Scalar numerical kernels shared by every other module.
 
-Standard normal tail and the deterministic seeded random-stream contract
-used by the simulation harness.
+Standard normal tail, the logistic function and the deterministic seeded
+random-stream contract used by the simulation harness.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ __all__ = [
     "normal_tail",
     "normal_tail_vec",
     "seeded_stream",
+    "sigmoid",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -50,6 +51,17 @@ def normal_tail_vec(t) -> np.ndarray:
     from scipy import special  # imported here so the CLI starts without scipy
 
     return special.ndtr(-np.asarray(t, dtype=float))
+
+
+def sigmoid(z) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)) of a 1-d array, without overflow at large |z|."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty(len(z))
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 _MASK64 = (1 << 64) - 1

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from indecide import gmm
 from indecide.calibration import (
@@ -452,3 +454,121 @@ class TestCalibrateMlr:
         report = calibrate_accuracy_mlr(cal, 0.05)
         assert not report.feasible
         assert report.gamma_hat == 1.0
+
+
+def recomputed_np(rule, values, labels) -> dict:
+    """gamma, type I and type II of rule.apply on the sample, as the NP
+    calibrators define them: errors over the decided points of each class."""
+    decisions = rule.apply(values)
+    c1, c2 = labels == 1, labels == 2
+    decided1, decided2 = int((c1 & (decisions != 0)).sum()), int((c2 & (decisions != 0)).sum())
+    wrong1, wrong2 = int((c1 & (decisions == 2)).sum()), int((c2 & (decisions == 1)).sum())
+    return {
+        "gamma": int((decisions == 0).sum()) / len(values),
+        "type1": wrong1 / decided1 if decided1 > 0 else 0.0,
+        "type2": wrong2 / decided2 if decided2 > 0 else 0.0,
+    }
+
+
+def recomputed_accuracy(rule, values, labels) -> dict:
+    decisions = rule.apply(values)
+    decided = decisions != 0
+    n_decided = int(decided.sum())
+    wrong = int((decisions[decided] != labels[decided]).sum())
+    return {
+        "gamma": int((~decided).sum()) / len(values),
+        "conditional_error": wrong / n_decided if n_decided > 0 else 0.0,
+    }
+
+
+@st.composite
+def tie_heavy(draw, values, side):
+    """6-60 values drawn from a few, labelled side(value) except for about
+    one in six, so that deciding every point is often within alpha."""
+    n = draw(st.integers(6, 60))
+    xs = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    flips = np.array(draw(st.lists(st.sampled_from([False] * 5 + [True]), min_size=n, max_size=n)))
+    labels = np.where(flips, 3 - side(xs), side(xs))
+    assume(len(set(labels.tolist())) == 2)
+    return xs, labels
+
+
+@st.composite
+def distinct_labelled(draw, values):
+    n = draw(st.integers(6, 60))
+    xs = draw(st.lists(values, min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n).filter(lambda ls: len(set(ls)) == 2))
+    return np.array(xs, dtype=float), np.array(labels)
+
+
+ALPHAS = st.sampled_from([0.05, 0.1, 0.2, 0.3])
+
+
+class TestReportMatchesApply:
+    """A saved rule, applied to its own calibration sample, does what the
+    report says: gamma_hat and the achieved errors recomputed from rule.apply."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(distinct_labelled(st.floats(0.0, 1.0)), ALPHAS, ALPHAS)
+    def test_np_on_distinct_scores(self, sample, alpha1, alpha2):
+        scores, labels = sample
+        report = calibrate_np(CalibrationSample(scores=scores, labels=labels), alpha1, alpha2)
+        got = recomputed_np(report.rule, scores, labels)
+        assert report.gamma_hat == got["gamma"]
+        assert report.achieved["type1"] == got["type1"]
+        assert report.achieved["type2"] == got["type2"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(distinct_labelled(st.floats(-10.0, 10.0)), ALPHAS, ALPHAS)
+    def test_np_mlr_on_distinct_observations(self, sample, alpha1, alpha2):
+        xs, labels = sample
+        report = calibrate_np_mlr(CalibrationSample(xs=xs, labels=labels), alpha1, alpha2)
+        got = recomputed_np(report.rule, xs, labels)
+        assert report.gamma_hat == got["gamma"]
+        assert report.achieved["type1"] == got["type1"]
+        assert report.achieved["type2"] == got["type2"]
+
+    def test_np_abstains_on_all_k_points(self):
+        scores = np.array([0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95])
+        labels = np.array([2, 2, 1, 2, 1, 2, 1, 1, 1, 1])
+        report = calibrate_np(CalibrationSample(scores=scores, labels=labels), 0.2, 0.2)
+        assert report.gamma_hat > 0.0
+        assert (report.rule.apply(scores) == 0).sum() == round(report.gamma_hat * len(scores))
+
+    def test_accuracy_tie_at_one_half(self):
+        scores, labels = np.array([0.5, 0.5, 0.5, 0.9]), np.array([1, 1, 1, 1])
+        report = calibrate_accuracy(CalibrationSample(scores=scores, labels=labels), 0.1)
+        assert report.achieved["conditional_error"] == 0.0
+        assert report.rule.apply(scores).tolist() == [1, 1, 1, 1]
+
+    def test_accuracy_mlr_tie_at_zero(self):
+        xs, labels = np.array([0.0, 0.0, 0.0, 2.0]), np.array([2, 2, 2, 2])
+        report = calibrate_accuracy_mlr(CalibrationSample(xs=xs, labels=labels), 0.1)
+        assert report.achieved["conditional_error"] == 0.0
+        assert report.rule.apply(xs).tolist() == [2, 2, 2, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tie_heavy([0.0, 0.1, 0.25, 0.5, 0.5, 0.5, 0.75, 0.9, 1.0], lambda s: np.where(s >= 0.5, 1, 2)),
+        st.sampled_from([0.1, 0.25, 0.4]),
+    )
+    def test_accuracy_on_tie_heavy_scores(self, sample, alpha):
+        scores, labels = sample
+        report = calibrate_accuracy(CalibrationSample(scores=scores, labels=labels), alpha)
+        if report.feasible:
+            got = recomputed_accuracy(report.rule, scores, labels)
+            assert report.gamma_hat == got["gamma"]
+            assert report.achieved["conditional_error"] == got["conditional_error"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tie_heavy([-2.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.5, 1.0, 2.0], lambda x: np.where(x >= 0.0, 2, 1)),
+        st.sampled_from([0.1, 0.25, 0.4]),
+    )
+    def test_accuracy_mlr_on_tie_heavy_observations(self, sample, alpha):
+        xs, labels = sample
+        report = calibrate_accuracy_mlr(CalibrationSample(xs=xs, labels=labels), alpha)
+        if report.feasible:
+            got = recomputed_accuracy(report.rule, xs, labels)
+            assert report.gamma_hat == got["gamma"]
+            assert report.achieved["conditional_error"] == got["conditional_error"]

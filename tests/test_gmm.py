@@ -302,6 +302,110 @@ class TestSolveTGrid:
         assert sizes == [1, 2]
 
 
+def plain_bisection_tail_evals(delta, target, increasing, last_move):
+    """Tail evaluations of the bisection that evaluates its predicate at every
+    step: two per cell for each bracket check (at most 70) and for each step up
+    to the first that does not move the cell (at most 110)."""
+    hi = delta + 2.0
+    short = np.ones(delta.size, dtype=bool)
+    checks = np.zeros(delta.size, dtype=int)
+    for _ in range(70):
+        checks += short
+        short &= (gmm._t_map(delta, hi, increasing) < target) == increasing
+        if not short.any():
+            break
+        hi = np.where(short, 2.0 * hi, hi)
+    return 2 * int((checks + np.minimum(last_move + 1, 110)).sum())
+
+
+def panel_cells(delta_target, c, m):
+    """delta and target of the phase-grid cells c x m, as phase_grid builds them."""
+    c_mat, m_mat = np.meshgrid(c, m, indexing="ij")
+    return c_mat.ravel() * math.sqrt(2.0 * math.log(1.0 / delta_target)), delta_target ** m_mat.ravel()
+
+
+class TestWindowedBisection:
+    """The solver evaluates its predicate only inside a window checked around a
+    Newton estimate; these tests pin that the shortcut changes no bit."""
+
+    @pytest.mark.parametrize("increasing", [True, False])
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda t: np.full_like(t, np.nan),
+            np.zeros_like,
+            lambda t: np.full_like(t, np.inf),
+            lambda t: 2.0 * t,
+            lambda t: 1e-10 * t,
+        ],
+        ids=["nan", "zero", "inf", "double", "tiny"],
+    )
+    def test_any_estimate_keeps_the_oracle_bits(self, monkeypatch, increasing, wrong):
+        delta, target = TestSolveTGrid._pairs(0)
+        estimate = gmm._t_estimate
+        monkeypatch.setattr(gmm, "_t_estimate", lambda d, tg, inc: wrong(estimate(d, tg, inc)))
+        t, steps = gmm._solve_t_grid(delta, target, increasing)
+        t_ref, last_move = lockstep_solve_t_grid(delta, target, increasing)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(steps, last_move)
+
+    # (i_c, i_m) cells of the 777-point lower panel where a window trusted
+    # without the ulp margin moved t: the first four by 1-3 ulp under another
+    # Newton estimate, the other seven by 4-8 ulp under this one, both with a
+    # first window of 1e-15
+    CELLS_777 = [(463, 1), (466, 2), (468, 1), (541, 1), (416, 1), (435, 0), (472, 0), (500, 1), (510, 2), (537, 1), (600, 0)]
+
+    def _cells_777(self):
+        c, m = np.linspace(0.05, 0.45, 777), np.linspace(0.005, 0.995, 777)
+        i_c, i_m = np.array(self.CELLS_777).T
+        delta, target = panel_cells(1e-7, c, m)
+        cells = i_c * 777 + i_m
+        return delta[cells], target[cells]
+
+    def test_cells_where_a_narrow_window_moved_t(self):
+        delta, target = self._cells_777()
+        t, steps = gmm._solve_t_cells(delta, target, False)
+        t_ref, last_move = lockstep_solve_t_grid(delta, target, False)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(steps, last_move)
+
+    def test_ulp_margin_keeps_even_a_1e_15_window_exact(self, monkeypatch):
+        monkeypatch.setattr(gmm, "_WINDOWS", (1e-15,))
+        delta, target = self._cells_777()
+        true_to, false_from = gmm._t_window(delta, target, False)
+        assert np.isfinite(true_to).all() and np.isfinite(false_from).all()
+        t, steps = gmm._solve_t_cells(delta, target, False)
+        t_ref, last_move = lockstep_solve_t_grid(delta, target, False)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(steps, last_move)
+
+    def test_ndtr_never_steps_down_across_the_margin(self):
+        from scipy.special import ndtr
+
+        x = np.random.default_rng(11).uniform(-40.0, 40.0, 200_000)
+        y = x
+        for _ in range(gmm._MONOTONE_ULPS):
+            y = np.nextafter(y, np.inf)
+        assert (ndtr(y) >= ndtr(x)).all()
+
+    @pytest.mark.parametrize(
+        "delta_target, c_lo, c_hi, increasing", [(1e-7, 0.05, 0.45, False), (1e-15, 0.55, 0.95, True)]
+    )
+    def test_fewer_than_half_the_tail_evaluations(self, monkeypatch, delta_target, c_lo, c_hi, increasing):
+        # every 25th c row of a 500-point panel
+        delta, target = panel_cells(
+            delta_target, np.linspace(c_lo, c_hi, 500)[::25], np.linspace(0.005, 0.995, 500)
+        )
+        t_ref, last_move = lockstep_solve_t_grid(delta, target, increasing)
+        plain = plain_bisection_tail_evals(delta, target, increasing, last_move)
+        evals, tail = [], gmm.normal_tail_vec
+        monkeypatch.setattr(gmm, "normal_tail_vec", lambda x: evals.append(np.size(x)) or tail(x))
+        t, steps = gmm._solve_t_cells(delta, target, increasing)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(steps, last_move)
+        assert sum(evals) < plain / 2
+
+
 class TestPhaseGrid:
     COLUMNS = (
         "c",

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indecide.numerics import normal_tail, normal_tail_vec, seeded_stream
+from indecide.experiments import oracle_eta
+from indecide.models import LogisticModel, predict_eta
+from indecide.numerics import normal_tail, normal_tail_vec, seeded_stream, sigmoid
 
 
 class TestNormalTail:
@@ -41,6 +43,38 @@ class TestNormalTail:
     @given(st.floats(min_value=-30.0, max_value=30.0))
     def test_monotone_decreasing(self, t):
         assert normal_tail(t + 1e-3) <= normal_tail(t)
+
+
+def inline_sigmoid(z):
+    """The overflow-safe sigmoid that oracle_eta, predict_eta and fit_logistic
+    each carried before they shared numerics.sigmoid, kept as the oracle."""
+    out = np.empty(len(z))
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    def test_bit_equal_to_the_inline_copies(self, zs):
+        z = np.array(zs, dtype=float)
+        assert sigmoid(z).tobytes() == inline_sigmoid(z).tobytes()
+
+    def test_extremes_do_not_overflow(self):
+        z = np.array([-1e308, -800.0, -40.0, -0.0, 0.0, 40.0, 800.0, 1e308, -np.inf, np.inf])
+        with np.errstate(over="raise", invalid="raise"):
+            out = sigmoid(z)
+        assert out.tolist() == [0.0, 0.0, out[2], 0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 1.0]
+        assert 0.0 < out[2] < 1e-17
+
+    def test_callers_keep_their_bits(self):
+        x = np.concatenate([np.linspace(-400.0, 400.0, 101), [-0.0, 1e-300]])
+        assert oracle_eta(x, 1.3).tobytes() == inline_sigmoid(2.0 * 1.3 * x).tobytes()
+        model = LogisticModel(weights=np.array([0.7]), bias=-0.2, converged=True, iterations=1)
+        z = x[:, None] @ model.weights + model.bias
+        assert predict_eta(model, x).tobytes() == inline_sigmoid(z).tobytes()
 
 
 class TestSeededStream:
