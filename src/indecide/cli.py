@@ -23,11 +23,7 @@ import numpy as np
 from . import __version__, gmm
 from .calibration import (
     CalibrationSample,
-    MaxScoreRule,
-    MlrNpRule,
-    MlrSymmetricRule,
-    NpRule,
-    SelectiveBinaryRule,
+    Rule,
     calibrate_accuracy,
     calibrate_accuracy_fixed_gamma,
     calibrate_accuracy_mlr,
@@ -63,10 +59,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -247,36 +240,7 @@ def _require(args, names: list[str], mode: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rule serialization
-
-
-def _rule_to_kv(rule) -> dict:
-    if isinstance(rule, SelectiveBinaryRule):
-        return {"rule_type": "selective-binary", "tau": rule.tau}
-    if isinstance(rule, NpRule):
-        return {"rule_type": "np", "tau1": rule.tau1, "tau2": rule.tau2}
-    if isinstance(rule, MlrNpRule):
-        return {"rule_type": "mlr-np", "tau1": rule.tau1, "tau2": rule.tau2}
-    if isinstance(rule, MlrSymmetricRule):
-        return {"rule_type": "mlr-symmetric", "tau": rule.tau}
-    if isinstance(rule, MaxScoreRule):
-        return {"rule_type": "max-score", "tau": rule.tau}
-    raise TypeError(f"unsupported rule {type(rule).__name__}")
-
-
-def _rule_from_kv(entries: dict):
-    kind = entries.get("rule_type")
-    if kind == "selective-binary":
-        return SelectiveBinaryRule(tau=float(entries["tau"]))
-    if kind == "np":
-        return NpRule(tau1=float(entries["tau1"]), tau2=float(entries["tau2"]))
-    if kind == "mlr-np":
-        return MlrNpRule(tau2=float(entries["tau2"]), tau1=float(entries["tau1"]))
-    if kind == "mlr-symmetric":
-        return MlrSymmetricRule(tau=float(entries["tau"]))
-    if kind == "max-score":
-        return MaxScoreRule(tau=float(entries["tau"]))
-    raise SchemaError(f"unknown rule_type {kind!r}")
+# outputs
 
 
 def _sha256(path: str) -> str:
@@ -330,13 +294,10 @@ def cmd_calibrate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rule_entries = _rule_to_kv(report.rule)
+    rule_entries = report.rule.to_kv()
     write_kv(rule_entries, out_dir / "rule.kv")
-    report_entries = dict(rule_entries)
-    report_entries["gamma_hat"] = report.gamma_hat
-    report_entries["feasible"] = report.feasible
-    for key, value in report.achieved.items():
-        report_entries[f"achieved_{key}"] = value
+    achieved = {f"achieved_{key}": value for key, value in report.achieved.items()}
+    report_entries = {**rule_entries, "gamma_hat": report.gamma_hat, "feasible": report.feasible, **achieved}
     write_kv(report_entries, out_dir / "report.kv")
     outputs = ["rule.kv", "report.kv"]
     if report.trace:
@@ -354,23 +315,16 @@ def _rule_columns(path: str, header: list[str], expected: str):
     return [expected], False
 
 
-def _read_rule_input(path: str, rule) -> np.ndarray:
-    """What rule.apply takes from the input CSV: the leading column, or the
-    leading s_* columns as score vectors for a max-score rule."""
-    if isinstance(rule, (SelectiveBinaryRule, NpRule)):
-        expected = "score"
-    elif isinstance(rule, (MlrNpRule, MlrSymmetricRule)):
-        expected = "x"
-    else:
-        expected = "s_1"
-    _, table = _read_table(path, partial(_rule_columns, expected=expected))
-    return table if expected == "s_1" else table[:, 0].copy()
+def _read_rule_input(path: str, rule: Rule) -> np.ndarray:
+    """What rule.apply takes from the input CSV: the rule's column, or the
+    leading s_* columns as score vectors for a rule on s_1."""
+    _, table = _read_table(path, partial(_rule_columns, expected=rule.column))
+    return table if rule.column == "s_1" else table[:, 0].copy()
 
 
 def cmd_apply(args) -> int:
-    rule = _rule_from_kv(read_kv(args.rule))
-    values = _read_rule_input(args.input, rule)
-    decisions = rule.apply(values) if len(values) else np.array([], dtype=int)
+    rule = Rule.from_kv(read_kv(args.rule))
+    decisions = rule.apply(_read_rule_input(args.input, rule))
     # decision d is written as words[d]: "abstain" for 0, else the class index
     words = np.array(["abstain", *map(str, range(1, int(decisions.max(initial=0)) + 1))])
     with open(args.output, "w", newline="", encoding="utf-8") as fh:

@@ -18,11 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import gmm
-from .calibration import (
-    CalibrationSample,
-    calibrate_accuracy,
-    calibrate_np,
-)
+from .calibration import CalibrationSample, _selective_errors, calibrate_accuracy, calibrate_np
 from .models import fit_lda, fit_logistic, predict_eta
 from .numerics import normal_tail, seeded_stream, sigmoid
 from .svgchart import line_chart_svg
@@ -113,21 +109,6 @@ def _fit_scorer(scorer: str, x: np.ndarray, labels: np.ndarray, delta: float):
         return lambda xs: predict_eta(model, xs)
     model = fit_logistic(x, labels)
     return lambda xs: predict_eta(model, xs)
-
-
-def _selective_errors(decisions: np.ndarray, labels: np.ndarray) -> dict:
-    decided = decisions != 0
-    n = len(labels)
-    n_dec = int(decided.sum())
-    wrong = decided & (decisions != labels)
-    out = {
-        "gamma": (n - n_dec) / n,
-        "conditional_error": float(wrong.sum() / n_dec) if n_dec else 0.0,
-    }
-    for cls, key in ((1, "type1"), (2, "type2")):
-        dc = decided & (labels == cls)
-        out[key] = float((wrong & dc).sum() / dc.sum()) if dc.any() else 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -183,19 +183,6 @@ def threshold_for_gamma(spec: GmmSpec, gamma: float) -> OracleOperatingPoint:
     return operating_point_at_t(spec, t)
 
 
-def _threshold_for_gamma_complement(spec: GmmSpec, complement: float) -> OracleOperatingPoint:
-    """Invert 1 - gamma, stable when gamma is numerically 1."""
-    if not 0.0 < complement <= 1.0:
-        raise ValueError("gamma complement must lie in (0, 1]")
-    d = spec.delta
-
-    def complement_at(t: float) -> float:
-        return normal_tail(t - d) + normal_tail(d + t)
-
-    t = _bisect_t(complement_at, complement, increasing=False, hi_start=d + 2.0)
-    return operating_point_at_t(spec, t)
-
-
 def gamma_for_target_risk(spec: GmmSpec, target_risk: float) -> OracleOperatingPoint:
     """Minimal-abstention operating point with conditional risk target_risk.
 

@@ -18,6 +18,7 @@ from indecide.calibration import (
     MlrNpRule,
     MlrSymmetricRule,
     NpRule,
+    Rule,
     SelectiveBinaryRule,
     calibrate_accuracy,
     calibrate_accuracy_fixed_gamma,
@@ -27,6 +28,7 @@ from indecide.calibration import (
     calibrate_np_mlr,
 )
 from indecide.experiments import _draw_mixture, oracle_eta
+from indecide.kvdoc import dump_kv, load_kv
 from indecide.numerics import seeded_stream
 
 DATA = Path(__file__).parent / "data"
@@ -132,6 +134,67 @@ class TestRules:
         assert list(out) == [1, 0]
 
 
+class TestRuleSerialization:
+    # rule.kv documents as calibrate has always written them
+    OLD_FILES = {
+        "selective-binary": ("format_version = 1\nrule_type = selective-binary\ntau = 0.80000000000000004\n",
+                             SelectiveBinaryRule(tau=0.8)),
+        "np": ("format_version = 1\nrule_type = np\ntau1 = -inf\ntau2 = 0.55000000000000004\n",
+               NpRule(tau1=-np.inf, tau2=0.55)),
+        "mlr-np": ("format_version = 1\nrule_type = mlr-np\ntau1 = inf\ntau2 = -1.5\n",
+                   MlrNpRule(tau2=-1.5, tau1=np.inf)),
+        "mlr-symmetric": ("format_version = 1\nrule_type = mlr-symmetric\ntau = 2\n", MlrSymmetricRule(tau=2.0)),
+        "max-score": ("format_version = 1\nrule_type = max-score\ntau = -inf\n", MaxScoreRule(tau=-np.inf)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(OLD_FILES))
+    def test_old_rule_files_load_and_round_trip(self, kind):
+        text, rule = self.OLD_FILES[kind]
+        loaded = Rule.from_kv(load_kv(text))
+        assert loaded == rule and type(loaded) is type(rule)
+        assert loaded.rule_type == kind
+        assert Rule.from_kv(load_kv(dump_kv(loaded.to_kv()))) == loaded
+        # vars(rule) holds only the numeric thresholds; the rest lives on the class
+        assert all(type(value) is float for value in vars(loaded).values())
+        assert loaded.to_kv() == {"rule_type": kind, **vars(loaded)}
+
+    def test_input_columns(self):
+        assert [cls.column for cls in (SelectiveBinaryRule, NpRule, MlrNpRule, MlrSymmetricRule, MaxScoreRule)] == [
+            "score", "score", "x", "x", "s_1"
+        ]
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"rule_type": "np", "tau1": 0.2}, "missing tau2"),
+            ({"rule_type": "np", "tau1": 0.2, "tau2": True}, "tau2 must be a number"),
+            ({"rule_type": "np", "tau1": math.nan, "tau2": 0.6}, "tau1 must be a number"),
+            ({"rule_type": "max-score", "tau": "0.5"}, "tau must be a number"),
+            ({"rule_type": "mystery", "tau": 0.5}, "unknown rule_type"),
+            ({"tau": 0.5}, "unknown rule_type"),
+        ],
+    )
+    def test_malformed_entries_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            Rule.from_kv(entries)
+
+    @pytest.mark.parametrize(
+        "rule, values",
+        [
+            (NpRule(tau1=0.2, tau2=0.6), [0.5, 1.5]),
+            (NpRule(tau1=0.2, tau2=0.6), [-3.0]),
+            (SelectiveBinaryRule(tau=0.8), [math.inf]),
+            (SelectiveBinaryRule(tau=0.8), [math.nan]),
+            (MlrSymmetricRule(tau=1.0), [0.0, math.nan]),
+            (MaxScoreRule(tau=0.5), [[0.9, 0.9]]),
+            (MaxScoreRule(tau=0.5), [[math.nan, 0.5]]),
+        ],
+    )
+    def test_apply_checks_input_as_calibration_does(self, rule, values):
+        with pytest.raises(ValueError):
+            rule.apply(values)
+
+
 class TestCalibrateAccuracy:
     def golden_sample(self):
         return CalibrationSample(
@@ -173,6 +236,15 @@ class TestCalibrateAccuracy:
         assert not report.feasible
         assert report.gamma_hat == 1.0
 
+    def test_infeasible_rule_abstains_everywhere(self):
+        scores = np.array([0.0, 1.0, 0.99, 0.02])
+        cal = CalibrationSample(scores=scores, labels=np.array([1, 2, 2, 1]))
+        report = calibrate_accuracy(cal, 0.1)
+        assert not report.feasible
+        assert report.rule.tau == math.inf
+        assert report.rule.apply(scores).tolist() == [0, 0, 0, 0]
+        assert report.achieved["conditional_error"] == 0.0
+
     def test_gamma_non_increasing_in_alpha(self):
         rng = seeded_stream(21, 0)
         x, y = _draw_mixture(rng, 400, 1.0)
@@ -206,6 +278,14 @@ class TestCalibrateAccuracyFixedGamma:
         assert report.gamma_hat == pytest.approx(0.5)
         decisions = report.rule.apply(cal.scores)
         assert int((decisions == 0).sum()) == 2
+
+    def test_abstains_on_ties_with_the_last_abstained(self):
+        scores = np.array([0.9, 0.2, 0.8, 0.8, 0.2, 0.5])  # confidences 0.9, 0.8 x 4, 0.5
+        cal = CalibrationSample(scores=scores, labels=np.array([1, 2, 1, 2, 1, 1]))
+        report = calibrate_accuracy_fixed_gamma(cal, 0.3)  # ceil(1.8) = 2: 0.5, then one of the 0.8s
+        assert report.rule.tau == 0.9
+        assert report.rule.apply(scores).tolist() == [1, 0, 0, 0, 0, 0]
+        assert report.gamma_hat == 5 / 6
 
     def test_gamma_zero_decides_all(self):
         cal = CalibrationSample(
@@ -360,6 +440,13 @@ class TestCalibrateMulticlass:
         assert int((decisions == 0).sum()) == 2
         assert "conditional_error" in report.achieved
 
+    def test_abstains_on_ties_with_the_last_abstained(self):
+        sv = np.array([[0.5, 0.5], [0.75, 0.25], [0.25, 0.75], [1.0, 0.0]])
+        report = calibrate_multiclass_fixed_gamma(CalibrationSample(score_vectors=sv), 0.3)
+        assert report.rule.tau == 0.75  # ceil(0.3 * 4) = 2: 0.5, one 0.75, then the tie at 0.75
+        assert report.rule.apply(sv).tolist() == [0, 0, 0, 1]
+        assert report.gamma_hat == 0.75
+
     def test_unsupervised(self):
         sv = np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7]])
         cal = CalibrationSample(score_vectors=sv)
@@ -414,10 +501,10 @@ class TestCalibrateMlr:
             strict = calibrate_np_mlr(CalibrationSample(xs=xs, labels=labels), 0.1, 0.2, high_prob_delta=0.05)
             assert strict.achieved["power_at_gamma0"] == report.achieved["power_at_gamma0"]
             # what the former second grid search (alpha2 just below 1) reported
-            old = _np_grid_select(-xs, labels == 1, 0.1, 1.0 - 1e-12)
+            old = _np_grid_select(-xs, labels == 1, 0.1, 1.0 - 1e-12, want_trace=True)
             branches.add(old.k == 0)
-            if old.k == 0:
-                assert report.achieved["power_at_gamma0"] == 1.0 - old.achieved["type2"]
+            if old.k == 0:  # its type II at k = 0, now read from its trace
+                assert report.achieved["power_at_gamma0"] == 1.0 - old.trace["type2"][0]
             else:  # it skipped gamma = 0, which here has type II error 1
                 assert report.trace["type2"][0] == 1.0
                 assert report.achieved["power_at_gamma0"] == 0.0
@@ -572,3 +659,118 @@ class TestReportMatchesApply:
             got = recomputed_accuracy(report.rule, xs, labels)
             assert report.gamma_hat == got["gamma"]
             assert report.achieved["conditional_error"] == got["conditional_error"]
+
+
+def recomputed_power_at_gamma0(xs, labels, alpha1) -> float:
+    """Power of the abstention-free test at alpha1, class 2 to the right:
+    2 for x >= c with the smallest cut c among the observations (or inf)
+    leaving at most floor(alpha1 * n1) class-1 points at or above it, and
+    its type II error taken from rule.apply."""
+    budget = math.floor(alpha1 * int((labels == 1).sum()) + 1e-12)
+    cut = min(c for c in [*np.unique(xs).tolist(), math.inf] if int(((xs >= c) & (labels == 1)).sum()) <= budget)
+    rule = MlrNpRule(tau2=float(np.nextafter(cut, -math.inf)), tau1=cut)
+    return 1.0 - recomputed_np(rule, xs, labels)["type2"]
+
+
+def assert_report_is_apply(report, values, labels, holdout=None):
+    """gamma_hat and every achieved key rule.apply can recompute, exactly
+    (the mlr-np power keys describe another rule and are checked apart)."""
+    wrong1 = int(((labels == 1) & (report.rule.apply(values) == 2)).sum())
+    expected = {
+        **recomputed_accuracy(report.rule, values, labels),
+        **recomputed_np(report.rule, values, labels),
+        "type1_marginal": wrong1 / int((labels == 1).sum()),
+    }
+    if holdout is not None:
+        held = recomputed_np(report.rule, *holdout)
+        expected.update(holdout_type1=held["type1"], holdout_type2=held["type2"])
+    assert report.gamma_hat == expected["gamma"]
+    for key, value in report.achieved.items():
+        if key not in ("power_at_gamma0", "power_criterion_positive_gamma"):
+            assert value == expected[key], key
+
+
+def assert_grid_row_is_the_rule(report, labels, alpha2):
+    """The two-threshold search scored the rule it ships: its trace row at
+    the selected k counts what rule.apply does, and no earlier valid k met
+    alpha2 when the report is feasible."""
+    trace, n1 = report.trace, int((labels == 1).sum())
+    k = round(report.gamma_hat * len(labels))
+    assert trace["valid"][k] and trace["gamma"][k] == report.gamma_hat
+    assert trace["type2"][k] == report.achieved["type2"]
+    assert trace["type1_count"][k] / n1 == report.achieved["type1_marginal"]
+    if report.feasible:
+        assert (trace["type2"][:k][trace["valid"][:k]] > alpha2).all()
+
+
+def assert_accuracy_row_is_the_rule(report, alpha):
+    """The accuracy selector scored the rule it ships: the first candidate
+    within alpha, or none."""
+    trace = report.trace
+    hits = np.flatnonzero(trace["error"] <= alpha)
+    assert report.feasible == (len(hits) > 0)
+    if report.feasible:
+        assert trace["tau"][hits[0]] == report.rule.tau
+        assert trace["error"][hits[0]] == report.achieved["conditional_error"]
+        assert trace["decided"][hits[0]] == round((1.0 - report.gamma_hat) * len(trace["tau"]))
+
+
+def piled(draw, n):
+    """Values piled at 0, 0.5 and 1, with a few anywhere in between."""
+    return draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=n, max_size=n))
+
+
+SCORE_KINDS = {
+    "distinct": lambda draw, n: draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True)),
+    "tie-heavy": lambda draw, n: draw(
+        st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]), min_size=n, max_size=n)
+    ),
+    "piled": piled,
+}
+
+
+@st.composite
+def labelled_scores(draw, kind):
+    """6-60 scores of one kind, labelled 1 above 1/2 and 2 below except for
+    about one in four, with both labels present."""
+    n = draw(st.integers(6, 60))
+    scores = np.array(SCORE_KINDS[kind](draw, n), dtype=float)
+    flips = np.array(draw(st.lists(st.sampled_from([False] * 3 + [True]), min_size=n, max_size=n)))
+    labels = np.where(flips, 3 - np.where(scores >= 0.5, 1, 2), np.where(scores >= 0.5, 1, 2))
+    assume(len(set(labels.tolist())) == 2)
+    return scores, labels
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alpha1=ALPHAS, alpha2=ALPHAS, gamma=st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]))
+@pytest.mark.parametrize("kind", sorted(SCORE_KINDS))
+def test_every_report_is_what_its_rule_does(kind, data, alpha1, alpha2, gamma):
+    """All six calibrators, feasible or not: the report is rule.apply on the
+    calibration sample (and, for holdout_*, on the holdout sample)."""
+    scores, labels = data.draw(labelled_scores(kind))
+    held_scores, held_labels = data.draw(labelled_scores(kind))
+    xs = 2.0 - 4.0 * scores  # class 2 to the right; s = 1/2 lands on x = 0
+    cal, cal_x = CalibrationSample(scores=scores, labels=labels), CalibrationSample(xs=xs, labels=labels)
+    vectors = np.stack([scores, 1.0 - scores], axis=1)
+
+    holdout = CalibrationSample(scores=held_scores, labels=held_labels)
+    report = calibrate_np(cal, alpha1, alpha2, holdout=holdout, want_trace=True)
+    assert_report_is_apply(report, scores, labels, (held_scores, held_labels))
+    assert_grid_row_is_the_rule(report, labels, alpha2)
+    assert ("holdout_type1" in report.achieved) == report.feasible
+    report = calibrate_np_mlr(cal_x, alpha1, alpha2, want_trace=True)
+    assert_report_is_apply(report, xs, labels)
+    assert_grid_row_is_the_rule(report, labels, alpha2)
+    power = recomputed_power_at_gamma0(xs, labels, alpha1)
+    assert report.achieved["power_at_gamma0"] == power
+    assert report.achieved["power_criterion_positive_gamma"] == (power < 1.0 - alpha2)
+    for report, values in (
+        (calibrate_accuracy(cal, alpha1, want_trace=True), scores),
+        (calibrate_accuracy_mlr(cal_x, alpha1, want_trace=True), xs),
+        (calibrate_accuracy_fixed_gamma(cal, gamma), scores),
+        (calibrate_multiclass_fixed_gamma(CalibrationSample(score_vectors=vectors, labels=labels), gamma), vectors),
+    ):
+        assert_report_is_apply(report, values, labels)
+        assert report.achieved.keys() == {"conditional_error"}
+        if report.trace:
+            assert_accuracy_row_is_the_rule(report, alpha1)

@@ -184,6 +184,63 @@ class TestApplyCommand:
         code = main(["apply", "--rule", rule, "--input", inp, "--output", str(tmp_path / "d.csv")])
         assert code == EXIT_USAGE
 
+    # input apply would have decided on silently: np 1.5 -> 1, -3 -> 2, inf -> 1, nan -> abstain
+    @pytest.mark.parametrize("score", ["1.5", "-3", "inf", "nan"])
+    def test_np_rule_rejects_score_outside_unit_interval(self, tmp_path, capsys, score):
+        rule = self.rule_file(tmp_path, {"rule_type": "np", "tau1": 0.2, "tau2": 0.6})
+        inp = write_csv(tmp_path / "scores.csv", f"score\n0.4\n{score}\n")
+        out = tmp_path / "d.csv"
+        assert main(["apply", "--rule", rule, "--input", inp, "--output", str(out)]) == EXIT_USAGE
+        assert "scores must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.9,0.9", "sum to 1"), ("nan,0.5", "finite"), ("0.5,nan", "finite"), ("-0.5,1.5", "nonnegative")],
+    )
+    def test_max_score_rule_rejects_bad_vector(self, tmp_path, capsys, row, message):
+        rule = self.rule_file(tmp_path, {"rule_type": "max-score", "tau": 0.6})
+        inp = write_csv(tmp_path / "scores.csv", f"s_1,s_2\n0.7,0.3\n{row}\n")
+        assert main(["apply", "--rule", rule, "--input", inp, "--output", str(tmp_path / "d.csv")]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_mlr_rule_rejects_non_finite_observation(self, tmp_path, capsys, x):
+        rule = self.rule_file(tmp_path, {"rule_type": "mlr-np", "tau1": 1.0, "tau2": -1.0})
+        inp = write_csv(tmp_path / "xs.csv", f"x\n0.4\n{x}\n")
+        assert main(["apply", "--rule", rule, "--input", inp, "--output", str(tmp_path / "d.csv")]) == EXIT_USAGE
+        assert "xs must be finite" in capsys.readouterr().err
+
+    def raw_rule_file(self, tmp_path, text):
+        path = tmp_path / "rule.kv"
+        path.write_text("format_version = 1\n" + text)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rule_type = np\ntau1 = 0.2\n", "missing tau2"),
+            ("rule_type = max-score\n", "missing tau"),
+            ("rule_type = np\ntau1 = 0.2\ntau2 = true\n", "tau2 must be a number"),
+            ("rule_type = np\ntau1 = nan\ntau2 = 0.6\n", "tau1 must be a number"),
+            ("rule_type = selective-binary\ntau = high\n", "tau must be a number"),
+            ("rule_type = np\ntau1 = 0.7\ntau2 = 0.6\n", "tau1 must not exceed tau2"),
+        ],
+    )
+    def test_malformed_rule_file_fails_with_message(self, tmp_path, capsys, text, message):
+        rule = self.raw_rule_file(tmp_path, text)
+        inp = write_csv(tmp_path / "scores.csv", "score\n0.4\n")
+        assert main(["apply", "--rule", rule, "--input", inp, "--output", str(tmp_path / "d.csv")]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_infinite_thresholds_load(self, tmp_path):
+        # calibrators write them: an empty class-2 block and an all-abstaining rule
+        rule = self.raw_rule_file(tmp_path, "rule_type = np\ntau1 = -inf\ntau2 = inf\n")
+        inp = write_csv(tmp_path / "scores.csv", "score\n0.0\n1.0\n")
+        out = tmp_path / "d.csv"
+        assert main(["apply", "--rule", rule, "--input", inp, "--output", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[1:3] == ["abstain", "abstain"]
+
 
 class TestOracleCommand:
     def test_gamma_query(self, capsys):
