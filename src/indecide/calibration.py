@@ -62,11 +62,18 @@ def _check_score_vectors(values) -> np.ndarray:
     return sv
 
 
+def _check_xs(values) -> np.ndarray:
+    xs = _finite(values, "xs")
+    if xs.ndim != 1:
+        raise ValueError("xs must be a 1-d array")
+    return xs
+
+
 # input column -> (the CalibrationSample field holding it, the check it and Rule.apply run)
 _COLUMNS = {
     "score": ("scores", _check_scores),
     "s_1": ("score_vectors", _check_score_vectors),
-    "x": ("xs", lambda values: _finite(values, "xs")),
+    "x": ("xs", _check_xs),
 }
 
 
@@ -96,7 +103,12 @@ class CalibrationSample:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check(getattr(self, name)))
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=int)
+            lab = np.asarray(self.labels)
+            if lab.dtype.kind != "i":
+                lab = _finite(lab, "labels")
+                if (lab != np.trunc(lab)).any():
+                    raise ValueError("labels must be integer class indices")
+            lab = lab.astype(int, copy=False)
             if lab.shape != (n,):
                 raise ValueError("labels must match the sample length")
             if (lab < 1).any():

@@ -9,7 +9,6 @@ seeded_stream(s, r), so results are byte-identical at any worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import gmm
 from .calibration import CalibrationSample, _selective_errors, calibrate_accuracy, calibrate_np
+from .kvdoc import write_columns
 from .models import fit_lda, fit_logistic, predict_eta
 from .numerics import normal_tail, seeded_stream, sigmoid
 from .svgchart import line_chart_svg
@@ -67,16 +67,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-replication rows plus per-(delta, arm) aggregates.
+    """Per-replication rows plus per-group aggregates, as numpy columns.
 
-    Both are tuples of plain dicts sharing fixed column sets; bands are the
-    5th/95th order statistics across replications.
+    Each maps column name to a 1-d array, in CSV column order; aggregates
+    hold one row per group in ascending key order, with 5th/95th bands that
+    are order statistics across replications.
     """
 
-    rows: tuple
-    aggregates: tuple
-    row_columns: tuple
-    aggregate_columns: tuple
+    rows: dict[str, np.ndarray]
+    aggregates: dict[str, np.ndarray]
 
 
 def _sample_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -144,17 +143,6 @@ def _accuracy_rep(cfg: SimConfig, rep: int) -> list[dict]:
     return rows
 
 
-_ACC_ROW_COLS = (
-    "delta",
-    "rep",
-    "arm",
-    "gamma_hat",
-    "test_gamma",
-    "conditional_error",
-    "feasible",
-)
-
-
 def run_accuracy_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     """Accuracy-controlled calibration across the delta grid.
 
@@ -162,19 +150,8 @@ def run_accuracy_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     the selected abstention fraction and the test-set conditional error per
     replication; aggregates add means and 5th/95th bands.
     """
-    per_rep = _parallel_map(partial(_accuracy_rep, cfg), range(cfg.reps), workers)
-    rows = tuple(r for chunk in per_rep for r in chunk)
-    aggregates = _aggregate(
-        rows, keys=("delta", "arm"), metrics=("gamma_hat", "test_gamma", "conditional_error")
-    )
-    return SimResult(
-        rows=rows,
-        aggregates=tuple(aggregates),
-        row_columns=_ACC_ROW_COLS,
-        aggregate_columns=_agg_columns(
-            ("delta", "arm"), ("gamma_hat", "test_gamma", "conditional_error")
-        ),
-    )
+    keys, metrics = ("delta", "arm"), ("gamma_hat", "test_gamma", "conditional_error")
+    return _run_study(partial(_accuracy_rep, cfg), cfg.reps, workers, keys, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +204,6 @@ def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
     return rows
 
 
-_NP_ROW_COLS = (
-    "delta",
-    "rep",
-    "arm",
-    "gamma_star",
-    "test_gamma",
-    "type1",
-    "type2",
-    "conditional_error",
-    "feasible",
-    "cal_type2_curve_p5",
-    "cal_type2_curve_p95",
-)
-
-
 def run_np_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     """Type I / type II controlled calibration versus abstention-free arms.
 
@@ -250,17 +212,8 @@ def run_np_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     Each row also carries the 5th/95th band of the achievable type II error
     over the full abstention grid on the calibration data.
     """
-    per_rep = _parallel_map(partial(_np_rep, cfg), range(cfg.reps), workers)
-    rows = tuple(r for chunk in per_rep for r in chunk)
-    aggregates = _aggregate(
-        rows, keys=("delta", "arm"), metrics=("gamma_star", "type1", "type2")
-    )
-    return SimResult(
-        rows=rows,
-        aggregates=tuple(aggregates),
-        row_columns=_NP_ROW_COLS,
-        aggregate_columns=_agg_columns(("delta", "arm"), ("gamma_star", "type1", "type2")),
-    )
+    keys, metrics = ("delta", "arm"), ("gamma_star", "type1", "type2")
+    return _run_study(partial(_np_rep, cfg), cfg.reps, workers, keys, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +253,6 @@ def _tradeoff_rep(cfg: SimConfig, target: float, rep: int) -> list[dict]:
     return rows
 
 
-_TRADEOFF_ROW_COLS = (
-    "delta",
-    "separation_2delta",
-    "rep",
-    "bayes_accuracy",
-    "target_error",
-    "gamma_star",
-    "empirical_gamma",
-    "empirical_conditional_error",
-)
-
-
 def run_intro_tradeoff(cfg: SimConfig, target_error: float = 0.01, workers: int = 1) -> SimResult:
     """Exact accuracy/abstention tradeoff plus a sampled check per separation.
 
@@ -320,21 +261,8 @@ def run_intro_tradeoff(cfg: SimConfig, target_error: float = 0.01, workers: int 
     error of the closed-form thresholds on a fresh sample.  Separation is
     reported both as delta (half the center distance) and as 2 * delta.
     """
-    per_rep = _parallel_map(
-        partial(_tradeoff_rep, cfg, target_error), range(cfg.reps), workers
-    )
-    rows = tuple(r for chunk in per_rep for r in chunk)
-    aggregates = _aggregate(
-        rows, keys=("delta",), metrics=("gamma_star", "empirical_gamma", "empirical_conditional_error")
-    )
-    return SimResult(
-        rows=rows,
-        aggregates=tuple(aggregates),
-        row_columns=_TRADEOFF_ROW_COLS,
-        aggregate_columns=_agg_columns(
-            ("delta",), ("gamma_star", "empirical_gamma", "empirical_conditional_error")
-        ),
-    )
+    metrics = ("gamma_star", "empirical_gamma", "empirical_conditional_error")
+    return _run_study(partial(_tradeoff_rep, cfg, target_error), cfg.reps, workers, ("delta",), metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +316,11 @@ def _consistency_rep(delta: float, gamma: float, n_grid: tuple[int, ...], seed: 
     for n_train in n_grid:
         x, y = _draw_mixture(rng, n_train, delta)
         model = fit_lda(x, y)
-        w = float(np.linalg.inv(model.pooled_covariance)[0, 0] * (model.class_means[0, 0] - model.class_means[1, 0]))
+        cov_inv = np.linalg.inv(model.pooled_covariance)[0, 0]
+        w = float(cov_inv * (model.class_means[0, 0] - model.class_means[1, 0]))
         b = float(
             -0.5
-            * np.linalg.inv(model.pooled_covariance)[0, 0]
+            * cov_inv
             * (model.class_means[0, 0] ** 2 - model.class_means[1, 0] ** 2)
             + math.log(model.priors[0] / model.priors[1])
         )
@@ -414,17 +343,6 @@ def _consistency_rep(delta: float, gamma: float, n_grid: tuple[int, ...], seed: 
     return rows
 
 
-_CONSISTENCY_ROW_COLS = (
-    "delta",
-    "gamma",
-    "n_train",
-    "rep",
-    "plugin_risk",
-    "oracle_risk",
-    "risk_gap",
-)
-
-
 def run_consistency_trend(
     delta: float = 1.0,
     gamma: float = 0.3,
@@ -439,17 +357,8 @@ def run_consistency_trend(
     infinite calibration set), so the gap isolates estimation error of the
     score itself.  Aggregates report the median gap per training size.
     """
-    per_rep = _parallel_map(
-        partial(_consistency_rep, delta, gamma, tuple(n_grid), seed), range(reps), workers
-    )
-    rows = tuple(r for chunk in per_rep for r in chunk)
-    aggregates = _aggregate(rows, keys=("n_train",), metrics=("risk_gap",))
-    return SimResult(
-        rows=rows,
-        aggregates=tuple(aggregates),
-        row_columns=_CONSISTENCY_ROW_COLS,
-        aggregate_columns=_agg_columns(("n_train",), ("risk_gap",)),
-    )
+    rep_fn = partial(_consistency_rep, delta, gamma, tuple(n_grid), seed)
+    return _run_study(rep_fn, reps, workers, ("n_train",), ("risk_gap",))
 
 
 # ---------------------------------------------------------------------------
@@ -474,40 +383,34 @@ def _percentile(values, q: float) -> float:
     return float(value)
 
 
-def _median(values) -> float:
-    vals = sorted(v for v in values if not (isinstance(v, float) and math.isnan(v)))
-    if not vals:
+def _median(values: np.ndarray) -> float:
+    """Median of a NaN-free array; equal zeros keep their input order."""
+    vals = np.sort(values, kind="stable")
+    if not vals.size:
         return math.nan
-    mid = len(vals) // 2
-    if len(vals) % 2 == 1:
+    mid = vals.size // 2
+    if vals.size % 2 == 1:
         return float(vals[mid])
-    return 0.5 * (vals[mid - 1] + vals[mid])
+    return float(0.5 * (vals[mid - 1] + vals[mid]))
 
 
-def _agg_columns(keys: tuple, metrics: tuple) -> tuple:
-    cols = list(keys) + ["reps"]
+def _aggregate(rows: dict, keys: tuple, metrics: tuple) -> dict:
+    """Per-group count, mean, median and 5th/95th percentile of each metric.
+
+    Groups are the distinct key tuples, in ascending key order; each
+    statistic sees the group's values in row order, NaNs dropped.
+    """
+    codes = np.column_stack([np.unique(rows[k], return_inverse=True)[1] for k in keys])
+    group = np.unique(codes, axis=0, return_inverse=True)[1].ravel()
+    members = [np.flatnonzero(group == g) for g in range(group.max() + 1)]
+    out = {k: rows[k][[m[0] for m in members]] for k in keys}
+    out["reps"] = np.array([m.size for m in members])
     for m in metrics:
-        cols += [f"{m}_mean", f"{m}_median", f"{m}_p5", f"{m}_p95"]
-    return tuple(cols)
-
-
-def _aggregate(rows, keys: tuple, metrics: tuple) -> list[dict]:
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
-    out = []
-    for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
-        group = groups[key]
-        agg = dict(zip(keys, key))
-        agg["reps"] = len(group)
-        for m in metrics:
-            vals = [row[m] for row in group]
-            clean = [v for v in vals if not (isinstance(v, float) and math.isnan(v))]
-            agg[f"{m}_mean"] = float(np.mean(clean)) if clean else math.nan
-            agg[f"{m}_median"] = _median(vals)
-            agg[f"{m}_p5"] = _percentile(vals, 5.0)
-            agg[f"{m}_p95"] = _percentile(vals, 95.0)
-        out.append(agg)
+        clean = [v[~np.isnan(v)] for v in (rows[m][idx] for idx in members)]
+        out[f"{m}_mean"] = np.array([np.mean(v) if v.size else math.nan for v in clean])
+        out[f"{m}_median"] = np.array([_median(v) for v in clean])
+        out[f"{m}_p5"] = np.array([_percentile(v, 5.0) for v in clean])
+        out[f"{m}_p95"] = np.array([_percentile(v, 95.0) for v in clean])
     return out
 
 
@@ -520,54 +423,40 @@ def _parallel_map(fn, items, workers: int) -> list:
         return pool.map(fn, items)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _run_study(rep_fn, reps: int, workers: int, keys: tuple, metrics: tuple) -> SimResult:
+    """Run rep_fn on replications 0..reps-1 and aggregate metrics by keys.
+
+    rep_fn returns one replication's rows as dicts with the same keys in
+    the same order; they become one column per key, in that order.
+    """
+    rows = [row for chunk in _parallel_map(rep_fn, range(reps), workers) for row in chunk]
+    if not rows:
+        raise ValueError("a study needs at least one replication and one grid point")
+    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return SimResult(rows=columns, aggregates=_aggregate(columns, keys, metrics))
 
 
 def sim_result_to_csv(result: SimResult, rows_path, aggregates_path) -> None:
     """Tidy CSVs: one row per replication cell plus one aggregate file."""
-    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(result.row_columns)
-        for row in result.rows:
-            writer.writerow([_format_cell(row[c]) for c in result.row_columns])
-    with open(aggregates_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(result.aggregate_columns)
-        for row in result.aggregates:
-            writer.writerow([_format_cell(row[c]) for c in result.aggregate_columns])
+    write_columns(rows_path, result.rows)
+    write_columns(aggregates_path, result.aggregates)
 
 
 def sim_result_to_svg(result: SimResult, metric: str, path, *, title: str = "") -> None:
     """Mean curve per arm over delta, with the 5th/95th band of the first arm."""
-    key = "delta" if any("delta" in a for a in result.aggregates) else "n_train"
-    arms = sorted({a.get("arm", "all") for a in result.aggregates})
-    series = []
-    bands = []
-    for arm in arms:
-        pts = [
-            (float(a[key]), float(a[f"{metric}_mean"]))
-            for a in result.aggregates
-            if a.get("arm", "all") == arm and not math.isnan(a[f"{metric}_mean"])
-        ]
-        if pts:
-            series.append((str(arm), sorted(pts)))
-    if arms:
-        first = arms[0]
-        lower = sorted(
-            (float(a[key]), float(a[f"{metric}_p5"]))
-            for a in result.aggregates
-            if a.get("arm", "all") == first and not math.isnan(a[f"{metric}_p5"])
-        )
-        upper = sorted(
-            (float(a[key]), float(a[f"{metric}_p95"]))
-            for a in result.aggregates
-            if a.get("arm", "all") == first and not math.isnan(a[f"{metric}_p95"])
-        )
-        if lower and upper:
-            bands.append((lower, upper))
+    agg = result.aggregates
+    key = "delta" if "delta" in agg else "n_train"
+    x = agg[key].astype(float)
+    arm = agg.get("arm", np.full(x.size, "all"))
+    arms = sorted(set(arm.tolist()))
+
+    def curve(name: str, column: str) -> list:
+        keep = (arm == name) & ~np.isnan(agg[column])
+        return sorted(zip(x[keep].tolist(), agg[column][keep].tolist()))
+
+    series = [(name, pts) for name in arms if (pts := curve(name, f"{metric}_mean"))]
+    lower, upper = curve(arms[0], f"{metric}_p5"), curve(arms[0], f"{metric}_p95")
+    bands = [(lower, upper)] if lower and upper else []
     svg = line_chart_svg(series, title=title or metric, xlabel=key, ylabel=metric, bands=bands)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)

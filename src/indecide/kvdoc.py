@@ -1,5 +1,5 @@
 """Flat, line-oriented key-value documents for rules, reports, manifests,
-and the column-wise CSV writer for traces and phase grids.
+and the column-wise CSV writer for traces, phase grids and study results.
 
 Format: one `key = value` pair per line, UTF-8, LF endings, keys sorted at
 write time, a mandatory `format_version` entry.  Floats are serialized with
@@ -80,7 +80,8 @@ def read_kv(path) -> dict:
 
 
 # printf-style cell format per dtype kind: floats with 17 significant digits
-# (nan for NaN), integers as str() prints them, booleans as True/False
+# (nan for NaN), integers as str() prints them, booleans as True/False;
+# strings (dtype kind U) are written as they are, through %s
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
 _WRITE_ROWS = 1 << 16  # rows formatted per write, which bounds the text held at once
 
@@ -93,6 +94,8 @@ def _column_cells(chunk: np.ndarray) -> tuple[str, list]:
     floats with different bits (0.0 and -0.0) print differently, and every
     NaN prints nan whatever its bits.
     """
+    if chunk.dtype.kind == "U":
+        return "%s", chunk.tolist()
     cell_format = _CELL_FORMATS[chunk.dtype.kind]
     bits, inverse = np.unique(chunk.view(f"u{chunk.itemsize}"), return_inverse=True)
     if bits.size == chunk.size:

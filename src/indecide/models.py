@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,15 @@ class LdaModel:
     """Gaussian linear discriminant: shared covariance, per-class means.
 
     class_means has one row per class (class index = row + 1); priors are
-    the training class frequencies.
+    the training class frequencies.  weights and biases, one per class, are
+    the linear discriminant coefficients, computed once at construction.
     """
 
     class_means: np.ndarray
     pooled_covariance: np.ndarray
     priors: np.ndarray
+    weights: tuple = field(init=False, compare=False)
+    biases: tuple = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
@@ -51,6 +54,10 @@ class LdaModel:
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "pooled_covariance", cov)
         object.__setattr__(self, "priors", priors)
+        cov_inv = np.linalg.inv(cov)
+        biases = (-0.5 * float(mu @ cov_inv @ mu) + math.log(prior) for mu, prior in zip(means, priors))
+        object.__setattr__(self, "weights", tuple(cov_inv @ mu for mu in means))
+        object.__setattr__(self, "biases", tuple(biases))
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,7 @@ def _lda_log_scores(model: LdaModel, x: np.ndarray) -> list[np.ndarray]:
 
     One column per class, in class order.
     """
-    cov_inv = np.linalg.inv(model.pooled_covariance)
-    scores = []
-    for mu, prior in zip(model.class_means, model.priors):
-        w = cov_inv @ mu
-        b = -0.5 * float(mu @ cov_inv @ mu) + math.log(prior)
-        scores.append(x @ w + b)
-    return scores
+    return [x @ w + b for w, b in zip(model.weights, model.biases)]
 
 
 def predict_eta(model, x) -> np.ndarray:

@@ -167,24 +167,21 @@ class TestAcceptance:
             scorer="lda",
             seed=11,
         )
-        result = run_np_sweep(cfg, workers=2)
+        rows = run_np_sweep(cfg, workers=2).rows
         problems = []
         for delta in cfg.delta_grid:
-            alg = [r for r in result.rows if r["delta"] == delta and r["arm"] == "algorithm2"]
-            base = {
-                r["rep"]: r
-                for r in result.rows
-                if r["delta"] == delta and r["arm"] == "np-baseline"
-            }
-            mean_t1 = float(np.mean([r["type1"] for r in alg]))
-            wins = sum(1 for r in alg if r["type2"] <= base[r["rep"]]["type2"] + 1e-12)
-            dominance = wins / len(alg)
+            alg = (rows["delta"] == delta) & (rows["arm"] == "algorithm2")
+            base = (rows["delta"] == delta) & (rows["arm"] == "np-baseline")
+            assert (rows["rep"][alg] == rows["rep"][base]).all()  # the same replications, in the same order
+            mean_t1 = float(np.mean(rows["type1"][alg]))
+            wins = np.count_nonzero(rows["type2"][alg] <= rows["type2"][base] + 1e-12)
+            dominance = wins / np.count_nonzero(alg)
             if mean_t1 > 0.12:
                 problems.append(f"delta={delta}: mean type I {mean_t1:.3f}")
             if dominance < 0.95:
                 problems.append(f"delta={delta}: dominance {dominance:.3f}")
             if delta == 2.0:
-                med_gamma = float(np.median([r["gamma_star"] for r in alg]))
+                med_gamma = float(np.median(rows["gamma_star"][alg]))
                 if med_gamma > 0.05:
                     problems.append(f"delta=2 median gamma* {med_gamma:.3f}")
         elapsed = time.perf_counter() - start
@@ -201,11 +198,8 @@ class TestAcceptance:
         result = run_consistency_trend(
             delta=1.0, gamma=0.3, n_grid=(100, 1000, 10_000), reps=100, seed=0, workers=2
         )
-        medians = [
-            (a["n_train"], a["risk_gap_median"])
-            for a in sorted(result.aggregates, key=lambda a: a["n_train"])
-        ]
-        gaps = [g for _, g in medians]
+        order = np.argsort(result.aggregates["n_train"])
+        gaps = result.aggregates["risk_gap_median"][order].tolist()
         monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         nonneg = all(g >= -1e-12 for g in gaps)
         elapsed = time.perf_counter() - start

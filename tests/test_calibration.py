@@ -74,6 +74,21 @@ class TestCalibrationSample:
         with pytest.raises(ValueError, match="score_vectors must be finite"):
             CalibrationSample(score_vectors=np.array([[0.5, 0.5], [bad, 0.5]]))
 
+    @pytest.mark.parametrize("labels", [[1.7, 2.9, 1.2], [1.0, 2.0, 1.5], [1, 2, np.nan], [1, 2, np.inf]])
+    def test_non_integer_labels_rejected(self, labels):
+        # casting to int used to turn [1.7, 2.9, 1.2] into [1, 2, 1], and calibrate_np reported feasible
+        with pytest.raises(ValueError, match="labels must be"):
+            CalibrationSample(scores=np.array([0.9, 0.6, 0.2]), labels=np.array(labels))
+
+    def test_integral_float_labels_accepted(self):
+        cal = CalibrationSample(scores=np.array([0.9, 0.2]), labels=np.array([1.0, 2.0]))
+        assert cal.labels.dtype.kind == "i" and cal.labels.tolist() == [1, 2]
+
+    def test_xs_must_be_1d(self):
+        # a 2 x 2 xs used to build a sample and fail later inside the grid search
+        with pytest.raises(ValueError, match="xs must be a 1-d array"):
+            CalibrationSample(xs=np.array([[0.1, 0.2], [0.3, 0.4]]), labels=np.array([1, 2]))
+
     @pytest.mark.parametrize(
         "calibrate",
         [
@@ -193,6 +208,11 @@ class TestRuleSerialization:
     def test_apply_checks_input_as_calibration_does(self, rule, values):
         with pytest.raises(ValueError):
             rule.apply(values)
+
+    @pytest.mark.parametrize("rule", [MlrNpRule(tau2=-1.0, tau1=1.0), MlrSymmetricRule(tau=1.0)])
+    def test_x_rules_reject_2d_input(self, rule):
+        with pytest.raises(ValueError, match="xs must be a 1-d array"):
+            rule.apply(np.array([[0.0, 2.0], [-2.0, 0.5]]))
 
 
 class TestCalibrateAccuracy:

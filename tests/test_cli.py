@@ -374,6 +374,21 @@ class TestExperimentCommand:
             "workers_requested",
         }
 
+    def test_study_outputs_match_golden_files(self, tmp_path):
+        # tests/data/<study>*_golden.* were written by the row-dict studies
+        # (csv-module writer, dict aggregator) that the columnar ones replaced
+        from indecide.kvdoc import write_kv
+
+        cfg = tmp_path / "cfg.kv"
+        write_kv({"reps": 4, "n_train": 200, "n_cal": 200, "n_test": 200, "delta_grid": "0.5;1.5"}, cfg)
+        for study in ("accuracy-sweep", "np-sweep", "intro-tradeoff", "consistency-trend"):
+            out = tmp_path / study
+            argv = ["experiment", study, "--config", str(cfg), "--seed", "11", "--workers", "1", "--out-dir", str(out)]
+            assert main(argv) == EXIT_OK
+            for name in (f"{study}_rows.csv", f"{study}_aggregates.csv", f"{study}.svg"):
+                stem, ext = name.rsplit(".", 1)
+                assert (out / name).read_bytes() == (DATA / f"{stem}_golden.{ext}").read_bytes(), name
+
 
 class TestUsage:
     def test_no_command_prints_help(self, capsys):

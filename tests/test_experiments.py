@@ -18,6 +18,7 @@ from indecide.experiments import (
     run_np_sweep,
     sim_result_to_csv,
     sim_result_to_svg,
+    _aggregate,
     _draw_mixture,
     _percentile,
     oracle_eta,
@@ -73,28 +74,27 @@ class TestAccuracySweep:
 
     def test_rows_and_arms(self):
         result = run_accuracy_sweep(self.small_cfg())
-        arms = {row["arm"] for row in result.rows}
-        assert arms == {"lda", "oracle-eta"}
-        assert len(result.rows) == 5 * 2
-        assert set(result.row_columns) <= set(result.rows[0].keys())
+        assert set(result.rows["arm"]) == {"lda", "oracle-eta"}
+        assert list(result.rows) == ["delta", "rep", "arm", "gamma_hat", "test_gamma", "conditional_error", "feasible"]
+        assert all(column.shape == (5 * 2,) for column in result.rows.values())
 
     def test_rerun_identical(self):
         a = run_accuracy_sweep(self.small_cfg())
         b = run_accuracy_sweep(self.small_cfg())
-        assert a.rows == b.rows
-        assert a.aggregates == b.aggregates
+        assert same_columns(a.rows, b.rows)
+        assert same_columns(a.aggregates, b.aggregates)
 
     def test_workers_do_not_change_results(self):
         a = run_accuracy_sweep(self.small_cfg(), workers=1)
         b = run_accuracy_sweep(self.small_cfg(), workers=2)
-        assert a.rows == b.rows
+        assert same_columns(a.rows, b.rows)
 
     def test_error_controlled_on_average(self):
         cfg = self.small_cfg(
             n_cal=2000, n_test=2000, reps=20, scorer="oracle-eta"
         )
         result = run_accuracy_sweep(cfg)
-        errs = [row["conditional_error"] for row in result.rows if row["feasible"]]
+        errs = result.rows["conditional_error"][result.rows["feasible"] == 1]
         assert np.mean(errs) <= cfg.alpha + 0.02
 
 
@@ -104,24 +104,17 @@ class TestNpSweep:
             n_train=300, n_cal=300, n_test=300, reps=5, delta_grid=(1.0,), seed=4
         )
         result = run_np_sweep(cfg)
-        arms = {row["arm"] for row in result.rows}
-        assert arms == {"algorithm2", "np-baseline", "bayes"}
-        for row in result.rows:
-            assert row["cal_type2_curve_p5"] <= row["cal_type2_curve_p95"] + 1e-12
+        assert set(result.rows["arm"]) == {"algorithm2", "np-baseline", "bayes"}
+        assert (result.rows["cal_type2_curve_p5"] <= result.rows["cal_type2_curve_p95"] + 1e-12).all()
 
     def test_indecision_dominates_baseline(self):
         cfg = SimConfig(
             n_train=1000, n_cal=1000, n_test=1000, reps=10, delta_grid=(1.0,), seed=5
         )
-        result = run_np_sweep(cfg)
-        by_rep = {}
-        for row in result.rows:
-            by_rep.setdefault(row["rep"], {})[row["arm"]] = row
-        wins = sum(
-            1
-            for rows in by_rep.values()
-            if rows["algorithm2"]["type2"] <= rows["np-baseline"]["type2"] + 1e-12
-        )
+        rows = run_np_sweep(cfg).rows
+        alg, base = (rows["arm"] == "algorithm2"), (rows["arm"] == "np-baseline")
+        assert (rows["rep"][alg] == rows["rep"][base]).all()
+        wins = np.count_nonzero(rows["type2"][alg] <= rows["type2"][base] + 1e-12)
         assert wins >= 9
 
 
@@ -129,7 +122,8 @@ class TestIntroTradeoff:
     def test_closed_form_columns(self):
         cfg = SimConfig(n_test=5000, reps=3, delta_grid=(1.0, 2.0), seed=6)
         result = run_intro_tradeoff(cfg, target_error=0.01)
-        row = next(r for r in result.rows if r["delta"] == 1.0)
+        first = int(np.flatnonzero(result.rows["delta"] == 1.0)[0])
+        row = {name: column[first] for name, column in result.rows.items()}
         assert row["separation_2delta"] == 2.0
         assert row["bayes_accuracy"] == pytest.approx(1.0 - normal_tail(1.0), rel=1e-12)
         exact = gmm.gamma_for_target_risk(gmm.GmmSpec(1.0), 0.01).gamma
@@ -140,16 +134,21 @@ class TestIntroTradeoff:
     def test_gamma_star_decreases_with_separation(self):
         cfg = SimConfig(n_test=100, reps=1, delta_grid=(0.5, 1.0, 1.5, 2.0), seed=7)
         result = run_intro_tradeoff(cfg, target_error=0.01)
-        gammas = [r["gamma_star"] for r in sorted(result.rows, key=lambda r: r["delta"])]
+        gammas = result.rows["gamma_star"][np.argsort(result.rows["delta"], kind="stable")]
         assert all(b <= a + 1e-12 for a, b in zip(gammas, gammas[1:]))
 
 
 class TestConsistencyTrend:
     def test_gap_positive_and_shrinking(self):
         result = run_consistency_trend(reps=20, seed=8, n_grid=(100, 1000))
-        medians = {a["n_train"]: a["risk_gap_median"] for a in result.aggregates}
+        medians = dict(zip(result.aggregates["n_train"].tolist(), result.aggregates["risk_gap_median"]))
         assert medians[100] >= 0.0
         assert medians[1000] <= medians[100]
+
+    def test_empty_study_rejected(self):
+        # reps = 0 used to write header-only CSVs, while the other studies rejected it
+        with pytest.raises(ValueError, match="at least one replication"):
+            run_consistency_trend(reps=0)
 
     def test_population_risk_matches_oracle_at_true_center(self):
         for gamma in (0.0, 0.3, 0.7):
@@ -178,6 +177,35 @@ def sorted_list_percentile(values, q):
         return math.nan
     rank = min(len(vals) - 1, max(0, math.ceil(q / 100.0 * len(vals)) - 1))
     return float(vals[rank])
+
+
+def row_dict_aggregate(rows, keys, metrics):
+    """The dict-grouping aggregator the columnar one replaced, kept as the
+    oracle with one change: groups in ascending key order, not by str(key)."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+    out = []
+    for key in sorted(groups):
+        agg = dict(zip(keys, key), reps=len(groups[key]))
+        for m in metrics:
+            vals = [row[m] for row in groups[key]]
+            clean = [v for v in vals if not math.isnan(v)]
+            agg[f"{m}_mean"] = float(np.mean(clean)) if clean else math.nan
+            srt = sorted(clean)
+            mid = len(srt) // 2
+            agg[f"{m}_median"] = (
+                math.nan if not srt else float(srt[mid]) if len(srt) % 2 else 0.5 * (srt[mid - 1] + srt[mid])
+            )
+            agg[f"{m}_p5"] = sorted_list_percentile(vals, 5.0)
+            agg[f"{m}_p95"] = sorted_list_percentile(vals, 95.0)
+        out.append(agg)
+    return out
+
+
+def same_columns(a, b):
+    """Same names in the same order, and bit-equal columns (NaN equal to NaN)."""
+    return list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 def same_float(a, b):
@@ -220,10 +248,33 @@ class TestAggregation:
     def test_aggregate_columns_present(self):
         cfg = SimConfig(n_train=100, n_cal=100, n_test=100, reps=3, delta_grid=(1.0,))
         result = run_accuracy_sweep(cfg)
-        for agg in result.aggregates:
-            assert agg["reps"] == 3
-            for col in result.aggregate_columns:
-                assert col in agg
+        assert result.aggregates["reps"].tolist() == [3, 3]
+        stats = [f"{m}_{s}" for m in ("gamma_hat", "test_gamma", "conditional_error") for s in ("mean", "median", "p5", "p95")]
+        assert list(result.aggregates) == ["delta", "arm", "reps"] + stats
+
+    def test_groups_in_ascending_key_order(self, tmp_path):
+        # grouping by str(key) used to list delta 10 before 2
+        cfg = SimConfig(n_train=100, n_cal=100, n_test=100, reps=2, delta_grid=(0.5, 2.0, 10.0), seed=1)
+        sim_result_to_csv(run_accuracy_sweep(cfg), tmp_path / "rows.csv", tmp_path / "agg.csv")
+        lines = (tmp_path / "agg.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [
+            [delta, arm] for delta in ("0.5", "2", "10") for arm in ("lda", "oracle-eta")
+        ]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the mean of inf and -inf
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([2.0, 10.0, 0.5]), st.sampled_from(["b", "a"]), _TIED), min_size=1, max_size=40)
+    )
+    def test_aggregate_equals_row_dict_oracle(self, cells):
+        rows = {"delta": np.array([c[0] for c in cells]), "arm": np.array([c[1] for c in cells]),
+                "v": np.array([c[2] for c in cells])}
+        agg = _aggregate(rows, ("delta", "arm"), ("v",))
+        want = row_dict_aggregate([dict(zip(rows, c)) for c in cells], ("delta", "arm"), ("v",))
+        assert list(zip(agg["delta"].tolist(), agg["arm"].tolist())) == [(w["delta"], w["arm"]) for w in want]
+        assert agg["reps"].tolist() == [w["reps"] for w in want]
+        for stat in ("v_mean", "v_median", "v_p5", "v_p95"):
+            assert all(same_float(a, w[stat]) for a, w in zip(agg[stat].tolist(), want))
 
 
 class TestSerialization:
@@ -235,11 +286,12 @@ class TestSerialization:
         sim_result_to_csv(result, rows_path, agg_path)
         with open(rows_path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == result.row_columns
-        assert len(rows) == 1 + len(result.rows)
+        assert rows[0] == list(result.rows)
+        assert len(rows) == 1 + len(result.rows["rep"])
         with open(agg_path, newline="") as fh:
             aggs = list(csv.reader(fh))
-        assert tuple(aggs[0]) == result.aggregate_columns
+        assert aggs[0] == list(result.aggregates)
+        assert len(aggs) == 1 + len(result.aggregates["reps"])
 
     def test_svg_written(self, tmp_path):
         cfg = SimConfig(n_train=100, n_cal=100, n_test=100, reps=2, delta_grid=(0.5, 1.0))

@@ -65,7 +65,7 @@ class TestFiles:
 def row_format_write_columns(path, columns: dict) -> None:
     """The column writer before repeated values were formatted once, kept as
     the oracle: one printf row format per dtype, every cell formatted inline."""
-    cell_formats = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
+    cell_formats = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s", "U": "%s"}
     row_format = ",".join(cell_formats[c.dtype.kind] for c in columns.values()) + "\n"
     n = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -89,12 +89,12 @@ LENGTHS = [0, 1, 2, 7, 65535, 65536, 65537]
 
 @st.composite
 def column_sets(draw):
-    """1-4 equal-length columns of float64, int64, uint64 or bool."""
+    """1-4 equal-length columns of float64, int64, uint64, bool or str."""
     n = draw(st.sampled_from(LENGTHS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["float-repeats", "float-distinct", "float-mixed", "int64", "uint64", "bool"]))
+        kind = draw(st.sampled_from(["float-repeats", "float-distinct", "float-mixed", "int64", "uint64", "bool", "str"]))
         if kind.startswith("float"):
             pool = draw(st.lists(st.floats(allow_subnormal=True), max_size=12)) + SPECIAL_FLOATS
             repeats = np.array(pool)[rng.integers(0, len(pool), n)]
@@ -112,6 +112,9 @@ def column_sets(draw):
             column = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
             if n and draw(st.booleans()):
                 column = column[rng.integers(0, min(n, 5), n)]
+        elif kind == "str":
+            pool = np.array(draw(st.lists(st.text(st.characters(exclude_characters=",\n\r"), max_size=12), min_size=1, max_size=6)))
+            column = pool[rng.integers(0, pool.size, n)]
         else:
             column = rng.random(n) < draw(st.floats(0.0, 1.0))
         columns[f"{kind}_{i}"] = column
