@@ -1,9 +1,9 @@
 """Command-line surface: calibrate rules from CSV, apply them, run studies.
 
 Exit codes: 0 success (calibration feasible), 2 calibration ran but the
-targets are unattainable on the data, 1 usage or schema errors.  Every
-experiment output directory receives a manifest with input hashes so runs
-can be audited and reproduced.
+targets are unattainable on the data, 1 usage or schema errors, or a worker
+process that died.  Every experiment output directory receives a manifest
+with input hashes so runs can be audited and reproduced.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import io
 import os
 import sys
 import warnings
+from concurrent.futures import BrokenExecutor
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from .calibration import (
 )
 from .experiments import (
     SimConfig,
+    _parallel_map,
     run_accuracy_sweep,
     run_consistency_trend,
     run_intro_tradeoff,
@@ -45,6 +48,10 @@ from .kvdoc import read_kv, write_columns, write_kv
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
+
+
+# --config keys of the Monte Carlo studies; consistency-trend reads only reps
+_STUDY_KEYS = tuple(f.name for f in fields(SimConfig))
 
 
 class SchemaError(ValueError):
@@ -61,6 +68,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenExecutor as exc:  # a worker was killed or crashed
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
@@ -350,6 +360,12 @@ def _resolve_workers(args) -> int:
     return workers
 
 
+def _check_config_keys(overrides: dict, known: tuple) -> None:
+    for key in overrides:
+        if key not in known and key != "format_version":
+            raise SchemaError(f"unknown config key {key!r}")
+
+
 def _sim_config(args, overrides: dict) -> SimConfig:
     base = {
         "n_train": 1000,
@@ -363,6 +379,7 @@ def _sim_config(args, overrides: dict) -> SimConfig:
         "scorer": "lda",
         "seed": args.seed,
     }
+    _check_config_keys(overrides, _STUDY_KEYS)
     for key, value in overrides.items():
         if key == "delta_grid":
             base[key] = tuple(float(v) for v in str(value).split(";"))
@@ -372,12 +389,11 @@ def _sim_config(args, overrides: dict) -> SimConfig:
             base[key] = float(value)
         elif key == "scorer":
             base[key] = str(value)
-        elif key != "format_version":
-            raise SchemaError(f"unknown config key {key!r}")
     return SimConfig(**base)
 
 
 def _phase_configs(args, overrides: dict) -> list[tuple[str, gmm.PhaseGridConfig]]:
+    _check_config_keys(overrides, ("grid_points",))
     points = int(overrides.get("grid_points", 1000 if args.full else 200))
     m_grid = tuple(np.linspace(0.005, 0.995, points))
     configs = []
@@ -392,11 +408,14 @@ def _phase_configs(args, overrides: dict) -> list[tuple[str, gmm.PhaseGridConfig
     return configs
 
 
-def _write_phase_panel(out_dir: Path, panel: str, cfg: gmm.PhaseGridConfig) -> list[str]:
-    """Solve one phase panel and write its CSV and SVG; returns the file names.
+def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConfig]) -> list[str]:
+    """Solve one (name, config) phase panel and write its CSV and SVG; returns
+    the file names.
 
-    The grid is local here, so it is freed before the next panel is solved.
+    The panel's grid lives only in this call, so a worker process holds at
+    most one grid, and it is freed before the next panel on that process.
     """
+    panel, cfg = panel_config
     grid = gmm.phase_grid(cfg)
     csv_path = out_dir / f"phase_{panel}.csv"
     svg_path = out_dir / f"phase_{panel}.svg"
@@ -415,12 +434,15 @@ def cmd_experiment(args) -> int:
     extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": workers}
 
     if args.name == "phase":
-        for panel, cfg in _phase_configs(args, overrides):
-            outputs += _write_phase_panel(out_dir, panel, cfg)
+        # one process per panel, up to the CPUs the solver's threads use
+        panels = _phase_configs(args, overrides)
+        written = _parallel_map(partial(_write_phase_panel, out_dir), panels, gmm._usable_cpus())
+        outputs += [name for names in written for name in names]
         _write_manifest(out_dir, "experiment-phase", inputs, outputs + ["manifest.kv"], extra)
         return EXIT_OK
 
     if args.name == "consistency-trend":
+        _check_config_keys(overrides, _STUDY_KEYS)
         result = run_consistency_trend(
             reps=int(overrides.get("reps", 100)), seed=args.seed, workers=workers
         )

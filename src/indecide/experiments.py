@@ -10,7 +10,8 @@ seeded_stream(s, r), so results are byte-identical at any worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing
+import sys
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -414,13 +415,37 @@ def _aggregate(rows: dict, keys: tuple, metrics: tuple) -> dict:
     return out
 
 
+def _start_method() -> str:
+    """fork on Linux while this process runs one thread, else spawn.
+
+    A forked worker inherits the parent's imports instead of repeating them;
+    forking a process with a second thread alive can copy a lock that thread
+    holds, so then, and off Linux, workers start from a fresh interpreter.
+    """
+    return "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
+
+
 def _parallel_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on min(workers, len(items)) processes,
+    or in this process when that is 1.
+
+    The results come back in item order, so they do not depend on the pool
+    size.  A worker that dies raises BrokenProcessPool instead of hanging.
+    """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    processes = min(workers, len(items))
+    if processes <= 1:
         return [fn(item) for item in items]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(fn, items)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = _start_method()
+    if method == "fork":
+        from scipy import special  # noqa: F401  loaded once here, for every worker to inherit
+
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
+        return list(pool.map(fn, items))
 
 
 def _run_study(rep_fn, reps: int, workers: int, keys: tuple, metrics: tuple) -> SimResult:

@@ -1,14 +1,38 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+from indecide import gmm
 from indecide.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from indecide.kvdoc import read_kv
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# consistency-trend with replication 1 SIGKILLing its own worker process
+KILLED_WORKER_SCRIPT = """
+import os, signal, sys
+from indecide import cli, experiments
+
+real_rep = experiments._consistency_rep
+
+
+def rep(*args):
+    if args[-1] == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_rep(*args)
+
+
+experiments._consistency_rep = rep
+if __name__ == "__main__":
+    sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def write_csv(path, text):
@@ -334,6 +358,38 @@ class TestExperimentCommand:
         code = main(["experiment", "accuracy-sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "study, key",
+        [("phase", "repz"), ("phase", "reps"), ("consistency-trend", "repz"), ("consistency-trend", "grid_points")],
+    )
+    def test_unknown_config_key_of_phase_and_consistency_trend(self, tmp_path, capsys, study, key):
+        from indecide.kvdoc import write_kv
+
+        path = tmp_path / "cfg.kv"
+        write_kv({key: 3}, path)
+        code = main(["experiment", study, "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs SIGKILL")
+    def test_killed_worker_fails_the_command(self, tmp_path):
+        from indecide.kvdoc import write_kv
+
+        cfg = tmp_path / "cfg.kv"
+        write_kv({"reps": 2}, cfg)
+        script = tmp_path / "killed_worker.py"
+        script.write_text(KILLED_WORKER_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        argv = ["experiment", "consistency-trend", "--config", str(cfg), "--workers", "2", "--out-dir", "o"]
+        # a pool that waits for the dead worker hangs here until the timeout fails the test
+        done = subprocess.run(
+            [sys.executable, str(script), *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == EXIT_USAGE, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: a worker process died"), done.stderr
+
     def test_phase_panels(self, tmp_path):
         from indecide.kvdoc import write_kv
 
@@ -373,6 +429,22 @@ class TestExperimentCommand:
             "toolkit_version",
             "workers_requested",
         }
+
+    def test_phase_same_bytes_at_one_and_two_cpus(self, tmp_path, monkeypatch, process_pools):
+        from indecide.kvdoc import write_kv
+
+        cfg = tmp_path / "cfg.kv"
+        write_kv({"grid_points": 12}, cfg)
+        for cpus in (1, 2):
+            monkeypatch.setattr(gmm, "_usable_cpus", lambda n=cpus: n)
+            code = main(["experiment", "phase", "--config", str(cfg), "--out-dir", str(tmp_path / f"cpus{cpus}")])
+            assert code == EXIT_OK
+            # one CPU solves the panels in turn in this process; two give each its own
+            assert [size for size, _ in process_pools] == ([] if cpus == 1 else [2])
+        names = sorted(p.name for p in (tmp_path / "cpus1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "cpus2").iterdir())
+        for name in names:
+            assert (tmp_path / "cpus1" / name).read_bytes() == (tmp_path / "cpus2" / name).read_bytes(), name
 
     def test_study_outputs_match_golden_files(self, tmp_path):
         # tests/data/<study>*_golden.* were written by the row-dict studies

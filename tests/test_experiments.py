@@ -2,15 +2,19 @@
 
 import csv
 import math
+import multiprocessing
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indecide import gmm
+from indecide import experiments, gmm
 from indecide.experiments import (
     SimConfig,
+    _parallel_map,
     plugin_population_risk,
     run_accuracy_sweep,
     run_consistency_trend,
@@ -166,6 +170,41 @@ class TestConsistencyTrend:
         bad = plugin_population_risk(0.0, False, 1.0, 0.2)
         assert bad > 0.5 > good
 
+
+
+class TestParallelMap:
+    rep = staticmethod(partial(experiments._consistency_rep, 1.0, 0.3, (50, 80), 7))
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_serial_results_in_order_under_each_start_method(self, monkeypatch, process_pools, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setattr(experiments, "_start_method", lambda: method)
+        serial = [self.rep(r) for r in range(5)]
+        assert _parallel_map(self.rep, range(5), 2) == serial
+        assert process_pools == [(2, method)]
+
+    def test_pool_capped_at_item_count(self, process_pools):
+        # --workers 8 with reps = 2 used to start 8 processes
+        assert _parallel_map(abs, [-1, -2], 8) == [1, 2]
+        assert [size for size, _ in process_pools] == [2]
+
+    def test_one_item_or_one_worker_runs_in_process(self, process_pools):
+        assert _parallel_map(abs, [-3], 8) == [3]
+        assert _parallel_map(abs, [-1, -2], 1) == [1, 2]
+        assert process_pools == []
+
+    def test_no_fork_while_a_second_thread_runs(self, process_pools):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert _parallel_map(abs, [-1, -2], 2) == [1, 2]
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert process_pools == [(2, "spawn")]
 
 def sorted_list_percentile(values, q):
     """Nearest-rank percentile by sorted() over a Python list.
