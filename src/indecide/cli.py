@@ -50,7 +50,14 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 
-# --config keys of the Monte Carlo studies; consistency-trend reads only reps
+_CHART_METRICS = {
+    "accuracy-sweep": "conditional_error",
+    "np-sweep": "type2",
+    "intro-tradeoff": "gamma_star",
+    "consistency-trend": "risk_gap",
+}
+
+# --config keys of accuracy-sweep, np-sweep and intro-tradeoff; consistency-trend takes only reps
 _STUDY_KEYS = tuple(f.name for f in fields(SimConfig))
 
 
@@ -426,43 +433,28 @@ def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConf
 
 def cmd_experiment(args) -> int:
     workers = _resolve_workers(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     overrides = read_kv(args.config) if args.config else {}
-    inputs = [args.config] if args.config else []
-    outputs: list[str] = []
-    extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": workers}
-
+    out_dir = Path(args.out_dir)
+    # out_dir is made once the config is checked (and a study has run), so a rejected config leaves none
     if args.name == "phase":
-        # one process per panel, up to the CPUs the solver's threads use
         panels = _phase_configs(args, overrides)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # one process per panel, up to the usable CPUs
         written = _parallel_map(partial(_write_phase_panel, out_dir), panels, gmm._usable_cpus())
-        outputs += [name for names in written for name in names]
-        _write_manifest(out_dir, "experiment-phase", inputs, outputs + ["manifest.kv"], extra)
-        return EXIT_OK
-
-    if args.name == "consistency-trend":
-        _check_config_keys(overrides, _STUDY_KEYS)
-        result = run_consistency_trend(
-            reps=int(overrides.get("reps", 100)), seed=args.seed, workers=workers
-        )
-        chart_metric = "risk_gap"
-    elif args.name == "accuracy-sweep":
-        result = run_accuracy_sweep(_sim_config(args, overrides), workers=workers)
-        chart_metric = "conditional_error"
-    elif args.name == "np-sweep":
-        result = run_np_sweep(_sim_config(args, overrides), workers=workers)
-        chart_metric = "type2"
+        outputs = [name for names in written for name in names]
     else:
-        result = run_intro_tradeoff(_sim_config(args, overrides), workers=workers)
-        chart_metric = "gamma_star"
-
-    rows_path = out_dir / f"{args.name}_rows.csv"
-    agg_path = out_dir / f"{args.name}_aggregates.csv"
-    svg_path = out_dir / f"{args.name}.svg"
-    sim_result_to_csv(result, rows_path, agg_path)
-    sim_result_to_svg(result, chart_metric, svg_path, title=args.name)
-    outputs += [rows_path.name, agg_path.name, svg_path.name]
+        if args.name == "consistency-trend":
+            _check_config_keys(overrides, ("reps",))
+            result = run_consistency_trend(reps=int(overrides.get("reps", 100)), seed=args.seed, workers=workers)
+        else:
+            run = {"accuracy-sweep": run_accuracy_sweep, "np-sweep": run_np_sweep}.get(args.name, run_intro_tradeoff)
+            result = run(_sim_config(args, overrides), workers=workers)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = [f"{args.name}_rows.csv", f"{args.name}_aggregates.csv", f"{args.name}.svg"]
+        sim_result_to_csv(result, out_dir / outputs[0], out_dir / outputs[1])
+        sim_result_to_svg(result, _CHART_METRICS[args.name], out_dir / outputs[2], title=args.name)
+    inputs = [args.config] if args.config else []
+    extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": workers}
     _write_manifest(out_dir, f"experiment-{args.name}", inputs, outputs + ["manifest.kv"], extra)
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from . import gmm
 from .calibration import CalibrationSample, _selective_errors, calibrate_accuracy, calibrate_np
 from .kvdoc import write_columns
 from .models import fit_lda, fit_logistic, predict_eta
-from .numerics import normal_tail, seeded_stream, sigmoid
+from .numerics import bisect, normal_tail, seeded_stream, sigmoid
 from .svgchart import line_chart_svg
 
 __all__ = [
@@ -284,19 +284,13 @@ def plugin_population_risk(center: float, predict1_right: bool, delta: float, ga
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    lo, hi = 0.0, 1.0
-    while _mixture_cdf(center + hi, delta) - _mixture_cdf(center - hi, delta) < gamma:
-        hi *= 2.0
-        if hi > 1e6:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mass = _mixture_cdf(center + mid, delta) - _mixture_cdf(center - mid, delta)
-        if mass < gamma:
-            lo = mid
-        else:
-            hi = mid
-    h = 0.5 * (lo + hi)
+
+    def short(hs: np.ndarray) -> np.ndarray:
+        """The interval of half-width h holds less than gamma of the mixture."""
+        mass = [_mixture_cdf(center + h, delta) - _mixture_cdf(center - h, delta) for h in hs.tolist()]
+        return np.array(mass) < gamma
+
+    (h,), _ = bisect(short, [1.0])
     a, b = center - h, center + h
     # class-conditional tail masses on each decided side
     p1_right = 0.5 * normal_tail(b - delta)

@@ -8,7 +8,7 @@ an operating point (t, gamma, risk):
     risk  = P(xi >= delta + t) / (1 - gamma)
 
 All maps between t, gamma, and risk are monotone, so inversion is done by
-bisection.  The phase-transition machinery parameterizes separation as
+numerics.bisect.  The phase-transition machinery parameterizes separation as
 delta = c * sqrt(2 log(1/delta_target)) and abstention mass as a power of
 delta_target, and computes where risk / delta_target crosses 1.
 """
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .kvdoc import write_columns
-from .numerics import BracketError, normal_tail, normal_tail_vec
+from .numerics import bisect, normal_tail, normal_tail_vec
 from .svgchart import heatmap_svg
 
 __all__ = [
@@ -145,41 +145,16 @@ def operating_point_at_t(spec: GmmSpec, t: float) -> OracleOperatingPoint:
     return OracleOperatingPoint(t=float(t), gamma=gamma, risk=risk, gamma_complement=complement)
 
 
-def _bisect_t(eval_fn, target: float, increasing: bool, hi_start: float) -> float:
-    """Bisection in t on [0, hi] with automatic upper-bracket growth."""
-    lo, hi = 0.0, hi_start
-    f_lo = eval_fn(lo)
-    if (f_lo > target) == increasing and not math.isclose(f_lo, target, rel_tol=0, abs_tol=1e-14):
-        raise BracketError(f"target {target!r} below the t=0 value {f_lo!r}")
-    grow = 0
-    while (eval_fn(hi) < target) == increasing:
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise BracketError(f"target {target!r} not reachable for any threshold")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (eval_fn(mid) < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def threshold_for_gamma(spec: GmmSpec, gamma: float) -> OracleOperatingPoint:
-    """Unique t >= 0 whose abstention mass equals gamma (tolerance 1e-10)."""
+    """Unique t >= 0 whose abstention mass equals gamma, to the bisection's fixed point."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     if gamma == 0.0:
         return operating_point_at_t(spec, 0.0)
     d = spec.delta
-
-    def gamma_at(t: float) -> float:
-        return normal_tail(d - t) - normal_tail(d + t)
-
-    t = _bisect_t(gamma_at, gamma, increasing=True, hi_start=d + 2.0)
+    (t,), _ = bisect(
+        lambda ts: np.array([normal_tail(d - t) - normal_tail(d + t) < gamma for t in ts.tolist()]), [d + 2.0]
+    )
     return operating_point_at_t(spec, t)
 
 
@@ -187,7 +162,8 @@ def gamma_for_target_risk(spec: GmmSpec, target_risk: float) -> OracleOperatingP
     """Minimal-abstention operating point with conditional risk target_risk.
 
     Returns the gamma = 0 point when the Bayes risk already meets the
-    target.  Raises InfeasibleTargetError for nonpositive targets.
+    target.  Raises InfeasibleTargetError for nonpositive targets, and for
+    targets the risk falls below only where its error tail underflows to 0.
     """
     if target_risk <= 0.0:
         raise InfeasibleTargetError("conditional risk 0 needs full abstention")
@@ -196,12 +172,13 @@ def gamma_for_target_risk(spec: GmmSpec, target_risk: float) -> OracleOperatingP
     d = spec.delta
     if target_risk >= normal_tail(d):
         return operating_point_at_t(spec, 0.0)
-
-    def risk_at(t: float) -> float:
-        upper = normal_tail(d + t)
-        return upper / (normal_tail(t - d) + upper)
-
-    t = _bisect_t(risk_at, target_risk, increasing=False, hi_start=d + 2.0)
+    # operating_point_at_t's risk: 0 where 1 - gamma underflows to 0
+    (t,), _ = bisect(
+        lambda ts: np.array([operating_point_at_t(spec, t).risk >= target_risk for t in ts.tolist()]), [d + 2.0]
+    )
+    if operating_point_at_t(spec, math.nextafter(t, math.inf)).risk == 0.0:
+        # the bracket closed on the jump to 0, not on a crossing of the target
+        raise InfeasibleTargetError(f"conditional risk {target_risk!r} is reached only where the tails underflow")
     return operating_point_at_t(spec, t)
 
 
@@ -294,7 +271,7 @@ def _below(delta: np.ndarray, target: np.ndarray, t: np.ndarray, increasing: boo
     return (_t_map(delta, t, increasing) < target) == increasing
 
 
-_SOLVE_CHUNK = 16384  # cells per solver task; larger chunks raise each thread's peak memory
+_SOLVE_CHUNK = 16384  # cells solved at once; larger chunks let the solver's arrays spill out of cache
 _NEWTON_STEPS = 4
 _WINDOWS = (1e-13, 1e-9, 1e-6)  # relative half-widths tried around the estimate, tightest first
 # scipy's ndtr can step down between arguments a few ulps apart; sampled
@@ -311,23 +288,16 @@ def _usable_cpus() -> int:
 
 
 def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool):
-    """_solve_t_cells over fixed-size chunks of the pairs, on one thread per CPU.
+    """_solve_t_cells over fixed-size chunks of the pairs, in turn.
 
-    Each cell's bisection depends only on its own pair, and ndtr and the
-    numpy ufuncs release the GIL, so the chunks run in parallel and t and the
-    step counts are bit-identical at any chunking and any thread count.
+    Each cell's bisection depends only on its own pair, so t and the step
+    counts are bit-identical at any chunking.
     """
     t = np.empty_like(delta)
     steps = np.empty(delta.size, dtype=int)
-    starts = range(0, delta.size, _SOLVE_CHUNK)
-
-    def solve(start: int) -> None:
+    for start in range(0, delta.size, _SOLVE_CHUNK):
         stop = start + _SOLVE_CHUNK
         t[start:stop], steps[start:stop] = _solve_t_cells(delta[start:stop], target[start:stop], increasing)
-
-    workers = max(1, min(_usable_cpus(), len(starts)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(solve, starts))  # re-raises the first error of any chunk
     return t, steps
 
 
@@ -389,7 +359,7 @@ def _t_window(delta: np.ndarray, target: np.ndarray, increasing: bool):
     return true_to, false_from
 
 
-def _below_or_proven(d, tg, true_to, false_from, t, increasing: bool) -> np.ndarray:
+def _below_or_proven(t, d, tg, true_to, false_from, increasing: bool) -> np.ndarray:
     """_below at t, evaluated only between true_to and false_from."""
     below = t <= true_to
     open_ = np.flatnonzero((t > true_to) & (t < false_from))
@@ -398,45 +368,15 @@ def _below_or_proven(d, tg, true_to, false_from, t, increasing: bool) -> np.ndar
 
 
 def _solve_t_cells(delta: np.ndarray, target: np.ndarray, increasing: bool):
-    """Vectorized bisection in t for every (delta, target) pair.
+    """numerics.bisect in t for every (delta, target) pair, from the bracket [0, delta + 2].
 
-    The upper bracket doubles (at most 70 times) until it holds the target,
-    then at most 110 bisection steps run.  A step is a pure function of
-    (lo, hi), so a cell stops at the first step that moves neither end:
-    every later step leaves it unchanged too, and it leaves the live set
-    once a sixteenth of that set has stopped.  The predicate takes its
-    proven value outside each cell's window from _t_window and is evaluated
-    inside it, so t and the step counts are those of evaluating it at every
-    step, bit for bit.  Returns t and the number of steps that moved each
-    cell.
+    The predicate takes its proven value outside each cell's window from
+    _t_window and is evaluated inside it, so t and the step counts are
+    those of evaluating it at every step, bit for bit.  Returns t and the
+    number of steps that moved each cell.
     """
-    true_to, false_from = _t_window(delta, target, increasing)
-    lo = np.zeros_like(delta)
-    hi = delta + 2.0
-    idx = np.arange(delta.size)
-    for _ in range(70):
-        idx = idx[_below_or_proven(delta[idx], target[idx], true_to[idx], false_from[idx], hi[idx], increasing)]
-        if not idx.size:
-            break
-        hi[idx] *= 2.0
-    steps = np.zeros(delta.size, dtype=int)
-    # the live cells: positions, inputs, proven bounds, bracket ends and moves
-    pos, d, tg, a, b, l, h, moves = np.arange(delta.size), delta, target, true_to, false_from, lo, hi, steps
-    for _ in range(110):
-        if not pos.size:
-            break
-        mid = 0.5 * (l + h)
-        below = _below_or_proven(d, tg, a, b, mid, increasing).astype(float)
-        # 0 <= l <= mid <= h, all finite: np.where(below, mid, l) and
-        # np.where(below, h, mid) without a branch on the unpredictable below
-        new_l, new_h = np.maximum(l, mid * below), np.minimum(h, np.maximum(mid, h * below))
-        moved = (new_l != l) | (new_h != h)
-        l, h, moves = new_l, new_h, moves + moved
-        if 16 * (moved.size - np.count_nonzero(moved)) > moved.size:
-            lo[pos], hi[pos], steps[pos] = l, h, moves
-            pos, d, tg, a, b, l, h, moves = (column[moved] for column in (pos, d, tg, a, b, l, h, moves))
-    lo[pos], hi[pos], steps[pos] = l, h, moves
-    return 0.5 * (lo + hi), steps
+    below = partial(_below_or_proven, increasing=increasing)
+    return bisect(below, delta + 2.0, delta, target, *_t_window(delta, target, increasing))
 
 
 def phase_grid(cfg: PhaseGridConfig) -> PhaseGrid:

@@ -1,7 +1,8 @@
-"""Scalar numerical kernels shared by every other module.
+"""Numerical kernels shared by every other module.
 
-Standard normal tail, the logistic function and the deterministic seeded
-random-stream contract used by the simulation harness.
+Standard normal tail, the logistic function, the bisection that inverts
+every monotone oracle map, and the deterministic seeded random-stream
+contract used by the simulation harness.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "BracketError",
+    "bisect",
     "normal_tail",
     "normal_tail_vec",
     "seeded_stream",
@@ -25,10 +26,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # is at the edge of double underflow and we fall back to the upper envelope
 # exp(-t^2/2) / (sqrt(2 pi) t).
 _TAIL_SWITCH = 40.0
-
-
-class BracketError(ValueError):
-    """The requested target is not enclosed by the bracket."""
 
 
 def normal_tail(t: float) -> float:
@@ -62,6 +59,47 @@ def sigmoid(z) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def bisect(below, hi, *columns):
+    """Per cell, the root in t >= 0 of a monotone predicate, by vectorized bisection.
+
+    below(t, *cols) tells, for each live cell, whether t lies below that
+    cell's root; cols are the live cells' entries of columns.  Each cell's
+    bracket [0, hi] first doubles its upper end (at most 70 times) while
+    below holds there, then at most 110 bisection steps run.  A step is a
+    pure function of (lo, hi), so a cell stops at the first step that moves
+    neither end: every later step leaves it unchanged too, and it leaves the
+    live set once a sixteenth of that set has stopped.  Returns each cell's
+    bracket midpoint and the number of steps that moved its bracket.
+    """
+    hi = np.array(hi, dtype=float)
+    lo = np.zeros_like(hi)
+    idx = np.arange(hi.size)
+    for _ in range(70):
+        idx = idx[below(hi[idx], *(column[idx] for column in columns))]
+        if not idx.size:
+            break
+        hi[idx] *= 2.0
+    steps = np.zeros(hi.size, dtype=int)
+    # the live cells: positions, bracket ends, moves and columns
+    pos, l, h, moves, cols = np.arange(hi.size), lo, hi, steps, columns
+    for _ in range(110):
+        if not pos.size:
+            break
+        mid = 0.5 * (l + h)
+        is_below = below(mid, *cols).astype(float)
+        # 0 <= l <= mid <= h, all finite: np.where(is_below, mid, l) and
+        # np.where(is_below, h, mid) without a branch on the unpredictable is_below
+        new_l, new_h = np.maximum(l, mid * is_below), np.minimum(h, np.maximum(mid, h * is_below))
+        moved = (new_l != l) | (new_h != h)
+        l, h, moves = new_l, new_h, moves + moved
+        if 16 * (moved.size - np.count_nonzero(moved)) > moved.size:
+            lo[pos], hi[pos], steps[pos] = l, h, moves
+            pos, l, h, moves = pos[moved], l[moved], h[moved], moves[moved]
+            cols = tuple(column[moved] for column in cols)
+    lo[pos], hi[pos], steps[pos] = l, h, moves
+    return 0.5 * (lo + hi), steps
 
 
 _MASK64 = (1 << 64) - 1

@@ -285,6 +285,16 @@ class TestOracleCommand:
         code = main(["oracle", "--delta", "1.0", "--target-risk", "1.5"])
         assert code == EXIT_USAGE
 
+    def test_targets_where_both_tails_underflow(self, capsys):
+        # both used to divide 0 by 0 inside the bisection
+        assert main(["oracle", "--delta", "0.1", "--target-risk", "0.001"]) == EXIT_OK
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        assert out["t"] == "34.504840853397923"
+        assert float(out["risk"]) == pytest.approx(0.001, rel=1e-12)
+        # the risk is 0.0286 where 1 - gamma underflows, above the target
+        assert main(["oracle", "--delta", "0.05", "--target-risk", "0.01"]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("infeasible: ")
+
 
 class TestExperimentCommand:
     def small_config(self, tmp_path):
@@ -360,7 +370,14 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "study, key",
-        [("phase", "repz"), ("phase", "reps"), ("consistency-trend", "repz"), ("consistency-trend", "grid_points")],
+        [
+            ("phase", "repz"),
+            ("phase", "reps"),
+            ("consistency-trend", "repz"),
+            ("consistency-trend", "grid_points"),
+            ("consistency-trend", "n_train"),
+            ("consistency-trend", "delta_grid"),
+        ],
     )
     def test_unknown_config_key_of_phase_and_consistency_trend(self, tmp_path, capsys, study, key):
         from indecide.kvdoc import write_kv
@@ -370,6 +387,22 @@ class TestExperimentCommand:
         code = main(["experiment", study, "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "study, text, message",
+        [
+            ("np-sweep", "reps = 3\n", "format_version"),
+            ("phase", "grid_points = 3\n", "format_version"),
+            ("consistency-trend", "format_version = 1\nreps = 0\n", "at least one replication"),
+        ],
+    )
+    def test_rejected_config_leaves_no_output_directory(self, tmp_path, capsys, study, text, message):
+        cfg = tmp_path / "bad.kv"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["experiment", study, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs SIGKILL")
     def test_killed_worker_fails_the_command(self, tmp_path):
@@ -451,9 +484,11 @@ class TestExperimentCommand:
         # (csv-module writer, dict aggregator) that the columnar ones replaced
         from indecide.kvdoc import write_kv
 
-        cfg = tmp_path / "cfg.kv"
-        write_kv({"reps": 4, "n_train": 200, "n_cal": 200, "n_test": 200, "delta_grid": "0.5;1.5"}, cfg)
+        sim_cfg, reps_cfg = tmp_path / "sim.kv", tmp_path / "reps.kv"
+        write_kv({"reps": 4, "n_train": 200, "n_cal": 200, "n_test": 200, "delta_grid": "0.5;1.5"}, sim_cfg)
+        write_kv({"reps": 4}, reps_cfg)
         for study in ("accuracy-sweep", "np-sweep", "intro-tradeoff", "consistency-trend"):
+            cfg = reps_cfg if study == "consistency-trend" else sim_cfg
             out = tmp_path / study
             argv = ["experiment", study, "--config", str(cfg), "--seed", "11", "--workers", "1", "--out-dir", str(out)]
             assert main(argv) == EXIT_OK

@@ -160,6 +160,32 @@ class TestConsistencyTrend:
             val = plugin_population_risk(0.0, True, 1.0, gamma)
             assert val == pytest.approx(exact, abs=1e-9)
 
+    def test_population_risk_matches_the_200_step_loop(self):
+        # the fixed-length loop that numerics.bisect replaced: every step past
+        # the fixed point leaves the bracket as it is
+        def loop_risk(center, predict1_right, delta, gamma):
+            def mass(h):
+                return experiments._mixture_cdf(center + h, delta) - experiments._mixture_cdf(center - h, delta)
+
+            lo, hi = 0.0, 1.0
+            while mass(hi) < gamma and hi <= 1e6:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if mass(mid) < gamma else (lo, mid)
+            h = 0.5 * (lo + hi)
+            a, b = center - h, center + h
+            if predict1_right:
+                wrong = 0.5 * normal_tail(b + delta) + 0.5 * (1.0 - normal_tail(a - delta))
+            else:
+                wrong = 0.5 * normal_tail(b - delta) + 0.5 * (1.0 - normal_tail(a + delta))
+            return wrong / (1.0 - gamma)
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            args = (rng.normal(0.0, 0.5), bool(rng.integers(2)), rng.uniform(0.05, 5.0), rng.uniform(0.0, 0.999))
+            assert plugin_population_risk(*args) == loop_risk(*args)
+
     def test_population_risk_penalizes_offset(self):
         base = plugin_population_risk(0.0, True, 1.0, 0.3)
         off = plugin_population_risk(0.5, True, 1.0, 0.3)

@@ -3,7 +3,6 @@
 import csv
 import functools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indecide import gmm
-from indecide.numerics import normal_tail, normal_tail_vec
+from indecide.numerics import bisect, normal_tail, normal_tail_vec
 
 
 class TestOperatingPoint:
@@ -62,6 +61,16 @@ class TestInversion:
         point = gmm.threshold_for_gamma(gmm.GmmSpec(delta), gamma)
         assert point.gamma == pytest.approx(gamma, abs=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.1, max_value=4.0), st.floats(min_value=0.01, max_value=0.99))
+    def test_threshold_for_gamma_reaches_the_fixed_point(self, delta, gamma):
+        # gamma is a difference of two tails: near gamma = 0.01 and small delta
+        # both sit near 1/2, and ulp(1/2) is 1.1e-14 of 0.01, so the map itself
+        # steps by about that much between adjacent ts; a bracket stopped at a
+        # relative width of 1e-13 misses by up to 1e-12
+        point = gmm.threshold_for_gamma(gmm.GmmSpec(delta), gamma)
+        assert abs(point.gamma - gamma) <= 2e-14 * gamma
+
     def test_gamma_bounds(self):
         spec = gmm.GmmSpec(1.0)
         for bad in (-0.1, 1.0, 1.5):
@@ -96,6 +105,19 @@ class TestInversion:
     def test_zero_target_infeasible(self):
         with pytest.raises(gmm.InfeasibleTargetError):
             gmm.gamma_for_target_risk(gmm.GmmSpec(1.0), 0.0)
+
+    def test_target_met_just_before_the_tails_underflow(self):
+        # 1 - gamma is about 1e-259 at the solution
+        point = gmm.gamma_for_target_risk(gmm.GmmSpec(0.1), 0.001)
+        assert point.t == pytest.approx(34.50484085339792, rel=1e-14)
+        assert point.risk == pytest.approx(0.001, rel=1e-12)
+        assert 0.0 < point.gamma_complement < 1e-250
+
+    @pytest.mark.parametrize("delta, target", [(0.05, 0.01), (4.0, 1e-300)])
+    def test_target_below_the_underflowed_risk_is_infeasible(self, delta, target):
+        # the risk stays above the target until its error tail underflows to 0
+        with pytest.raises(gmm.InfeasibleTargetError):
+            gmm.gamma_for_target_risk(gmm.GmmSpec(delta), target)
 
     @settings(max_examples=40)
     @given(
@@ -245,10 +267,8 @@ class TestSolveTGrid:
         return delta, target, lockstep_solve_t_grid(delta, target, increasing)
 
     @pytest.mark.parametrize("increasing", [True, False])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_chunks_on_any_pool_size_match_the_oracle(self, monkeypatch, cpus, increasing):
+    def test_chunks_match_the_oracle(self, monkeypatch, increasing):
         delta, target, (t_ref, last_move) = self._chunked_case(increasing)
-        monkeypatch.setattr(gmm, "_usable_cpus", lambda: cpus)
         chunks, solve_cells = [], gmm._solve_t_cells
 
         def spy(d, tg, inc):
@@ -257,25 +277,19 @@ class TestSolveTGrid:
 
         monkeypatch.setattr(gmm, "_solve_t_cells", spy)
         t, steps = gmm._solve_t_grid(delta, target, increasing)
-        assert sorted(chunks) == sorted([gmm._SOLVE_CHUNK] * 3 + [gmm._SOLVE_CHUNK // 2])
+        assert chunks == [gmm._SOLVE_CHUNK] * 3 + [gmm._SOLVE_CHUNK // 2]
         assert np.array_equal(t, t_ref)
         assert np.array_equal(steps, last_move)
         # cells at the 110-step cap sit in every chunk
         capped = np.flatnonzero(steps == 110) // gmm._SOLVE_CHUNK
         assert set(capped.tolist()) == {0, 1, 2, 3}
 
-    def test_many_small_chunks_on_more_threads_than_cpus(self, monkeypatch):
-        # disjoint slices of the shared output arrays: a lost or misplaced
-        # write shows as a difference from the oracle
+    def test_many_small_chunks_match_the_oracle(self, monkeypatch):
+        # disjoint slices of the output arrays: a misplaced write shows as a
+        # difference from the oracle
         delta, target, (t_ref, last_move) = self._chunked_case(True)
-        monkeypatch.setattr(gmm, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(gmm, "_SOLVE_CHUNK", 257)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t, steps = gmm._solve_t_grid(delta, target, True)
-        finally:
-            sys.setswitchinterval(interval)
+        t, steps = gmm._solve_t_grid(delta, target, True)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(steps, last_move)
 
@@ -286,20 +300,13 @@ class TestSolveTGrid:
         monkeypatch.delattr(gmm.os, "sched_getaffinity")
         assert gmm._usable_cpus() == 64
 
-    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
-        sizes = []
-        executor = gmm.ThreadPoolExecutor
-
-        def recording_executor(max_workers):
-            sizes.append(max_workers)
-            return executor(max_workers=max_workers)
-
-        monkeypatch.setattr(gmm, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(gmm, "ThreadPoolExecutor", recording_executor)
-        delta, target = self._pairs(0)
-        gmm._solve_t_grid(delta, target, True)
-        gmm._solve_t_grid(np.concatenate([delta] * 7), np.concatenate([target] * 7), True)
-        assert sizes == [1, 2]
+    @pytest.mark.parametrize("increasing", [True, False])
+    def test_bisect_evaluating_every_step_matches_the_oracle(self, increasing):
+        delta, target = self._pairs(1)
+        t, steps = bisect(lambda t, d, tg: gmm._below(d, tg, t, increasing), delta + 2.0, delta, target)
+        t_ref, last_move = lockstep_solve_t_grid(delta, target, increasing)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(steps, last_move)
 
 
 def plain_bisection_tail_evals(delta, target, increasing, last_move):
@@ -511,9 +518,8 @@ class TestPhaseGrid:
         assert 40 < grid.max_iterations <= 110
 
     @pytest.mark.parametrize("delta_target", [1e-7, 1e-15])
-    def test_diagnostics_equal_the_serial_solver(self, monkeypatch, delta_target):
-        # more than two chunks per side, solved on a pool of two threads
-        monkeypatch.setattr(gmm, "_usable_cpus", lambda: 2)
+    def test_diagnostics_equal_the_serial_solver(self, delta_target):
+        # more than two chunks per side
         cfg = self._cfg(
             delta_target=delta_target,
             c_grid=tuple(np.linspace(0.05, 0.95, 300)),

@@ -1,4 +1,4 @@
-"""Tests for the scalar numerical kernels."""
+"""Tests for the numerical kernels."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from indecide.experiments import oracle_eta
 from indecide.models import LogisticModel, predict_eta
-from indecide.numerics import normal_tail, normal_tail_vec, seeded_stream, sigmoid
+from indecide.numerics import bisect, normal_tail, normal_tail_vec, seeded_stream, sigmoid
 
 
 class TestNormalTail:
@@ -43,6 +43,43 @@ class TestNormalTail:
     @given(st.floats(min_value=-30.0, max_value=30.0))
     def test_monotone_decreasing(self, t):
         assert normal_tail(t + 1e-3) <= normal_tail(t)
+
+
+class TestBisect:
+    def test_each_cell_stops_next_to_its_root(self):
+        # roots on both sides of the starting bracket [0, 1]
+        root = 10.0 ** np.random.default_rng(4).uniform(-10.0, 15.0, 5000)
+        t, steps = bisect(lambda t, r: t < r, np.ones(root.size), root)
+        assert (np.abs(t - root) <= np.spacing(root)).all()
+        assert 0 < steps.min() and steps.max() <= 110
+
+    def test_predicate_sees_only_live_cells(self):
+        # a cell that has stopped leaves the live set with its column entries
+        root = np.array([0.5, 0.25, 1e-10, 3.0])
+        sizes = []
+
+        def below(t, r):
+            sizes.append(t.size)
+            assert t.size == r.size
+            return t < r
+
+        t, _ = bisect(below, np.ones(root.size), root)
+        assert (np.abs(t - root) <= np.spacing(root)).all()
+        # the cells stop after different numbers of steps (1e-10 needs the most)
+        assert sizes[0] == 4 and sizes[-1] == 1
+
+    def test_bracket_doubles_at_most_70_times(self):
+        t, _ = bisect(lambda t: np.ones(t.size, dtype=bool), [1.0])
+        assert t[0] == pytest.approx(2.0**70, rel=1e-15)
+
+    def test_no_cells(self):
+        t, steps = bisect(lambda t: t < 1.0, np.array([]))
+        assert t.size == 0 and steps.size == 0
+
+    def test_one_cell_with_a_scalar_predicate(self):
+        (t,), (steps,) = bisect(lambda ts: np.array([math.exp(t) < 2.0 for t in ts.tolist()]), [1.0])
+        assert t == pytest.approx(math.log(2.0), rel=1e-15)
+        assert steps > 50
 
 
 def inline_sigmoid(z):
