@@ -267,8 +267,12 @@ class TestSolveTGrid:
         return delta, target, lockstep_solve_t_grid(delta, target, increasing)
 
     @pytest.mark.parametrize("increasing", [True, False])
-    def test_chunks_match_the_oracle(self, monkeypatch, increasing):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_chunks_on_any_pool_size_match_the_oracle(self, monkeypatch, cpus, increasing):
+        # the solver runs its chunks in turn and in order, whatever number of
+        # CPUs the process reports
         delta, target, (t_ref, last_move) = self._chunked_case(increasing)
+        monkeypatch.setattr(gmm, "_usable_cpus", lambda: cpus)
         chunks, solve_cells = [], gmm._solve_t_cells
 
         def spy(d, tg, inc):
