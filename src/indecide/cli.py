@@ -24,8 +24,14 @@ import numpy as np
 
 from . import __version__, gmm
 from .calibration import (
+    _COLUMNS,
     CalibrationSample,
+    MaxScoreRule,
+    MlrNpRule,
+    MlrSymmetricRule,
+    NpRule,
     Rule,
+    SelectiveBinaryRule,
     calibrate_accuracy,
     calibrate_accuracy_fixed_gamma,
     calibrate_accuracy_mlr,
@@ -57,8 +63,18 @@ _CHART_METRICS = {
     "consistency-trend": "risk_gap",
 }
 
-# --config keys of accuracy-sweep, np-sweep and intro-tradeoff; consistency-trend takes only reps
-_STUDY_KEYS = tuple(f.name for f in fields(SimConfig))
+# --mode -> (rule class, whose column the input holds; flags it needs; calibration of (sample, args)),
+# "accuracy --gamma" being accuracy with --gamma set; calibrators are module globals looked up per call
+_MODES = {
+    "accuracy": (SelectiveBinaryRule, ("alpha",), lambda s, a: calibrate_accuracy(s, a.alpha, want_trace=a.trace)),
+    "np": (NpRule, ("alpha1", "alpha2"), lambda s, a: calibrate_np(s, a.alpha1, a.alpha2, want_trace=a.trace)),
+    "multiclass": (MaxScoreRule, ("gamma",), lambda s, a: calibrate_multiclass_fixed_gamma(s, a.gamma)),
+    "mlr-np": (
+        MlrNpRule, ("alpha1", "alpha2"), lambda s, a: calibrate_np_mlr(s, a.alpha1, a.alpha2, want_trace=a.trace)
+    ),
+    "mlr-accuracy": (MlrSymmetricRule, ("alpha",), lambda s, a: calibrate_accuracy_mlr(s, a.alpha, want_trace=a.trace)),
+    "accuracy --gamma": (SelectiveBinaryRule, ("gamma",), lambda s, a: calibrate_accuracy_fixed_gamma(s, a.gamma)),
+}
 
 
 class SchemaError(ValueError):
@@ -90,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     cal = sub.add_parser("calibrate", help="fit an abstention rule from a labeled CSV")
-    cal.add_argument("--mode", required=True, choices=["accuracy", "np", "multiclass", "mlr-np", "mlr-accuracy"])
+    cal.add_argument("--mode", required=True, choices=[m for m in _MODES if " " not in m])
     cal.add_argument("--input", required=True, help="CSV with header: score,label | s_1..s_K,label | x,label")
     cal.add_argument("--alpha", type=float, help="target conditional error (accuracy modes)")
     cal.add_argument("--alpha1", type=float, help="target type I error (np modes)")
@@ -129,13 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # CSV ingestion
 
 
-def _read_table(path: str, columns, *, labelled: bool = False) -> tuple[list[str], np.ndarray]:
-    """The header row and the body's leading numeric columns, n x m floats.
-
-    columns(path, header) raises SchemaError for a header the caller cannot
-    use, else returns (names, exact): the m leading columns to read, and
-    whether every row must have exactly m fields rather than at least m.
-    When labelled, the last of those columns must hold integer labels.
+def _read_table(path: str, column: str, *, labelled: bool = False) -> tuple[list[str], np.ndarray]:
+    """The header row and the body's leading columns as n x m floats: a rule's input column, then labels.
 
     The file is read once, and one np.loadtxt call parses the body of that
     text.  Input where loadtxt could disagree with the per-row parser
@@ -149,7 +160,7 @@ def _read_table(path: str, columns, *, labelled: bool = False) -> tuple[list[str
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     if '"' in raw:  # a quoted field may hold a delimiter or a line break
-        return _read_rows(path, raw, columns, labelled)
+        return _read_rows(path, raw, column, labelled)
     if not raw:
         raise SchemaError(f"{path}: empty file, header row required")
     # line ends as the csv module sees them
@@ -158,7 +169,7 @@ def _read_table(path: str, columns, *, labelled: bool = False) -> tuple[list[str
     if lines[-1] == "":  # the last line's end
         lines.pop()
     header = next(csv.reader(lines[:1]))
-    names, exact = columns(path, header)
+    names, exact = _header_names(path, header, column, labelled)
     if len(lines) == 1:
         return header, np.empty((0, len(names)))
     try:
@@ -173,14 +184,14 @@ def _read_table(path: str, columns, *, labelled: bool = False) -> tuple[list[str
                 usecols=None if exact else range(len(names)),
             )
     except ValueError:
-        return _read_rows(path, raw, columns, labelled)
+        return _read_rows(path, raw, column, labelled)
     # loadtxt skips blank lines, which the per-row parser rejects
     if table.shape != (len(lines) - 1, len(names)) or (labelled and not _is_label(table[:, -1]).all()):
-        return _read_rows(path, raw, columns, labelled)
+        return _read_rows(path, raw, column, labelled)
     return header, table
 
 
-def _read_rows(path: str, raw: str, columns, labelled: bool) -> tuple[list[str], np.ndarray]:
+def _read_rows(path: str, raw: str, column: str, labelled: bool) -> tuple[list[str], np.ndarray]:
     """_read_table on the file's text by csv.reader and float() per cell,
     with line-numbered errors."""
     reader = csv.reader(io.StringIO(raw, newline=""))
@@ -189,7 +200,7 @@ def _read_rows(path: str, raw: str, columns, labelled: bool) -> tuple[list[str],
     except StopIteration:
         raise SchemaError(f"{path}: empty file, header row required") from None
     rows = list(reader)
-    names, exact = columns(path, header)
+    names, exact = _header_names(path, header, column, labelled)
     width = len(names)
     table = np.empty((len(rows), width))
     for i, row in enumerate(rows):
@@ -202,6 +213,22 @@ def _read_rows(path: str, raw: str, columns, labelled: bool) -> tuple[list[str],
                 raise SchemaError(f"{path}: line {lineno}: column {name!r} is not an integer class index: {row[j]!r}")
             table[i, j] = value
     return header, table
+
+
+def _header_names(path: str, header: list[str], column: str, labelled: bool) -> tuple[list[str], bool]:
+    """The header names to read for a rule's input column (s_1, ..., s_K in order for score
+    vectors), then label when labelled.  Later columns are ignored, except that a labelled
+    score-vector header must end at its label: exact tells that each row has no more fields."""
+    if column == "s_1":
+        width = next((k for k, name in enumerate(header) if name != f"s_{k + 1}"), len(header))
+    else:
+        width = int(header[:1] == [column])
+    names = header[:width] + ["label"] * labelled
+    exact = labelled and column == "s_1"
+    if not width or header[: len(names)] != names or (exact and header != names):
+        spec = "s_1,...,s_K" if column == "s_1" else column
+        raise SchemaError(f"{path}: expected header {spec}{',label' * labelled}, got {header!r}")
+    return names, exact
 
 
 def _parse_float(value: str, path: str, lineno: int, column: str) -> float:
@@ -220,40 +247,15 @@ def _is_label(values: np.ndarray) -> np.ndarray:
     return (np.abs(values) < _LABEL_LIMIT) & (np.floor(values) == values)
 
 
-def _pair_columns(path: str, header: list[str], first: str):
-    if header[:2] != [first, "label"]:
-        raise SchemaError(f"{path}: expected header {first},label, got {header!r}")
-    return [first, "label"], False
-
-
-def _multiclass_columns(path: str, header: list[str]):
-    score_cols = [h for h in header if h.startswith("s_")]
-    if not score_cols or header != score_cols + ["label"]:
-        raise SchemaError(f"{path}: expected header s_1,...,s_K,label, got {header!r}")
-    return header, True
+def _values(table: np.ndarray, column: str) -> np.ndarray:
+    """What a rule on column takes from the value columns: n x K score vectors, or one column."""
+    return table if column == "s_1" else table[:, 0].copy()
 
 
 def _load_sample(path: str, mode: str) -> CalibrationSample:
-    if mode == "multiclass":
-        _, table = _read_table(path, _multiclass_columns, labelled=True)
-        return CalibrationSample(score_vectors=table[:, :-1], labels=table[:, -1].astype(int))
-    first = "score" if mode in ("accuracy", "np") else "x"
-    _, table = _read_table(path, partial(_pair_columns, first=first), labelled=True)
-    values, labels = table[:, 0].copy(), table[:, 1].astype(int)
-    if first == "score":
-        return CalibrationSample(scores=values, labels=labels)
-    return CalibrationSample(xs=values, labels=labels)
-
-
-def _require(args, names: list[str], mode: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise SchemaError(f"mode {mode} requires --{name}")
-        if not 0.0 < value < 1.0 and name != "gamma":
-            raise SchemaError(f"--{name} must lie in (0, 1)")
-        if name == "gamma" and not 0.0 <= value < 1.0:
-            raise SchemaError("--gamma must lie in [0, 1)")
+    column = _MODES[mode][0].column
+    _, table = _read_table(path, column, labelled=True)
+    return CalibrationSample(**{_COLUMNS[column][0]: _values(table[:, :-1], column)}, labels=table[:, -1].astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +290,11 @@ def _write_manifest(out_dir: Path, subcommand: str, inputs: list[str], outputs: 
 def cmd_calibrate(args) -> int:
     mode = args.mode
     sample = _load_sample(args.input, mode)
-    want_trace = bool(args.trace)
-    if mode == "accuracy":
-        if args.gamma is not None:
-            _require(args, ["gamma"], mode)
-            report = calibrate_accuracy_fixed_gamma(sample, args.gamma)
-        else:
-            _require(args, ["alpha"], mode)
-            report = calibrate_accuracy(sample, args.alpha, want_trace=want_trace)
-    elif mode == "np":
-        _require(args, ["alpha1", "alpha2"], mode)
-        report = calibrate_np(sample, args.alpha1, args.alpha2, want_trace=want_trace)
-    elif mode == "multiclass":
-        _require(args, ["gamma"], mode)
-        report = calibrate_multiclass_fixed_gamma(sample, args.gamma)
-    elif mode == "mlr-np":
-        _require(args, ["alpha1", "alpha2"], mode)
-        report = calibrate_np_mlr(sample, args.alpha1, args.alpha2, want_trace=want_trace)
-    else:
-        _require(args, ["alpha"], mode)
-        report = calibrate_accuracy_mlr(sample, args.alpha, want_trace=want_trace)
+    _, flags, calibrate = _MODES[f"{mode} --gamma" if mode == "accuracy" and args.gamma is not None else mode]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise SchemaError(f"mode {mode} requires --{flag}")
+    report = calibrate(sample, args)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -324,19 +311,11 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _rule_columns(path: str, header: list[str], expected: str):
-    if not header or header[0] != expected:
-        raise SchemaError(f"{path}: header {header!r} does not match rule input {expected!r}")
-    if expected == "s_1":
-        return header[: sum(h.startswith("s_") for h in header)], False
-    return [expected], False
-
-
 def _read_rule_input(path: str, rule: Rule) -> np.ndarray:
     """What rule.apply takes from the input CSV: the rule's column, or the
-    leading s_* columns as score vectors for a rule on s_1."""
-    _, table = _read_table(path, partial(_rule_columns, expected=rule.column))
-    return table if rule.column == "s_1" else table[:, 0].copy()
+    leading s_1, ..., s_K columns as score vectors for a rule on s_1."""
+    _, table = _read_table(path, rule.column)
+    return _values(table, rule.column)
 
 
 def cmd_apply(args) -> int:
@@ -367,52 +346,43 @@ def _resolve_workers(args) -> int:
     return workers
 
 
-def _check_config_keys(overrides: dict, known: tuple) -> None:
-    for key in overrides:
-        if key not in known and key != "format_version":
+def _read_config(overrides: dict, defaults: dict) -> dict:
+    """defaults with the --config overrides, each read as its default's type: floats split at ";"
+    for a tuple, text for a str, else a number, not a bool, and an integral one for an int.  A
+    key without a default, other than format_version, is an error."""
+    out = dict(defaults)
+    for key, value in overrides.items():
+        if key == "format_version":
+            continue
+        if key not in defaults:
             raise SchemaError(f"unknown config key {key!r}")
+        kind = type(defaults[key])
+        if kind is tuple:
+            out[key] = tuple(float(v) for v in str(value).split(";"))
+        elif kind is str:
+            out[key] = str(value)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or (kind is int and value % 1):
+            # value % 1 is nonzero, or NaN, for a float with a fraction and for +-inf and NaN
+            raise SchemaError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}: {value!r}")
+        else:
+            out[key] = kind(value)
+    return out
 
 
 def _sim_config(args, overrides: dict) -> SimConfig:
-    base = {
-        "n_train": 1000,
-        "n_cal": 1000,
-        "n_test": 1000,
-        "reps": 1000 if args.full else 200,
-        "delta_grid": (0.5, 1.0, 1.5, 2.0),
-        "alpha": 0.1,
-        "alpha1": 0.1,
-        "alpha2": 0.1,
-        "scorer": "lda",
-        "seed": args.seed,
-    }
-    _check_config_keys(overrides, _STUDY_KEYS)
-    for key, value in overrides.items():
-        if key == "delta_grid":
-            base[key] = tuple(float(v) for v in str(value).split(";"))
-        elif key in ("n_train", "n_cal", "n_test", "reps", "seed"):
-            base[key] = int(value)
-        elif key in ("alpha", "alpha1", "alpha2"):
-            base[key] = float(value)
-        elif key == "scorer":
-            base[key] = str(value)
-    return SimConfig(**base)
+    """SimConfig's defaults, then --seed, 1000 reps with --full, and the --config overrides."""
+    defaults = {f.name: f.default for f in fields(SimConfig)}
+    defaults.update(seed=args.seed, **({"reps": 1000} if args.full else {}))
+    return SimConfig(**_read_config(overrides, defaults))
 
 
 def _phase_configs(args, overrides: dict) -> list[tuple[str, gmm.PhaseGridConfig]]:
-    _check_config_keys(overrides, ("grid_points",))
-    points = int(overrides.get("grid_points", 1000 if args.full else 200))
+    points = _read_config(overrides, {"grid_points": 1000 if args.full else 200})["grid_points"]
     m_grid = tuple(np.linspace(0.005, 0.995, points))
-    configs = []
-    for name, delta_target, c_lo, c_hi in (
-        ("lower", 1e-7, 0.05, 0.45),
-        ("upper", 1e-15, 0.55, 0.95),
-    ):
-        c_grid = tuple(np.linspace(c_lo, c_hi, points))
-        configs.append(
-            (name, gmm.PhaseGridConfig(delta_target=delta_target, c_grid=c_grid, m_grid=m_grid))
-        )
-    return configs
+    return [
+        (name, gmm.PhaseGridConfig(delta_target=target, c_grid=tuple(np.linspace(c_lo, c_hi, points)), m_grid=m_grid))
+        for name, target, c_lo, c_hi in (("lower", 1e-7, 0.05, 0.45), ("upper", 1e-15, 0.55, 0.95))
+    ]
 
 
 def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConfig]) -> list[str]:
@@ -444,8 +414,7 @@ def cmd_experiment(args) -> int:
         outputs = [name for names in written for name in names]
     else:
         if args.name == "consistency-trend":
-            _check_config_keys(overrides, ("reps",))
-            result = run_consistency_trend(reps=int(overrides.get("reps", 100)), seed=args.seed, workers=workers)
+            result = run_consistency_trend(**_read_config(overrides, {"reps": 100}), seed=args.seed, workers=workers)
         else:
             run = {"accuracy-sweep": run_accuracy_sweep, "np-sweep": run_np_sweep}.get(args.name, run_intro_tradeoff)
             result = run(_sim_config(args, overrides), workers=workers)

@@ -159,7 +159,7 @@ def threshold_for_gamma(spec: GmmSpec, gamma: float) -> OracleOperatingPoint:
 
 
 def gamma_for_target_risk(spec: GmmSpec, target_risk: float) -> OracleOperatingPoint:
-    """Minimal-abstention operating point with conditional risk target_risk.
+    """Minimal-abstention operating point with conditional risk at most target_risk.
 
     Returns the gamma = 0 point when the Bayes risk already meets the
     target.  Raises InfeasibleTargetError for nonpositive targets, and for
@@ -176,10 +176,13 @@ def gamma_for_target_risk(spec: GmmSpec, target_risk: float) -> OracleOperatingP
     (t,), _ = bisect(
         lambda ts: np.array([operating_point_at_t(spec, t).risk >= target_risk for t in ts.tolist()]), [d + 2.0]
     )
-    if operating_point_at_t(spec, math.nextafter(t, math.inf)).risk == 0.0:
+    point = operating_point_at_t(spec, t)
+    if point.risk >= target_risk:  # t is the bracket's lower end; its upper end tested below the target
+        point = operating_point_at_t(spec, math.nextafter(t, math.inf))
+    if point.risk == 0.0:
         # the bracket closed on the jump to 0, not on a crossing of the target
         raise InfeasibleTargetError(f"conditional risk {target_risk!r} is reached only where the tails underflow")
-    return operating_point_at_t(spec, t)
+    return point
 
 
 def empirical_exponent(c: float, delta_target: float) -> float:

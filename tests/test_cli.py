@@ -137,6 +137,16 @@ class TestCalibrateCommand:
         rule = read_kv(out / "rule.kv")
         assert rule["rule_type"] == "max-score"
 
+    @pytest.mark.parametrize("header", ["s_2,s_1,label", "s_1,note,s_2,label", "s_1,s_3,label"])
+    def test_score_vector_header_out_of_order(self, tmp_path, capsys, header):
+        # s_2,s_1,label used to be read as given: every row scored against the wrong class, exit 0
+        inp = write_csv(tmp_path / "cal.csv", f"{header}\n0.8,0.2,1\n0.3,0.7,2\n")
+        out = tmp_path / "out"
+        code = main(["calibrate", "--mode", "multiclass", "--input", inp, "--gamma", "0.25", "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert f"expected header s_1,...,s_K,label, got {header.split(',')!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mlr_np_mode(self, tmp_path):
         lines = ["x,label"]
         lines += [f"{-3 + 0.1 * i:.2f},1" for i in range(20)]
@@ -228,6 +238,18 @@ class TestApplyCommand:
         assert main(["apply", "--rule", rule, "--input", inp, "--output", str(tmp_path / "d.csv")]) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, message", [
+        ("s_1,note,s_2", "K >= 2"),  # read as one score column; note used to be read as s_2
+        ("s_2,s_1", "expected header s_1,...,s_K, got ['s_2', 's_1']"),
+    ])
+    def test_max_score_rule_reads_s_1_to_s_k_in_order(self, tmp_path, capsys, header, message):
+        rule = self.rule_file(tmp_path, {"rule_type": "max-score", "tau": 0.6})
+        inp = write_csv(tmp_path / "scores.csv", f"{header}\n0.7,0.5,0.3\n")
+        out = tmp_path / "d.csv"
+        assert main(["apply", "--rule", rule, "--input", inp, "--output", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_mlr_rule_rejects_non_finite_observation(self, tmp_path, capsys, x):
         rule = self.rule_file(tmp_path, {"rule_type": "mlr-np", "tau1": 1.0, "tau2": -1.0})
@@ -289,8 +311,9 @@ class TestOracleCommand:
         # both used to divide 0 by 0 inside the bisection
         assert main(["oracle", "--delta", "0.1", "--target-risk", "0.001"]) == EXIT_OK
         out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
-        assert out["t"] == "34.504840853397923"
+        assert out["t"] == "34.50484085339793"
         assert float(out["risk"]) == pytest.approx(0.001, rel=1e-12)
+        assert float(out["risk"]) <= 0.001
         # the risk is 0.0286 where 1 - gamma underflows, above the target
         assert main(["oracle", "--delta", "0.05", "--target-risk", "0.01"]) == EXIT_INFEASIBLE
         assert capsys.readouterr().err.startswith("infeasible: ")
@@ -399,6 +422,27 @@ class TestExperimentCommand:
     def test_rejected_config_leaves_no_output_directory(self, tmp_path, capsys, study, text, message):
         cfg = tmp_path / "bad.kv"
         cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["experiment", study, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "study, text, message",
+        [
+            # these used to run 2 replications, a 3-point grid and 1 replication
+            ("accuracy-sweep", "reps = 2.5", "config key 'reps' must be an integer: 2.5"),
+            ("accuracy-sweep", "n_cal = true", "config key 'n_cal' must be an integer: True"),
+            ("accuracy-sweep", "alpha = false", "config key 'alpha' must be a number: False"),
+            ("phase", "grid_points = 3.9", "config key 'grid_points' must be an integer: 3.9"),
+            ("phase", "grid_points = inf", "config key 'grid_points' must be an integer: inf"),
+            ("consistency-trend", "reps = true", "config key 'reps' must be an integer: True"),
+            ("consistency-trend", "reps = 3x", "config key 'reps' must be an integer: '3x'"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys, study, text, message):
+        cfg = tmp_path / "cfg.kv"
+        cfg.write_text(f"format_version = 1\n{text}\n")
         out = tmp_path / "out"
         assert main(["experiment", study, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err

@@ -93,8 +93,9 @@ def reference_load_sample(path, mode):
 def reference_rule_input(path, expected):
     header, rows = reference_read_table(path)
     if not header or header[0] != expected:
-        raise SchemaError(f"{path}: header {header!r} does not match rule input {expected!r}")
-    width = len([h for h in header if h.startswith("s_")]) if expected == "s_1" else 1
+        raise SchemaError(f"{path}: expected header {'s_1,...,s_K' if expected == 's_1' else expected}, got {header!r}")
+    # score vectors: the leading s_1, s_2, ... in order
+    width = next((k for k, h in enumerate(header) if h != f"s_{k + 1}"), len(header)) if expected == "s_1" else 1
     values = []
     for lineno, row in enumerate(rows, start=2):
         # the other addition: a short row is a schema error, not an IndexError

@@ -90,6 +90,18 @@ class TestInversion:
         assert point.gamma == pytest.approx(0.19400315299709847, abs=1e-9)
         assert point.t == pytest.approx(0.40104917207509868, abs=1e-8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.1, max_value=4.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_target_risk_point_meets_the_target(self, delta, u):
+        # targets log-uniform from 1e-12 up to the Bayes risk
+        bayes = normal_tail(delta)
+        target = math.exp(math.log(1e-12) + u * (math.log(bayes) - math.log(1e-12)))
+        try:
+            point = gmm.gamma_for_target_risk(gmm.GmmSpec(delta), target)
+        except gmm.InfeasibleTargetError:
+            return
+        assert point.risk <= target
+
     def test_target_above_bayes_needs_no_abstention(self):
         spec = gmm.GmmSpec(1.0)
         point = gmm.gamma_for_target_risk(spec, 0.5)

@@ -2,7 +2,8 @@
 
 perfbench/tracer.py marks a metric absent, without failing, when a wrapped
 name disappears from the package, so a rename would silently empty a
-layer metric.  This test only reads perfbench/.
+layer metric.  A traced calibrate run checks that the CLI calls the
+wrapped names rather than copies of them.
 """
 
 import importlib
@@ -44,3 +45,21 @@ def test_every_target_is_found_and_restored():
     for (owner, attr, original, own), (_, _, restored, own_now) in zip(before, after):
         assert restored is original, f"{owner.__name__}.{attr} was not restored"
         assert own_now == own, f"{owner.__name__}.{attr} ownership changed"
+
+
+def test_calibrate_reports_its_layers(tmp_path):
+    # the tracer wraps cli's globals: a calibrator held elsewhere (a stored
+    # function object) would run unwrapped and leave its metrics at 0
+    from indecide.cli import main
+
+    path = tmp_path / "cal.csv"
+    path.write_text("score,label\n0.9,1\n0.8,1\n0.3,2\n0.1,2\n")
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        argv = ["calibrate", "--mode", "np", "--input", str(path), "--alpha1", "0.5", "--alpha2", "0.5"]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = {span[0] for span in tracer.spans}
+    assert {"cli._load_sample", "calibration.CalibrationSample", "calibration.calibrate_np"} <= spans
