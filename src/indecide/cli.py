@@ -289,12 +289,11 @@ def _write_manifest(out_dir: Path, subcommand: str, inputs: list[str], outputs: 
 
 def cmd_calibrate(args) -> int:
     mode = args.mode
-    sample = _load_sample(args.input, mode)
     _, flags, calibrate = _MODES[f"{mode} --gamma" if mode == "accuracy" and args.gamma is not None else mode]
-    for flag in flags:
+    for flag in flags:  # before the input is read, so a missing flag fails at once
         if getattr(args, flag) is None:
             raise SchemaError(f"mode {mode} requires --{flag}")
-    report = calibrate(sample, args)
+    report = calibrate(_load_sample(args.input, mode), args)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,11 +360,15 @@ def _read_config(overrides: dict, defaults: dict) -> dict:
             out[key] = tuple(float(v) for v in str(value).split(";"))
         elif kind is str:
             out[key] = str(value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)) or (kind is int and value % 1):
-            # value % 1 is nonzero, or NaN, for a float with a fraction and for +-inf and NaN
-            raise SchemaError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}: {value!r}")
         else:
-            out[key] = kind(value)
+            try:
+                # value % 1 is nonzero, or NaN, for a float with a fraction and for +-inf and NaN
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or (kind is int and value % 1):
+                    raise TypeError
+                out[key] = kind(value)  # OverflowError: an int beyond the largest float
+            except (TypeError, OverflowError):
+                message = f"config key {key!r} must be {'an integer' if kind is int else 'a number'}: {value!r}"
+                raise SchemaError(message) from None
     return out
 
 

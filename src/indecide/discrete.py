@@ -15,6 +15,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
+from .kvdoc import write_columns
+
 __all__ = [
     "DegenerateAtomError",
     "InfeasibleConstraintError",
@@ -67,6 +71,8 @@ class DiscreteJoint:
                 raise ValueError("all atoms must have the same class count")
             if any(w < 0 for w in weights):
                 raise ValueError("weights must be nonnegative")
+            if not all(math.isfinite(w) for w in weights):
+                raise ValueError("weights must be finite")
             total += sum(weights)
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"total mass {total!r} != 1 beyond tolerance")
@@ -81,22 +87,24 @@ class DiscreteJoint:
 
     def to_csv(self, path) -> None:
         """One row per atom: id, w_1..w_K."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id"] + [f"w_{j + 1}" for j in range(self.n_classes)])
-            for i, weights in enumerate(self.points):
-                writer.writerow([i] + [format(w, ".17g") for w in weights])
+        weights = np.array(self.points, dtype=float)
+        write_columns(path, {"id": np.arange(self.n_atoms), **{f"w_{j + 1}": w for j, w in enumerate(weights.T)}})
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteJoint":
+        """Read to_csv's layout: header exactly id,w_1,...,w_K with K >= 2, then one
+        row of K + 1 fields per atom, the ids 0..n-1 each once, in any order."""
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0] != "id" or len(header) < 3:
-                raise ValueError(f"expected header id,w_1,...,w_K, got {header!r}")
-            rows = sorted(reader, key=lambda r: int(r[0]))
-            points = tuple(tuple(float(v) for v in row[1:]) for row in rows)
-        return cls(points)
+            header, *rows = list(csv.reader(fh)) or [[]]
+        k = len(header) - 1
+        if k < 2 or header != ["id"] + [f"w_{j + 1}" for j in range(k)]:
+            raise ValueError(f"expected header id,w_1,...,w_K, got {header!r}")
+        if any(len(row) != k + 1 for row in rows):
+            raise ValueError(f"every row must have {k + 1} fields, as the header")
+        rows.sort(key=lambda r: int(r[0]))
+        if [int(r[0]) for r in rows] != list(range(len(rows))):
+            raise ValueError(f"atom ids must be 0..{len(rows) - 1}, each once")
+        return cls(tuple(tuple(float(v) for v in row[1:]) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,8 @@ class IndecisionRule:
     plateau_fraction: tuple[float, ...]
 
     def abstained_mass(self, joint: DiscreteJoint) -> float:
-        total = 0.0
-        for i, weights in enumerate(joint.points):
-            mass = sum(weights)
-            if self.action[i] == "abstain":
-                total += mass
-            else:
-                total += self.plateau_fraction[i] * mass
-        return total
+        share = np.where(np.array(self.action) == "abstain", 1.0, self.plateau_fraction)
+        return float(share @ _weights(joint)[1])
 
 
 @dataclass(frozen=True)
@@ -147,63 +149,49 @@ def eta_of(weights) -> tuple[float, ...]:
     return tuple(float(w) / total for w in weights)
 
 
-def _confidence(weights) -> float:
-    """Normalized max score max_i w_i / sum_i w_i of one atom."""
-    return max(eta_of(weights))
+def _weights(joint: DiscreteJoint) -> tuple[np.ndarray, np.ndarray]:
+    """The n x K weights and the n atom masses."""
+    weights = np.array(joint.points, dtype=float)
+    return weights, weights.sum(axis=1)
 
 
-def _abstention_order(joint: DiscreteJoint) -> list[int]:
-    """Atom ids sorted by (confidence ascending, id ascending).
-
-    The minimax rule abstains on a prefix of this order; ties (plateaus) are
-    broken by id so reruns pick the same boundary atom.
-    """
-    return sorted(range(joint.n_atoms), key=lambda i: (_confidence(joint.points[i]), i))
+def _posterior(joint: DiscreteJoint, masses: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """scores / masses per atom; DegenerateAtomError for the first atom of zero mass."""
+    for i in np.flatnonzero(masses <= 0.0)[:1]:
+        eta_of(joint.points[i])  # raises DegenerateAtomError
+    return scores / masses
 
 
-def _prefix_abstention_rule(joint: DiscreteJoint, gamma: float) -> IndecisionRule:
-    """Abstain on the lowest-confidence prefix of total mass exactly gamma."""
-    order = _abstention_order(joint)
-    action = ["decide"] * joint.n_atoms
-    fraction = [0.0] * joint.n_atoms
-    remaining = gamma
-    for i in order:
-        mass = sum(joint.points[i])
-        if remaining <= _MASS_TOL:
-            break
-        if mass <= remaining + _MASS_TOL:
-            action[i] = "abstain"
-            remaining -= mass
-        else:
-            fraction[i] = remaining / mass
-            remaining = 0.0
-            break
-    return IndecisionRule(action=tuple(action), plateau_fraction=tuple(fraction))
-
-
-def _rule_risk(joint: DiscreteJoint, rule: IndecisionRule, gamma: float) -> float:
-    """Conditional misclassification risk of an argmax-on-decided rule."""
-    if gamma >= 1.0 - _MASS_TOL:
-        return 0.0
-    missed = 0.0
-    for i, weights in enumerate(joint.points):
-        if rule.action[i] == "abstain":
-            continue
-        decided_share = 1.0 - rule.plateau_fraction[i]
-        missed += decided_share * (sum(weights) - max(weights))
-    return missed / (1.0 - gamma)
+def _cut(amounts: np.ndarray, budget: float) -> np.ndarray:
+    """The share of each amount that budget takes, in order: whole amounts while
+    they fit within _MASS_TOL, a fraction of the first one that does not, and
+    nothing after it or once the budget left is within _MASS_TOL of 0."""
+    left = np.subtract.accumulate(np.concatenate(([budget], amounts[:-1])))  # before each amount
+    live = left > _MASS_TOL
+    return np.divide(left, amounts, out=live.astype(float), where=live & (amounts > left + _MASS_TOL))
 
 
 def oracle_multiclass(joint: DiscreteJoint, gamma: float) -> tuple[IndecisionRule, float]:
     """Minimax rule at abstention mass gamma; decided atoms predict argmax.
 
-    Abstains where the normalized max score is smallest, fractionally at the
-    boundary; risk = 1 - (decided max-score mass) / (1 - gamma).
+    Abstains on the atoms of lowest normalized max score (ties by atom id)
+    up to mass gamma, splitting at most one boundary atom; risk = 1 -
+    (decided max-score mass) / (1 - gamma).
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
-    rule = _prefix_abstention_rule(joint, gamma)
-    return rule, _rule_risk(joint, rule, gamma)
+    weights, masses = _weights(joint)
+    top = weights.max(axis=1)
+    order = np.argsort(_posterior(joint, masses, top), kind="stable")
+    share = _cut(masses[order], gamma)[np.argsort(order)]
+    whole = share == 1.0
+    rule = IndecisionRule(
+        action=tuple(np.where(whole, "abstain", "decide").tolist()),
+        plateau_fraction=tuple(np.where(whole, 0.0, share).tolist()),
+    )
+    if gamma >= 1.0 - _MASS_TOL:
+        return rule, 0.0
+    return rule, float((1.0 - share) @ (masses - top)) / (1.0 - gamma)
 
 
 def oracle_binary(joint: DiscreteJoint, gamma: float) -> tuple[IndecisionRule, float]:
@@ -213,16 +201,15 @@ def oracle_binary(joint: DiscreteJoint, gamma: float) -> tuple[IndecisionRule, f
     return oracle_multiclass(joint, gamma)
 
 
-def oracle_np(
-    joint: DiscreteJoint, alpha1: float, gamma: float
-) -> tuple[NpRuleDiscrete, float]:
+def oracle_np(joint: DiscreteJoint, alpha1: float, gamma: float) -> tuple[NpRuleDiscrete, float]:
     """Minimax type-II rule under an exact type-I constraint.
 
-    Sorted by class-1 posterior ascending, the rule labels a bottom block
-    class 2 (class-1 mass in it exactly alpha1 * (1 - gamma)), abstains on
-    the next block (mass exactly gamma), and labels the rest class 1.  Both
-    block boundaries may split one atom fractionally.  Returns the rule and
-    its conditional type II error.
+    Sorted by class-1 posterior ascending (ties by atom id), the rule labels
+    a bottom block class 2 (class-1 mass in it exactly alpha1 * (1 - gamma)),
+    abstains on the next block (mass exactly gamma, starting with what is
+    left of the atom split at the class-2 edge), and labels the rest class 1.
+    Each block edge splits at most one atom.  Returns the rule and its
+    conditional type II error.
     """
     if joint.n_classes != 2:
         raise ValueError("oracle_np requires exactly 2 classes")
@@ -230,99 +217,29 @@ def oracle_np(
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
     if not 0.0 <= alpha1 <= 1.0:
         raise ValueError(f"alpha1 must lie in [0, 1], got {alpha1!r}")
-    n = joint.n_atoms
-    class1_total = sum(w[0] for w in joint.points)
+    weights, masses = _weights(joint)
+    class1_total = sum(weights[:, 0].tolist())
     budget1 = alpha1 * (1.0 - gamma)
     if budget1 > class1_total + _MASS_TOL:
-        raise InfeasibleConstraintError(
-            f"type-I budget {budget1!r} exceeds class-1 mass {class1_total!r}"
-        )
-    order = sorted(range(n), key=lambda i: (eta_of(joint.points[i])[0], i))
-
-    label = ["1"] * n
-    frac2 = [0.0] * n
-    frac_abstain = [0.0] * n
-
-    # class-2 block: consume exactly budget1 of class-1 mass from the bottom
-    remaining1 = budget1
-    pos = 0
-    carry_abstain_start = 0.0  # fraction of the straddling atom left above the class-2 cut
-    carry_atom = -1
-    while pos < n and remaining1 > _MASS_TOL:
-        i = order[pos]
-        w1 = joint.points[i][0]
-        if w1 <= remaining1 + _MASS_TOL:
-            label[i] = "2"
-            frac2[i] = 1.0
-            remaining1 -= w1
-            pos += 1
-        else:
-            f = remaining1 / w1
-            frac2[i] = f
-            carry_abstain_start = 1.0 - f
-            carry_atom = i
-            remaining1 = 0.0
-            break
-
-    # abstention block: exactly gamma of total mass, starting with any
-    # leftover fraction of the straddling atom
-    remaining_g = gamma
-    if carry_atom >= 0:
-        i = carry_atom
-        mass_left = carry_abstain_start * sum(joint.points[i])
-        if mass_left <= remaining_g + _MASS_TOL:
-            frac_abstain[i] = carry_abstain_start
-            label[i] = "2"  # atom split between class 2 and abstention only
-            remaining_g -= mass_left
-            pos += 1
-        else:
-            frac_abstain[i] = remaining_g / sum(joint.points[i])
-            label[i] = "2"
-            remaining_g = 0.0
-            pos += 1
-            # remainder of this atom is labeled 1 implicitly via fractions
-    while pos < n and remaining_g > _MASS_TOL:
-        i = order[pos]
-        mass = sum(joint.points[i])
-        if mass <= remaining_g + _MASS_TOL:
-            label[i] = "abstain"
-            frac_abstain[i] = 1.0
-            remaining_g -= mass
-            pos += 1
-        else:
-            label[i] = "1"  # partially abstained atom, remainder decided 1
-            frac_abstain[i] = remaining_g / mass
-            remaining_g = 0.0
-            pos += 1
-            break
-
-    if remaining_g > 1e-9:
-        raise InfeasibleConstraintError(
-            f"cannot place abstention mass gamma={gamma!r} above the type-I block"
-        )
-
+        raise InfeasibleConstraintError(f"type-I budget {budget1!r} exceeds class-1 mass {class1_total!r}")
+    eta = _posterior(joint, masses, weights[:, 0])
+    order = np.argsort(eta, kind="stable")
+    rank = np.argsort(order)
+    frac2 = _cut(weights[order, 0], budget1)[rank]
+    frac_abstain = _cut(((1.0 - frac2) * masses)[order], gamma)[rank] * (1.0 - frac2)
+    if gamma - frac_abstain @ masses > 1e-9:
+        raise InfeasibleConstraintError(f"cannot place abstention mass gamma={gamma!r} above the type-I block")
     # thresholds for reporting: eta at the top of each block
-    etas = [eta_of(joint.points[i])[0] for i in range(n)]
-    block2 = [i for i in range(n) if frac2[i] > 0.0]
-    blocka = [i for i in range(n) if frac_abstain[i] > 0.0]
-    tau1 = max((etas[i] for i in block2), default=0.0)
-    tau2 = max((etas[i] for i in blocka), default=tau1)
-    tau2 = max(tau1, tau2)
-
-    # type II error: class-2 mass decided as class 1, over decided mass share
-    missed2 = 0.0
-    for i in range(n):
-        share_1 = 1.0 - frac2[i] - frac_abstain[i]
-        missed2 += max(share_1, 0.0) * joint.points[i][1]
-    type2 = missed2 / (1.0 - gamma)
+    tau1 = float(eta[frac2 > 0.0].max(initial=0.0))
     rule = NpRuleDiscrete(
         tau1=tau1,
-        tau2=tau2,
-        label=tuple(label),
-        fraction_to_2=tuple(frac2),
-        fraction_to_abstain=tuple(frac_abstain),
+        tau2=float(eta[frac_abstain > 0.0].max(initial=tau1)),
+        label=tuple(np.select([frac2 > 0.0, frac_abstain == 1.0], ["2", "abstain"], "1").tolist()),
+        fraction_to_2=tuple(frac2.tolist()),
+        fraction_to_abstain=tuple(frac_abstain.tolist()),
     )
-    return rule, type2
+    # type II error: class-2 mass decided as class 1, over decided mass share
+    return rule, float(np.maximum(1.0 - frac2 - frac_abstain, 0.0) @ weights[:, 1]) / (1.0 - gamma)
 
 
 def _np_linear_program(joint: DiscreteJoint, gamma: float, alpha1: float) -> float:

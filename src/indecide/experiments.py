@@ -442,16 +442,23 @@ def _parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _rep_columns(rep_fn, rep: int) -> dict:
+    """rep_fn(rep)'s row dicts as one list per key, in the rows' key order."""
+    rows = rep_fn(rep)
+    return {name: [row[name] for row in rows] for name in rows[0]} if rows else {}
+
+
 def _run_study(rep_fn, reps: int, workers: int, keys: tuple, metrics: tuple) -> SimResult:
     """Run rep_fn on replications 0..reps-1 and aggregate metrics by keys.
 
     rep_fn returns one replication's rows as dicts with the same keys in
-    the same order; they become one column per key, in that order.
+    the same order; each worker hands them back as one list per key, and
+    the lists of all replications become one column per key, in that order.
     """
-    rows = [row for chunk in _parallel_map(rep_fn, range(reps), workers) for row in chunk]
-    if not rows:
+    chunks = [chunk for chunk in _parallel_map(partial(_rep_columns, rep_fn), range(reps), workers) if chunk]
+    if not chunks:
         raise ValueError("a study needs at least one replication and one grid point")
-    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    columns = {name: np.array([value for chunk in chunks for value in chunk[name]]) for name in chunks[0]}
     return SimResult(rows=columns, aggregates=_aggregate(columns, keys, metrics))
 
 

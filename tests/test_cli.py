@@ -117,12 +117,15 @@ class TestCalibrateCommand:
         assert code == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
 
-    def test_missing_target_flag(self, tmp_path):
+    def test_missing_target_flag(self, tmp_path, capsys):
         inp = write_csv(tmp_path / "cal.csv", "score,label\n0.9,1\n0.1,2\n")
-        code = main(
-            ["calibrate", "--mode", "np", "--input", inp, "--alpha1", "0.1", "--out-dir", str(tmp_path / "o")]
-        )
-        assert code == EXIT_USAGE
+        # the flags are checked before the input is read: a missing one wins over a missing file
+        for path in (inp, str(tmp_path / "missing.csv")):
+            code = main(
+                ["calibrate", "--mode", "np", "--input", path, "--alpha1", "0.1", "--out-dir", str(tmp_path / "o")]
+            )
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == "error: mode np requires --alpha2\n"
 
     def test_multiclass_fixed_gamma(self, tmp_path):
         inp = write_csv(
@@ -438,6 +441,10 @@ class TestExperimentCommand:
             ("phase", "grid_points = inf", "config key 'grid_points' must be an integer: inf"),
             ("consistency-trend", "reps = true", "config key 'reps' must be an integer: True"),
             ("consistency-trend", "reps = 3x", "config key 'reps' must be an integer: '3x'"),
+            # an int beyond the largest float, which float() cannot convert
+            pytest.param(
+                "accuracy-sweep", "alpha = 1" + "0" * 400, "config key 'alpha' must be a number: 1000", id="alpha-overflow"
+            ),
         ],
     )
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, study, text, message):

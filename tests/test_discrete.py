@@ -26,6 +26,19 @@ def random_joint(rng, n_atoms, n_classes):
     return DiscreteJoint(tuple(tuple(row) for row in raw))
 
 
+def tied_joint(rng, n_atoms, n_classes):
+    """Quarter-grid weights, the second half of the atoms duplicating the first,
+    and one class weighing 0 on about half the atoms.  Also returns the mass
+    unit: every atom's mass is a multiple of it, so budgets in whole units
+    land on block edges, between tied atoms."""
+    raw = rng.integers(0, 5, (n_atoms, n_classes)) / 4
+    half = max(1, n_atoms // 2)
+    raw[half:] = raw[rng.integers(0, half, n_atoms - half)]
+    raw[rng.random(n_atoms) < 0.5, rng.integers(0, n_classes)] = 0.0
+    raw[raw.sum(axis=1) == 0, 0] = 0.25
+    return DiscreteJoint(tuple(tuple(row) for row in (raw / raw.sum()).tolist())), 0.25 / raw.sum()
+
+
 class TestDiscreteJoint:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,6 +49,9 @@ class TestDiscreteJoint:
             DiscreteJoint(((0.9, 0.2), (0.2, 0.2)))  # mass 1.5
         with pytest.raises(ValueError):
             DiscreteJoint(((-0.1, 0.6), (0.3, 0.2)))  # negative
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DiscreteJoint(((bad, 0.5), (0.25, 0.25)))
 
     def test_csv_round_trip(self, tmp_path):
         joint = DiscreteJoint(((0.125, 0.0625), (0.25, 0.0625), (0.25, 0.25)))
@@ -46,9 +62,19 @@ class TestDiscreteJoint:
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "joint.csv"
-        path.write_text("atom,w1,w2\n0,0.5,0.5\n")
-        with pytest.raises(ValueError):
-            DiscreteJoint.from_csv(path)
+        for text in (
+            "atom,w1,w2\n0,0.5,0.5\n",
+            "",
+            "id,w_1\n0,0.5\n1,0.5\n",  # one class
+            "id,foo,bar\n0,0.25,0.25\n1,0.25,0.25\n",
+            "id,w_2,w_1\n0,0.25,0.25\n1,0.25,0.25\n",
+            "id,w_1,w_2\n0,0.25,0.25\n0,0.25,0.25\n",  # duplicate id
+            "id,w_1,w_2\n0,0.25,0.25\n5,0.25,0.25\n",  # gapped ids
+            "id,w_1,w_2\n0,0.25,0.25,0\n1,0.25,0.25,0\n",  # rows wider than the header
+        ):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                DiscreteJoint.from_csv(path)
 
 
 class TestEta:
@@ -229,27 +255,45 @@ class TestBruteForce:
         joint = DiscreteJoint(((0.5, 0.0), (0.0, 0.5)))
         assert brute_force_min(joint, 0.5) == pytest.approx(0.0, abs=1e-12)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_oracle_matches_search(self, trial):
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_oracle_matches_search(self, trial, tied):
         rng = seeded_stream(trial, 0)
         n_atoms = 3 + trial % 6
         n_classes = 2 + trial % 2
-        joint = random_joint(rng, n_atoms, n_classes)
-        gamma = float(rng.random()) * 0.9
+        if tied:  # gamma on a block edge
+            joint, unit = tied_joint(rng, n_atoms, n_classes)
+            gamma = unit * int(rng.integers(0, int(0.9 / unit)))
+        else:
+            joint = random_joint(rng, n_atoms, n_classes)
+            gamma = float(rng.random()) * 0.9
         _, risk = oracle_multiclass(joint, gamma)
         assert risk == pytest.approx(brute_force_min(joint, gamma), abs=1e-10)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_np_oracle_matches_lp(self, trial):
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_np_oracle_matches_lp(self, trial, tied):
         rng = seeded_stream(trial, 1)
-        joint = random_joint(rng, 3 + trial % 6, 2)
-        gamma = float(rng.random()) * 0.5
-        alpha1 = 0.02 + float(rng.random()) * 0.18
+        if tied:  # gamma and the type-I budget on block edges
+            joint, unit = tied_joint(rng, 3 + trial % 6, 2)
+            gamma = unit * int(rng.integers(0, int(0.5 / unit) + 1))
+            alpha1 = min(1.0, unit * int(rng.integers(1, int(0.2 / unit) + 2)) / (1.0 - gamma))
+        else:
+            joint = random_joint(rng, 3 + trial % 6, 2)
+            gamma = float(rng.random()) * 0.5
+            alpha1 = 0.02 + float(rng.random()) * 0.18
         try:
             _, type2 = oracle_np(joint, alpha1, gamma)
         except InfeasibleConstraintError:
+            if tied:
+                # the type-I budget exceeds the class-1 mass, or the abstention
+                # mass does not fit above the class-2 block
+                budget = alpha1 * (1.0 - gamma)
+                if budget <= sum(w[0] for w in joint.points) + 1e-12:
+                    rule, _ = oracle_np(joint, budget, 0.0)
+                    block2 = sum(f * sum(w) for f, w in zip(rule.fraction_to_2, joint.points))
+                    assert gamma > 1.0 - block2 - 1e-9
+                return
             # the structured rule cannot fit both blocks; only extreme
             # budget/abstention combinations land here
             assert alpha1 * (1.0 - gamma) + gamma > 0.2
