@@ -347,8 +347,8 @@ def _resolve_workers(args) -> int:
 
 def _read_config(overrides: dict, defaults: dict) -> dict:
     """defaults with the --config overrides, each read as its default's type: floats split at ";"
-    for a tuple, text for a str, else a number, not a bool, and an integral one for an int.  A
-    key without a default, other than format_version, is an error."""
+    for a tuple, text for a str, else a number, not a bool, and for an int an integral one of
+    magnitude at most sys.maxsize.  A key without a default, other than format_version, is an error."""
     out = dict(defaults)
     for key, value in overrides.items():
         if key == "format_version":
@@ -369,6 +369,8 @@ def _read_config(overrides: dict, defaults: dict) -> dict:
             except (TypeError, OverflowError):
                 message = f"config key {key!r} must be {'an integer' if kind is int else 'a number'}: {value!r}"
                 raise SchemaError(message) from None
+            if kind is int and abs(out[key]) > sys.maxsize:  # a count or size must fit an index
+                raise SchemaError(f"config key {key!r} must be at most {sys.maxsize} in magnitude: {value!r}")
     return out
 
 

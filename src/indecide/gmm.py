@@ -133,7 +133,7 @@ class PhaseGrid:
 
 def operating_point_at_t(spec: GmmSpec, t: float) -> OracleOperatingPoint:
     """Operating point of the symmetric abstention band |x| < t."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("threshold t must be nonnegative")
     d = spec.delta
     upper = normal_tail(d + t)
@@ -163,11 +163,12 @@ def gamma_for_target_risk(spec: GmmSpec, target_risk: float) -> OracleOperatingP
 
     Returns the gamma = 0 point when the Bayes risk already meets the
     target.  Raises InfeasibleTargetError for nonpositive targets, and for
-    targets the risk falls below only where its error tail underflows to 0.
+    targets the risk falls below only where its error tail underflows to 0;
+    ValueError for targets of 1 or more and for NaN.
     """
     if target_risk <= 0.0:
         raise InfeasibleTargetError("conditional risk 0 needs full abstention")
-    if target_risk >= 1.0:
+    if not target_risk < 1.0:  # NaN too
         raise ValueError("target_risk must lie in (0, 1)")
     d = spec.delta
     if target_risk >= normal_tail(d):

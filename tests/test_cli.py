@@ -306,9 +306,16 @@ class TestOracleCommand:
         for target in ("-0.5", "0"):
             code = main(["oracle", "--delta", "1.0", "--target-risk", target])
             assert code == EXIT_INFEASIBLE
-        # a target outside (0, 1) on the high side is a usage error
-        code = main(["oracle", "--delta", "1.0", "--target-risk", "1.5"])
-        assert code == EXIT_USAGE
+        # a target outside (0, 1) on the high side, or NaN, is a usage error
+        for target in ("1.5", "nan"):
+            code = main(["oracle", "--delta", "1.0", "--target-risk", target])
+            assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == "error: target_risk must lie in (0, 1)"
+
+    def test_nan_threshold(self, capsys):
+        # NaN used to recurse without end in the normal tail
+        assert main(["oracle", "--delta", "1.0", "--t", "nan"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: threshold t must be nonnegative\n"
 
     def test_targets_where_both_tails_underflow(self, capsys):
         # both used to divide 0 by 0 inside the bisection
@@ -444,6 +451,13 @@ class TestExperimentCommand:
             # an int beyond the largest float, which float() cannot convert
             pytest.param(
                 "accuracy-sweep", "alpha = 1" + "0" * 400, "config key 'alpha' must be a number: 1000", id="alpha-overflow"
+            ),
+            # an int too large for an index, which range(reps) cannot hold
+            pytest.param(
+                "accuracy-sweep",
+                "reps = 1" + "0" * 20,
+                f"config key 'reps' must be at most {sys.maxsize} in magnitude: 1{'0' * 20}",
+                id="reps-overflow",
             ),
         ],
     )

@@ -40,6 +40,14 @@ class TestNormalTail:
         for t, v in zip(ts, vec):
             assert v == pytest.approx(normal_tail(t), rel=1e-13, abs=1e-300)
 
+    def test_beyond_forty_and_nan(self):
+        # the tail underflows to 0 from t ~ 38.5 and is 1 below t ~ -8.3
+        for t in (40.5, 1e308, math.inf):
+            assert normal_tail(t) == 0.0
+            assert normal_tail(-t) == 1.0
+        # NaN used to recurse without end
+        assert math.isnan(normal_tail(math.nan))
+
     @given(st.floats(min_value=-30.0, max_value=30.0))
     def test_monotone_decreasing(self, t):
         assert normal_tail(t + 1e-3) <= normal_tail(t)

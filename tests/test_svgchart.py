@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 
-from indecide.svgchart import heatmap_svg
+from indecide.svgchart import heatmap_svg, line_chart_svg
 
 
 def scalar_color(v: float) -> str:
@@ -22,6 +22,13 @@ def scalar_color(v: float) -> str:
 
 def fills(svg: str) -> list[str]:
     return re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="([^"]*)"/>', svg)
+
+
+def ticks(svg: str) -> tuple[list, list]:
+    """(pixel, value) of each x tick and each y tick, as floats."""
+    x = re.findall(r'<text x="([^"]*)" y="436" font-size="10" text-anchor="middle" [^>]*>([^<]*)<', svg)
+    y = re.findall(r'<text x="54" y="([^"]*)" font-size="10" text-anchor="end" [^>]*>([^<]*)<', svg)
+    return [(float(p), float(v)) for p, v in x], [(float(p), float(v)) for p, v in y]
 
 
 class TestHeatmap:
@@ -47,3 +54,24 @@ class TestHeatmap:
     def test_data_comment_rows(self):
         svg = heatmap_svg([0.0, 1.0], [0.0, 1.0], [[0.1234567, None], [math.nan, 2]], vmin=0.0, vmax=1.0)
         assert "<!-- data: 0.123457,nan; nan,2 -->" in svg
+
+
+class TestFrame:
+    """The plot spans x 60..580 and y 420..60 px, with five ticks per axis."""
+
+    def test_line_chart_widens_a_zero_width_range_by_one(self):
+        x, y = ticks(line_chart_svg([("a", [(1.0, 2.0)])]))
+        assert x == [(60, 1), (190, 1.25), (320, 1.5), (450, 1.75), (580, 2)]
+        assert y == [(423, 2), (333, 2.25), (243, 2.5), (153, 2.75), (63, 3)]
+
+    def test_empty_line_chart_spans_zero_to_one(self):
+        x, y = ticks(line_chart_svg([]))
+        assert x == [(60, 0), (190, 0.25), (320, 0.5), (450, 0.75), (580, 1)]
+        assert y == [(423, 0), (333, 0.25), (243, 0.5), (153, 0.75), (63, 1)]
+
+    def test_one_column_heatmap_sits_on_the_left_edge(self):
+        svg = heatmap_svg([0.5], [0.0, 1.0], [[0.2], [0.7]], vmin=0.0, vmax=1.0)
+        cells = re.findall(r'<rect x="([^"]*)" y="[^"]*" width="([^"]*)"', svg)
+        # each cell is the plot's full width plus the 0.5 px overlap, centred at x = 60
+        assert cells == [("-200", "520.5"), ("-200", "520.5")]
+        assert ticks(svg)[0] == [(60, 0.5)] * 5
