@@ -56,11 +56,14 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 
-_CHART_METRICS = {
-    "accuracy-sweep": "conditional_error",
-    "np-sweep": "type2",
-    "intro-tradeoff": "gamma_star",
-    "consistency-trend": "risk_gap",
+# experiment -> (its --config keys with their defaults, what --full sets, its chart metric); --seed is the only seed
+_SIM_KEYS = {f.name: f.default for f in fields(SimConfig) if f.name != "seed"}
+_EXPERIMENTS = {
+    "phase": ({"grid_points": 200}, {"grid_points": 1000}, None),
+    "accuracy-sweep": (_SIM_KEYS, {"reps": 1000}, "conditional_error"),
+    "np-sweep": (_SIM_KEYS, {"reps": 1000}, "type2"),
+    "intro-tradeoff": (_SIM_KEYS, {"reps": 1000}, "gamma_star"),
+    "consistency-trend": ({"reps": 100}, {"reps": 1000}, "risk_gap"),
 }
 
 # --mode -> (rule class, whose column the input holds; flags it needs; calibration of (sample, args)),
@@ -123,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     app.set_defaults(handler=cmd_apply)
 
     exp = sub.add_parser("experiment", help="run a seeded simulation study")
-    exp.add_argument("name", choices=["phase", "accuracy-sweep", "np-sweep", "intro-tradeoff", "consistency-trend"])
+    exp.add_argument("name", choices=list(_EXPERIMENTS))
     exp.add_argument("--config", help="key-value file overriding study parameters")
     exp.add_argument("--out-dir", required=True)
     exp.add_argument("--seed", type=int, default=0)
@@ -357,7 +360,10 @@ def _read_config(overrides: dict, defaults: dict) -> dict:
             raise SchemaError(f"unknown config key {key!r}")
         kind = type(defaults[key])
         if kind is tuple:
-            out[key] = tuple(float(v) for v in str(value).split(";"))
+            try:
+                out[key] = tuple(float(v) for v in str(value).split(";"))
+            except ValueError:
+                raise SchemaError(f"config key {key!r} must be numbers separated by ';': {value!r}") from None
         elif kind is str:
             out[key] = str(value)
         else:
@@ -374,15 +380,7 @@ def _read_config(overrides: dict, defaults: dict) -> dict:
     return out
 
 
-def _sim_config(args, overrides: dict) -> SimConfig:
-    """SimConfig's defaults, then --seed, 1000 reps with --full, and the --config overrides."""
-    defaults = {f.name: f.default for f in fields(SimConfig)}
-    defaults.update(seed=args.seed, **({"reps": 1000} if args.full else {}))
-    return SimConfig(**_read_config(overrides, defaults))
-
-
-def _phase_configs(args, overrides: dict) -> list[tuple[str, gmm.PhaseGridConfig]]:
-    points = _read_config(overrides, {"grid_points": 1000 if args.full else 200})["grid_points"]
+def _phase_configs(points: int) -> list[tuple[str, gmm.PhaseGridConfig]]:
     m_grid = tuple(np.linspace(0.005, 0.995, points))
     return [
         (name, gmm.PhaseGridConfig(delta_target=target, c_grid=tuple(np.linspace(c_lo, c_hi, points)), m_grid=m_grid))
@@ -408,25 +406,26 @@ def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConf
 
 def cmd_experiment(args) -> int:
     workers = _resolve_workers(args)
-    overrides = read_kv(args.config) if args.config else {}
+    defaults, full, metric = _EXPERIMENTS[args.name]
+    settings = _read_config(read_kv(args.config) if args.config else {}, {**defaults, **(full if args.full else {})})
     out_dir = Path(args.out_dir)
     # out_dir is made once the config is checked (and a study has run), so a rejected config leaves none
     if args.name == "phase":
-        panels = _phase_configs(args, overrides)
+        panels = _phase_configs(settings["grid_points"])
         out_dir.mkdir(parents=True, exist_ok=True)
         # one process per panel, up to the usable CPUs
         written = _parallel_map(partial(_write_phase_panel, out_dir), panels, gmm._usable_cpus())
         outputs = [name for names in written for name in names]
     else:
         if args.name == "consistency-trend":
-            result = run_consistency_trend(**_read_config(overrides, {"reps": 100}), seed=args.seed, workers=workers)
+            result = run_consistency_trend(**settings, seed=args.seed, workers=workers)
         else:
             run = {"accuracy-sweep": run_accuracy_sweep, "np-sweep": run_np_sweep}.get(args.name, run_intro_tradeoff)
-            result = run(_sim_config(args, overrides), workers=workers)
+            result = run(SimConfig(**settings, seed=args.seed), workers=workers)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = [f"{args.name}_rows.csv", f"{args.name}_aggregates.csv", f"{args.name}.svg"]
         sim_result_to_csv(result, out_dir / outputs[0], out_dir / outputs[1])
-        sim_result_to_svg(result, _CHART_METRICS[args.name], out_dir / outputs[2], title=args.name)
+        sim_result_to_svg(result, metric, out_dir / outputs[2], title=args.name)
     inputs = [args.config] if args.config else []
     extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": workers}
     _write_manifest(out_dir, f"experiment-{args.name}", inputs, outputs + ["manifest.kv"], extra)

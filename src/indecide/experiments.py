@@ -18,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from . import gmm
-from .calibration import CalibrationSample, _selective_errors, calibrate_accuracy, calibrate_np
+from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _selective_errors
+from .calibration import calibrate_accuracy, calibrate_np
 from .kvdoc import write_columns
 from .models import fit_lda, fit_logistic, predict_eta
 from .numerics import bisect, normal_tail, seeded_stream, sigmoid
@@ -57,8 +58,8 @@ class SimConfig:
         for name in ("n_train", "n_cal", "n_test", "reps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if len(self.delta_grid) == 0 or any(d <= 0 for d in self.delta_grid):
-            raise ValueError("delta_grid must be nonempty with positive entries")
+        if len(self.delta_grid) == 0 or not all(0 < d < math.inf for d in self.delta_grid):
+            raise ValueError("delta_grid must be nonempty with finite positive entries")
         for name in ("alpha", "alpha1", "alpha2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
@@ -104,10 +105,7 @@ def oracle_eta(x: np.ndarray, delta: float) -> np.ndarray:
 def _fit_scorer(scorer: str, x: np.ndarray, labels: np.ndarray, delta: float):
     if scorer == "oracle-eta":
         return lambda xs: oracle_eta(xs, delta)
-    if scorer == "lda":
-        model = fit_lda(x, labels)
-        return lambda xs: predict_eta(model, xs)
-    model = fit_logistic(x, labels)
+    model = (fit_lda if scorer == "lda" else fit_logistic)(x, labels)
     return lambda xs: predict_eta(model, xs)
 
 
@@ -177,14 +175,11 @@ def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
         # abstention-free baseline: the selection's own class-2 block at gamma = 0
         kt0 = int(report.trace["k_tilde"][0])
         tau0 = float(np.partition(s_cal, kt0 - 1)[kt0 - 1]) if kt0 >= 1 else -np.inf
-        baseline = np.where(s_te <= tau0, 2, 1)
-
-        bayes = np.where(s_te >= 0.5, 1, 2)
 
         for arm, decisions, gamma_sel in (
             ("algorithm2", report.rule.apply(s_te), report.gamma_hat),
-            ("np-baseline", baseline, 0.0),
-            ("bayes", bayes, 0.0),
+            ("np-baseline", NpRule(tau1=tau0, tau2=tau0).apply(s_te), 0.0),
+            ("bayes", SelectiveBinaryRule(tau=0.5).apply(s_te), 0.0),  # decides every score in [0, 1]
         ):
             stats = _selective_errors(decisions, y_te)
             rows.append(

@@ -151,9 +151,8 @@ def threshold_for_gamma(spec: GmmSpec, gamma: float) -> OracleOperatingPoint:
         raise ValueError("gamma must lie in [0, 1)")
     if gamma == 0.0:
         return operating_point_at_t(spec, 0.0)
-    d = spec.delta
     (t,), _ = bisect(
-        lambda ts: np.array([normal_tail(d - t) - normal_tail(d + t) < gamma for t in ts.tolist()]), [d + 2.0]
+        lambda ts: np.array([operating_point_at_t(spec, t).gamma < gamma for t in ts.tolist()]), [spec.delta + 2.0]
     )
     return operating_point_at_t(spec, t)
 

@@ -119,26 +119,24 @@ def fit_lda(features, labels) -> LdaModel:
     )
 
 
-def _lda_log_scores(model: LdaModel, x: np.ndarray) -> list[np.ndarray]:
-    """Per-class linear discriminant scores (log posterior up to a constant).
-
-    One column per class, in class order.
-    """
-    return [x @ w + b for w, b in zip(model.weights, model.biases)]
+def _lda_softmax(model: LdaModel, feats: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The exponentials of the linear discriminant scores, shifted by their
+    row max, one column per class in class order, and their row sum: each
+    class posterior is its column over the sum."""
+    if feats.shape[1] != model.class_means.shape[1]:
+        raise ValueError("feature dimension does not match the model")
+    cols = [feats @ w + b for w, b in zip(model.weights, model.biases)]
+    top = functools.reduce(np.maximum, cols)
+    probs = [np.exp(col - top) for col in cols]
+    return probs, sum(probs[1:], probs[0])
 
 
 def predict_eta(model, x) -> np.ndarray:
     """Estimated class-1 posterior in [0, 1] for each feature row."""
     feats = _as_features(x)
     if isinstance(model, LdaModel):
-        if feats.shape[1] != model.class_means.shape[1]:
-            raise ValueError("feature dimension does not match the model")
-        # the row max, exponentials and row sum of predict_scores, one column
-        # at a time and in the same order, so the result is bit-identical
-        cols = _lda_log_scores(model, feats)
-        top = functools.reduce(np.maximum, cols)
-        probs = [np.exp(col - top) for col in cols]
-        return probs[0] / sum(probs[1:], probs[0])
+        probs, total = _lda_softmax(model, feats)
+        return probs[0] / total
     if isinstance(model, LogisticModel):
         if feats.shape[1] != len(model.weights):
             raise ValueError("feature dimension does not match the model")
@@ -148,11 +146,8 @@ def predict_eta(model, x) -> np.ndarray:
 
 def predict_scores(model: LdaModel, x) -> np.ndarray:
     """Full posterior matrix (n x K) from a fitted discriminant model."""
-    feats = _as_features(x)
-    log_scores = np.column_stack(_lda_log_scores(model, feats))
-    shifted = log_scores - log_scores.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    return probs / probs.sum(axis=1, keepdims=True)
+    probs, total = _lda_softmax(model, _as_features(x))
+    return np.column_stack(probs) / total[:, None]
 
 
 def fit_logistic(features, labels, tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:

@@ -459,6 +459,10 @@ class TestExperimentCommand:
                 f"config key 'reps' must be at most {sys.maxsize} in magnitude: 1{'0' * 20}",
                 id="reps-overflow",
             ),
+            # these used to fail in the LDA fit, or without naming the key
+            pytest.param("np-sweep", "delta_grid = nan", "delta_grid must be nonempty with finite", id="delta-nan"),
+            pytest.param("np-sweep", "delta_grid = 1.0;inf", "delta_grid must be nonempty with finite", id="delta-inf"),
+            pytest.param("np-sweep", "delta_grid = 0.5;abc", "config key 'delta_grid' must be", id="delta-text"),
         ],
     )
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, study, text, message):
@@ -468,6 +472,35 @@ class TestExperimentCommand:
         assert main(["experiment", study, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["accuracy-sweep", "np-sweep", "intro-tradeoff"])
+    def test_seed_comes_only_from_the_flag(self, tmp_path, capsys, study):
+        # a config seed used to win over --seed while the manifest recorded --seed
+        cfg = tmp_path / "cfg.kv"
+        cfg.write_text("format_version = 1\nreps = 1\nseed = 5\n")
+        out = tmp_path / "out"
+        assert main(["experiment", study, "--config", str(cfg), "--out-dir", str(out), "--seed", "0"]) == EXIT_USAGE
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, reps", [("", 1000), ("reps = 3\n", 3)], ids=["full", "config-wins"])
+    def test_full_consistency_trend(self, tmp_path, monkeypatch, text, reps):
+        # --full used to leave consistency-trend at 100 replications
+        from indecide import cli
+
+        real, calls = cli.run_consistency_trend, []
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            return real(**{**kwargs, "reps": 2})
+
+        monkeypatch.setattr(cli, "run_consistency_trend", record)
+        cfg = tmp_path / "cfg.kv"
+        cfg.write_text(f"format_version = 1\n{text}")
+        argv = ["experiment", "consistency-trend", "--config", str(cfg), "--full", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+        assert [call["reps"] for call in calls] == [reps]
+        assert read_kv(tmp_path / "o" / "manifest.kv")["full"] is True
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs SIGKILL")
     def test_killed_worker_fails_the_command(self, tmp_path):

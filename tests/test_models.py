@@ -97,6 +97,15 @@ class TestLda:
         assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-12)
         assert (scores >= 0).all()
 
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_predict_scores_first_column_is_predict_eta(self, classes):
+        # both come from one softmax, so they agree bit for bit
+        rng = seeded_stream(41, 4 + classes)
+        x = rng.normal(size=(60 * classes, 2)) + np.repeat(np.arange(classes), 60)[:, None]
+        model = fit_lda(x, np.repeat(np.arange(1, classes + 1), 60))
+        grid = rng.normal(scale=4.0, size=(200, 2))
+        assert predict_scores(model, grid)[:, 0].tobytes() == predict_eta(model, grid).tobytes()
+
     def test_label_preconditions(self):
         x = np.arange(10.0)
         with pytest.raises(ValueError):
