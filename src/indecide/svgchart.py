@@ -20,14 +20,14 @@ def _fmt(x: float) -> str:
 
 
 def _scales(x0: float, x1: float, y0: float, y1: float):
-    """Data-to-pixel maps onto the plot area; a zero-width range maps to its left or bottom edge."""
+    """Data-to-pixel maps of the ranges [x0, x1] and [y0, y1], each of nonzero width, onto the plot area."""
     pw, ph = _W - 2 * _MARGIN, _H - 2 * _MARGIN
 
     def px(x: float) -> float:
-        return _MARGIN + (x - x0) / (x1 - x0) * pw if x1 > x0 else _MARGIN
+        return _MARGIN + (x - x0) / (x1 - x0) * pw
 
     def py(y: float) -> float:
-        return _H - _MARGIN - ((y - y0) / (y1 - y0) * ph if y1 > y0 else 0.0)
+        return _H - _MARGIN - (y - y0) / (y1 - y0) * ph
 
     return px, py
 
@@ -71,25 +71,26 @@ def _document(body: list[str], bounds, px, py, title: str, xlabel: str, ylabel: 
     return "\n".join(parts)
 
 
-def _fills(values: np.ndarray, vmin: float, vmax: float, missing: str) -> np.ndarray:
-    """Cell colors on a blue (0) -> white (0.5) -> red (1) diverging ramp.
+def _fills(values: np.ndarray, vmin: float, vmax: float, missing: str) -> tuple[np.ndarray, list[str]]:
+    """Cell colors on a blue (0) -> white (0.5) -> red (1) diverging ramp, as
+    (codes, names): the cell values[j, i] is drawn in names[codes[j, i]].
 
     v = (value - vmin) / (vmax - vmin) is clipped to [0, 1] and each channel
     truncated to an int; NaN cells, or every cell when vmax <= vmin, get
-    `missing`.
+    `missing`.  Two cells share a code exactly when they share a ramp color
+    or are both missing.
     """
-    nan = np.isnan(values)
     if not vmax > vmin:
-        return np.full(values.shape, missing)
+        return np.zeros(values.shape, dtype=np.intp), [missing]
+    nan = np.isnan(values)
     v = np.minimum(1.0, np.maximum(0.0, (np.where(nan, vmin, values) - vmin) / (vmax - vmin)))
     low = v < 0.5
     s = np.where(low, v / 0.5, (v - 0.5) / 0.5)
     r = np.where(low, 60 + 195 * s, 255).astype(int)
     g = np.where(low, 80 + 175 * s, 255 - 175 * s).astype(int)
     b = np.where(low, 255, 255 - 195 * s).astype(int)
-    codes, index = np.unique(((r << 16) | (g << 8) | b).ravel(), return_inverse=True)
-    names = np.array(["#%06x" % code for code in codes.tolist()])
-    return np.where(nan, missing, names[index].reshape(values.shape))
+    rgb, codes = np.unique(np.where(nan, -1, (r << 16) | (g << 8) | b).ravel(), return_inverse=True)
+    return codes.reshape(values.shape), [missing if c < 0 else "#%06x" % c for c in rgb.tolist()]
 
 
 def heatmap_svg(
@@ -109,19 +110,39 @@ def heatmap_svg(
 
     values[j][i] corresponds to (xs[i], ys[j]); NaN or None cells use the
     `missing` color.  `overlays` are (label, [(x, y), ...]) curves drawn on
-    top.
+    top.  A zero-width axis (one column or one row) is widened to value +- 0.5.
+
+    Each cell is centred on its data position.  One rect is drawn per maximal
+    run of cells in a row that share a color: it starts at the run's first
+    cell's left edge and ends at its last cell's right edge, both as the cell's
+    own rect would write them.  So every cell's centre is painted in its color.
     """
     values = np.asarray(values, dtype=float)  # None becomes NaN
-    bounds = (min(xs), max(xs), min(ys), max(ys))
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    bounds = (x0 - 0.5, x1 + 0.5) if x1 == x0 else (x0, x1)
+    bounds += (y0 - 0.5, y1 + 0.5) if y1 == y0 else (y0, y1)
     px, py = _scales(*bounds)
     cw, ch = (_W - 2 * _MARGIN) / len(xs), (_H - 2 * _MARGIN) / len(ys)
-    # each position is formatted once; a rect is x, then its row's y and size, then fill
-    rect_xs = [f'<rect x="{_fmt(px(x) - cw / 2)}" y="' for x in xs]
-    size = f'" width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="'
-    body = []
-    for y, fills in zip(ys, _fills(values, vmin, vmax, missing).tolist()):
-        rest = _fmt(py(y) - ch / 2) + size
-        body += [f'{x}{rest}{fill}"/>' for x, fill in zip(rect_xs, fills)]
+    codes, names = _fills(values, vmin, vmax, missing)
+    # one rect per maximal run of equal codes in a row, flattened row-major:
+    # a run starts at column 0 or where the code changes, and ends where the next run starts
+    change = np.ones(codes.shape, dtype=bool)
+    change[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    start = np.flatnonzero(change)
+    row, first = np.divmod(start, len(xs))
+    last = np.append(start[1:], codes.size) - 1 - row * len(xs)
+    # right edges are the rounded left edge plus the rounded cell width, so a run of
+    # one cell has the cell's width string and a longer run ends within half a
+    # sixth digit of where its last cell's rect would
+    lefts = [_fmt(px(x) - cw / 2) for x in xs]
+    left_px = np.array(lefts, dtype=float)
+    widths = (left_px[last] + float(_fmt(cw + 0.5)) - left_px[first]).tolist()
+    rect_ys = [f'" y="{_fmt(py(y) - ch / 2)}" width="' for y in ys]
+    height = f'" height="{_fmt(ch + 0.5)}" fill="'
+    body = [
+        f'<rect x="{lefts[i]}{rect_ys[j]}{_fmt(w)}{height}{names[c]}"/>'
+        for i, j, w, c in zip(first.tolist(), row.tolist(), widths, codes.ravel()[start].tolist())
+    ]
     for label, pts in overlays or []:
         body.append(f'<path d="{_path(pts, px, py)}" fill="none" stroke="black" stroke-width="1.5"/>')
         if pts:

@@ -533,8 +533,9 @@ class TestExperimentCommand:
             assert (out / name).exists()
 
     def test_phase_outputs_match_golden_files(self, tmp_path):
-        # tests/data/phase_*_golden.* were written by the per-cell implementation
-        # (one PhaseCell object per cell) at grid_points = 12
+        # tests/data/phase_*_golden.csv were written by the per-cell implementation
+        # (one PhaseCell object per cell) at grid_points = 12; the SVGs draw one rect
+        # per run of equal colour, and phase_*_percell.svg keep one rect per cell
         from indecide.kvdoc import write_kv
 
         cfg = tmp_path / "cfg.kv"

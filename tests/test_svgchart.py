@@ -2,10 +2,18 @@
 
 import math
 import re
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indecide.svgchart import heatmap_svg, line_chart_svg
+
+DATA = Path(__file__).parent / "data"
+RECT = re.compile(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]*)" fill="([^"]*)"/>')
 
 
 def scalar_color(v: float) -> str:
@@ -20,8 +28,48 @@ def scalar_color(v: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def fills(svg: str) -> list[str]:
-    return re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="([^"]*)"/>', svg)
+def per_cell_rects(xs, ys, values, vmin, vmax, missing="#c8c8c8") -> list[tuple]:
+    """(x, y, width, height, fill) of each heatmap cell as one rect per cell
+    writes it, row by row: the oracle for the runs."""
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    cw, ch = 520 / len(xs), 360 / len(ys)
+    cells = []
+    for y, row in zip(ys, values):
+        for x, v in zip(xs, row):
+            if not vmax > vmin or v is None or math.isnan(v):
+                fill = missing
+            else:
+                fill = scalar_color((v - vmin) / (vmax - vmin))
+            px, py = 60 + (x - x0) / (x1 - x0) * 520, 420 - (y - y0) / (y1 - y0) * 360
+            geometry = (px - cw / 2, py - ch / 2, cw + 0.5, ch + 0.5)
+            cells.append((*(format(g, ".6g") for g in geometry), fill))
+    return cells
+
+
+def assert_runs_cover_cells(runs: list[tuple], cells: list[tuple]) -> None:
+    """Each run starts at the next cell with that cell's x, y, height and fill
+    strings, and spans the cells of its row up to the one whose right edge
+    is within 1e-3 px of its own, all of its fill; the runs cover every cell."""
+    cells = iter(cells)
+    for x, y, width, height, fill in runs:
+        cell = next(cells)
+        assert cell[0] == x
+        right = float(x) + float(width)
+        while True:
+            assert (cell[1], cell[3], cell[4]) == (y, height, fill)
+            cell_right = float(cell[0]) + float(cell[2])
+            if abs(cell_right - right) <= 1e-3:
+                break
+            assert cell_right < right
+            cell = next(cells)
+    assert next(cells, None) is None
+
+
+def fills(svg: str, columns: int) -> list[str]:
+    """The fill of each cell of a heatmap with `columns` evenly spaced cells per
+    row, row by row: each rect counts for the cells its width spans."""
+    cw, step = 520 / columns, 520 / (columns - 1)
+    return [fill for _, _, w, _, fill in RECT.findall(svg) for _ in range(1 + round((float(w) - 0.5 - cw) / step))]
 
 
 def ticks(svg: str) -> tuple[list, list]:
@@ -45,15 +93,63 @@ class TestHeatmap:
             for r in values
             for v in r
         ]
-        assert fills(svg) == expected
+        assert fills(svg, len(xs)) == expected
 
     def test_degenerate_range_is_all_missing(self):
         svg = heatmap_svg([0.0, 1.0], [0.0], [[1.0, 2.0]], vmin=1.0, vmax=1.0, missing="#000000")
-        assert fills(svg) == ["#000000", "#000000"]
+        assert fills(svg, 2) == ["#000000", "#000000"]
 
     def test_data_comment_rows(self):
         svg = heatmap_svg([0.0, 1.0], [0.0, 1.0], [[0.1234567, None], [math.nan, 2]], vmin=0.0, vmax=1.0)
         assert "<!-- data: 0.123457,nan; nan,2 -->" in svg
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nx=st.integers(2, 40),
+        ny=st.integers(2, 40),
+        lo=st.floats(-1e3, 1e3),
+        span=st.floats(1e-3, 1e3),
+        # a small palette per grid, so ties and runs are common
+        palette=st.lists(st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 2.5, math.nan, None]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        vrange=st.sampled_from([(0.0, 1.0), (0.3, 0.5), (-1.0, 2.5), (0.5, 0.5), (1.0, 0.0)]),
+    )
+    def test_runs_paint_the_per_cell_picture(self, nx, ny, lo, span, palette, seed, vrange):
+        xs = np.linspace(lo, lo + span, nx).tolist()
+        ys = np.linspace(-lo, -lo + span / 2, ny).tolist()
+        picks = np.random.default_rng(seed).integers(len(palette), size=(ny, nx)).tolist()
+        values = [[palette[k] for k in row] for row in picks]
+        vmin, vmax = vrange
+        runs = RECT.findall(heatmap_svg(xs, ys, values, vmin=vmin, vmax=vmax))
+        oracle = per_cell_rects(xs, ys, values, vmin, vmax)
+        assert_runs_cover_cells(runs, oracle)
+        # runs are maximal: neighbours in a row differ in fill
+        assert all(a[4] != b[4] for a, b in zip(runs, runs[1:]) if a[1] == b[1])
+        # each cell's centre gets the oracle's fill from the last rect painted over it
+        x, y, w, h = (np.array([float(r[k]) for r in runs]) for k in range(4))
+        cx = np.array([float(c[0]) + (float(c[2]) - 0.5) / 2 for c in oracle])
+        cy = np.array([float(c[1]) + (float(c[3]) - 0.5) / 2 for c in oracle])
+        over = (x <= cx[:, None]) & (cx[:, None] <= x + w) & (y <= cy[:, None]) & (cy[:, None] <= y + h)
+        painted = len(runs) - 1 - np.argmax(over[:, ::-1], axis=1)
+        assert over.any(axis=1).all()
+        assert [runs[k][4] for k in painted] == [c[4] for c in oracle]
+
+
+class TestGoldenFiles:
+    @pytest.mark.parametrize("panel", ["lower", "upper"])
+    def test_runs_expand_to_the_per_cell_rendering(self, panel):
+        # phase_*_percell.svg were written with one rect per cell, from the same grid
+        runs_svg = (DATA / f"phase_{panel}_golden.svg").read_text()
+        cells_svg = (DATA / f"phase_{panel}_percell.svg").read_text()
+        assert_runs_cover_cells(RECT.findall(runs_svg), RECT.findall(cells_svg))
+        assert [line for line in runs_svg.splitlines() if not RECT.fullmatch(line)] == [
+            line for line in cells_svg.splitlines() if not RECT.fullmatch(line)
+        ]
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.svg")), ids=lambda p: p.name)
+    def test_svg_is_well_formed(self, path):
+        # the phase and study golden tests write exactly these bytes
+        assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 class TestFrame:
@@ -69,9 +165,13 @@ class TestFrame:
         assert x == [(60, 0), (190, 0.25), (320, 0.5), (450, 0.75), (580, 1)]
         assert y == [(423, 0), (333, 0.25), (243, 0.5), (153, 0.75), (63, 1)]
 
-    def test_one_column_heatmap_sits_on_the_left_edge(self):
+    def test_one_column_heatmap_fills_the_plot_width(self):
         svg = heatmap_svg([0.5], [0.0, 1.0], [[0.2], [0.7]], vmin=0.0, vmax=1.0)
-        cells = re.findall(r'<rect x="([^"]*)" y="[^"]*" width="([^"]*)"', svg)
-        # each cell is the plot's full width plus the 0.5 px overlap, centred at x = 60
-        assert cells == [("-200", "520.5"), ("-200", "520.5")]
-        assert ticks(svg)[0] == [(60, 0.5)] * 5
+        # the x range widens to 0.5 +- 0.5: each cell spans the plot, plus the 0.5 px overlap
+        assert [(r[0], r[2]) for r in RECT.findall(svg)] == [("60", "520.5")] * 2
+        assert ticks(svg)[0] == [(60, 0), (190, 0.25), (320, 0.5), (450, 0.75), (580, 1)]
+
+    def test_one_row_heatmap_fills_the_plot_height(self):
+        svg = heatmap_svg([0.0, 1.0], [0.5], [[0.2, 0.7]], vmin=0.0, vmax=1.0)
+        assert [(r[1], r[3]) for r in RECT.findall(svg)] == [("60", "360.5")] * 2
+        assert ticks(svg)[1] == [(423, 0), (333, 0.25), (243, 0.5), (153, 0.75), (63, 1)]
