@@ -126,9 +126,14 @@ class TestWriteColumns:
     @given(column_sets())
     def test_same_bytes_as_the_row_format_writer(self, tmp_path_factory, columns):
         out = tmp_path_factory.mktemp("columns")
-        write_columns(out / "new.csv", columns)
-        row_format_write_columns(out / "oracle.csv", columns)
-        assert (out / "new.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+        outcomes = []
+        for path, write in [(out / "new.csv", write_columns), (out / "oracle.csv", row_format_write_columns)]:
+            try:
+                write(path, columns)
+                outcomes.append(path.read_bytes())
+            except UnicodeEncodeError:  # lone surrogates have no UTF-8 bytes: both writers must refuse them
+                outcomes.append(UnicodeEncodeError)
+        assert outcomes[0] == outcomes[1]
 
     def test_signed_zero_and_nan_payloads(self, tmp_path):
         x = np.array([0.0, -0.0, 0.0, math.nan, _nan_with(1, 7), -0.0, math.inf, 5e-324, 5e-324])
