@@ -9,8 +9,11 @@ Two families of guarantees:
   conditional error rates meet their targets with minimal abstention.
 
 Every report is what its rule does: gamma_hat and the achieved errors come
-from rule.apply on the calibration sample.  All selection is rank-based on a
-single stable sort, so reruns on the same data return identical rules.
+from rule.apply on the calibration sample.  All selection is rank-based on
+one sort of the calibration values, read only where ties start and end; a
+zero threshold takes the sign of the zero a stable sort would put at its
+rank.  So the rule, report and trace do not depend on how the sort orders
+tied values, and reruns on the same data return identical rules.
 """
 
 from __future__ import annotations
@@ -303,6 +306,14 @@ class CalibrationReport:
     trace: dict = field(default_factory=dict)
 
 
+def _as_stable_sort(values: np.ndarray, rank: int, value: float) -> float:
+    """value, the rank-th (0-based) of the NaN-free values in sorted order; when
+    it is a zero, the one a stable sort puts there, the zeros in input order."""
+    if value == 0.0:
+        value = values[values == 0.0][rank - np.count_nonzero(values < 0.0)]
+    return float(value)
+
+
 def _selective_errors(decisions: np.ndarray, labels: Optional[np.ndarray]) -> dict:
     """The abstained fraction gamma of decisions and, given labels, their errors.
 
@@ -316,15 +327,17 @@ def _selective_errors(decisions: np.ndarray, labels: Optional[np.ndarray]) -> di
     out = {"gamma": (n - n_dec) / n}
     if labels is None:
         return out
-    wrong = decided & (decisions != labels)
-    for key, whole in (
-        ("conditional_error", decided),
-        ("type1", decided & (labels == 1)),
-        ("type2", decided & (labels == 2)),
-        ("type1_marginal", labels == 1),
+    # one count table: row 0 abstained, 1 decided rightly, 2 decided wrongly;
+    # column 1 or 2 for label 1 or 2, column 0 for any other label
+    cell = (labels == 1) + 2 * (labels == 2) + 3 * decided + 3 * (decided & (decisions != labels))
+    abstained, right, wrong = np.bincount(cell, minlength=9).reshape(3, 3).tolist()
+    for key, errors, total in (
+        ("conditional_error", sum(wrong), n_dec),
+        ("type1", wrong[1], right[1] + wrong[1]),
+        ("type2", wrong[2], right[2] + wrong[2]),
+        ("type1_marginal", wrong[1], abstained[1] + right[1] + wrong[1]),
     ):
-        total = int(np.count_nonzero(whole))
-        out[key] = int(np.count_nonzero(wrong & whole)) / total if total else 0.0
+        out[key] = errors / total if total else 0.0
     return out
 
 
@@ -355,7 +368,7 @@ def _calibrate_accuracy(rule_type: type, cal: CalibrationSample, alpha: float, w
     values, labels = _binary_sample(cal, rule_type.column)
     conf, predicted = rule_type.statistic(values)
     n = len(conf)
-    order = np.argsort(conf, kind="stable")
+    order = np.argsort(conf)
     conf_sorted = conf[order]
     mis_sorted = (predicted != labels)[order]
     # decided set at candidate i is every point with confidence >= the i-th
@@ -483,7 +496,7 @@ def _np_grid_select(
     n1 = int(is_class1.sum())
     if n1 in (0, n):
         raise ValueError("both classes must be present")
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     v_sorted = values[order]
     ranks = np.arange(0, n + 1)
     cum1 = np.cumsum(is_class1[order])  # class-1 count among ranks 1..r
@@ -495,8 +508,8 @@ def _np_grid_select(
 
     gammas = ranks / n
     budget_counts = _type1_count_budget(n1, (1.0 - gammas) * alpha1, high_prob_delta)
-    # largest tie edge k_tilde with cum1[k_tilde] <= budget (0 = empty block)
-    k_tilde = edge_floor[np.searchsorted(cum1, budget_counts + 0.5, side="left")]
+    # largest tie edge k_tilde with cum1[k_tilde] <= budget (0 = empty block); budgets are whole counts
+    k_tilde = edge_floor[np.searchsorted(cum1, budget_counts, side="right")]
     top_start = k_tilde + ranks  # first class-1 rank is top_start + 1
     ts = np.minimum(top_start, n)
     valid = (top_start <= n) & is_edge[ts]
@@ -519,7 +532,7 @@ def _np_grid_select(
         }
 
     def below(rank: int) -> float:
-        return float(v_sorted[rank - 1]) if rank >= 1 else -np.inf
+        return _as_stable_sort(values, rank - 1, v_sorted[rank - 1]) if rank >= 1 else -np.inf
 
     feasible = len(feasible_ks) > 0
     k = int(feasible_ks[0]) if feasible else int(np.argmin(np.where(ranks < n, type2, np.inf)))
@@ -527,7 +540,9 @@ def _np_grid_select(
     kt = int(k_tilde[k])
     tau1 = below(kt)
     tau2 = tau1 if k == 0 else below(kt + k + 1) if kt + k < n else np.inf
-    kt0 = edge_floor[np.searchsorted(cum1, _type1_count_budget(n1, np.array([alpha1]), None)[0] + 0.5)]
+    kt0 = k_tilde[0]  # gamma = 0: the level is alpha1
+    if high_prob_delta is not None:
+        kt0 = edge_floor[np.searchsorted(cum1, _type1_count_budget(n1, np.array([alpha1]), None)[0], side="right")]
     return _GridChoice(k, tau1, tau2, feasible, trace, below(int(kt0)))
 
 

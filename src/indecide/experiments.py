@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import gmm
-from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _selective_errors
+from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _as_stable_sort, _selective_errors
 from .calibration import calibrate_accuracy, calibrate_np
 from .kvdoc import write_columns
 from .models import fit_lda, fit_logistic, predict_eta
@@ -367,10 +367,7 @@ def _percentile(values, q: float) -> float:
     if not vals.size:
         return math.nan
     rank = min(vals.size - 1, max(0, math.ceil(q / 100.0 * vals.size) - 1))
-    value = np.partition(vals, rank)[rank]
-    if value == 0.0:
-        value = vals[vals == 0.0][rank - np.count_nonzero(vals < 0.0)]
-    return float(value)
+    return _as_stable_sort(vals, rank, np.partition(vals, rank)[rank])
 
 
 def _median(values: np.ndarray) -> float:
@@ -418,8 +415,9 @@ def _parallel_map(fn, items, workers: int) -> list:
     """[fn(item) for item in items], on min(workers, len(items)) processes,
     or in this process when that is 1.
 
-    The results come back in item order, so they do not depend on the pool
-    size.  A worker that dies raises BrokenProcessPool instead of hanging.
+    Items go to the workers in blocks, four per worker, and the results come
+    back in item order, so they do not depend on the pool size.  A worker
+    that dies raises BrokenProcessPool instead of hanging.
     """
     items = list(items)
     processes = min(workers, len(items))
@@ -434,7 +432,7 @@ def _parallel_map(fn, items, workers: int) -> list:
 
     context = multiprocessing.get_context(method)
     with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / (4 * processes))))
 
 
 def _rep_columns(rep_fn, rep: int) -> dict:

@@ -47,14 +47,16 @@ class LdaModel:
         priors = np.asarray(self.priors, dtype=float)
         if abs(priors.sum() - 1.0) > 1e-9 or (priors <= 0).any():
             raise ValueError("priors must be positive and sum to 1")
-        if not np.allclose(cov, cov.T):
+        # an equal matrix is close to its transpose; NaN is close to nothing, so NaN goes to allclose
+        if not ((cov == cov.T).all() or np.allclose(cov, cov.T)):
             raise ValueError("pooled covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0:
+        if _min_eigenvalue(cov) <= 0:
             raise ValueError("pooled covariance must be positive definite")
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "pooled_covariance", cov)
         object.__setattr__(self, "priors", priors)
-        cov_inv = np.linalg.inv(cov)
+        # LAPACK inverts a 1 x 1 matrix [[a]] to [[1 / a]]; a float division overflows to inf silently, as it does
+        cov_inv = np.array([[1.0 / float(cov[0, 0])]]) if cov.shape == (1, 1) else np.linalg.inv(cov)
         biases = (-0.5 * float(mu @ cov_inv @ mu) + math.log(prior) for mu, prior in zip(means, priors))
         object.__setattr__(self, "weights", tuple(cov_inv @ mu for mu in means))
         object.__setattr__(self, "biases", tuple(biases))
@@ -85,6 +87,11 @@ def _as_features(x) -> np.ndarray:
     return arr
 
 
+def _min_eigenvalue(cov: np.ndarray) -> float:
+    """The smallest eigenvalue as eigvalsh gives it: a 1 x 1 matrix's one entry, NaN, inf and -0.0 included."""
+    return cov[0, 0] if cov.shape == (1, 1) else np.linalg.eigvalsh(cov).min()
+
+
 def fit_lda(features, labels) -> LdaModel:
     """Sample means, within-class pooled covariance, frequency priors.
 
@@ -93,15 +100,17 @@ def fit_lda(features, labels) -> LdaModel:
     """
     x = _as_features(features)
     y = np.asarray(labels, dtype=int)
-    classes = np.unique(y)
-    if len(classes) < 2:
+    flat = y.ravel()
+    lo, hi = (flat.min(), flat.max()) if flat.size else (0, 0)
+    if lo == hi:
         raise ValueError("need at least two classes")
-    if not np.array_equal(classes, np.arange(1, len(classes) + 1)):
+    # labels holding each of 1..hi number at least hi, so the count table then has at most size + 1 slots
+    if lo != 1 or hi > flat.size or not np.bincount(flat)[1:].all():
         raise ValueError("labels must be 1..K with every class present")
     means, priors = [], []
     n, d = x.shape
     scatter = np.zeros((d, d))
-    for c in classes:
+    for c in range(1, hi + 1):
         xc = x[y == c]
         if len(xc) < 2:
             raise ValueError(f"class {c} needs at least 2 points")
@@ -110,8 +119,8 @@ def fit_lda(features, labels) -> LdaModel:
         priors.append(len(xc) / n)
         centered = xc - mu
         scatter += centered.T @ centered
-    cov = scatter / (n - len(classes))
-    if np.linalg.eigvalsh(cov).min() <= 1e-12:
+    cov = scatter / (n - hi)
+    if _min_eigenvalue(cov) <= 1e-12:
         warnings.warn("singular pooled covariance; adding ridge 1e-6", stacklevel=2)
         cov = cov + 1e-6 * np.eye(d)
     return LdaModel(

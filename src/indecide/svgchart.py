@@ -110,7 +110,8 @@ def heatmap_svg(
 
     values[j][i] corresponds to (xs[i], ys[j]); NaN or None cells use the
     `missing` color.  `overlays` are (label, [(x, y), ...]) curves drawn on
-    top.  A zero-width axis (one column or one row) is widened to value +- 0.5.
+    top.  Each axis is widened by half a grid step on each side (+- 0.5 for
+    one column or row), so n evenly spaced cells, 1/n of the plot each, tile it.
 
     Each cell is centred on its data position.  One rect is drawn per maximal
     run of cells in a row that share a color: it starts at the run's first
@@ -118,9 +119,11 @@ def heatmap_svg(
     own rect would write them.  So every cell's centre is painted in its color.
     """
     values = np.asarray(values, dtype=float)  # None becomes NaN
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    bounds = (x0 - 0.5, x1 + 0.5) if x1 == x0 else (x0, x1)
-    bounds += (y0 - 0.5, y1 + 0.5) if y1 == y0 else (y0, y1)
+    bounds = ()
+    for axis in (xs, ys):  # widened by half a grid step on each side, 0.5 for a single value
+        lo, hi = min(axis), max(axis)
+        half = 0.5 if hi == lo else (hi - lo) / (len(axis) - 1) / 2
+        bounds += (lo - half, hi + half)
     px, py = _scales(*bounds)
     cw, ch = (_W - 2 * _MARGIN) / len(xs), (_H - 2 * _MARGIN) / len(ys)
     codes, names = _fills(values, vmin, vmax, missing)

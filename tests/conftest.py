@@ -7,7 +7,8 @@ import pytest
 
 @pytest.fixture
 def process_pools(monkeypatch):
-    """(pool size, start method) of every ProcessPoolExecutor the code starts.
+    """(pool size, start method, chunksize) of every map on a
+    ProcessPoolExecutor that the code starts.
 
     The pools still run: this records what was asked for, so a test can check
     the pool size without starting that many processes itself.
@@ -17,8 +18,12 @@ def process_pools(monkeypatch):
 
     class Recording(real):
         def __init__(self, max_workers=None, mp_context=None, **kwargs):
-            started.append((max_workers, mp_context.get_start_method() if mp_context else None))
+            self.recorded = (max_workers, mp_context.get_start_method() if mp_context else None)
             super().__init__(max_workers, mp_context, **kwargs)
+
+        def map(self, fn, *iterables, timeout=None, chunksize=1):
+            started.append((*self.recorded, chunksize))
+            return super().map(fn, *iterables, timeout=timeout, chunksize=chunksize)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return started

@@ -17,7 +17,8 @@ import pytest
 
 from indecide import gmm
 from indecide.calibration import CalibrationSample, calibrate_accuracy, calibrate_np_mlr
-from indecide.discrete import DiscreteJoint, brute_force_min, oracle_multiclass, oracle_np
+from discrete_oracles import brute_force_min
+from indecide.discrete import DiscreteJoint, oracle_multiclass, oracle_np
 from indecide.experiments import (
     SimConfig,
     _draw_mixture,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indecide import gmm
+from indecide import calibration, gmm
 from indecide.calibration import (
     CalibrationSample,
     _np_grid_select,
@@ -794,3 +794,58 @@ def test_every_report_is_what_its_rule_does(kind, data, alpha1, alpha2, gamma):
         assert report.achieved.keys() == {"conditional_error"}
         if report.trace:
             assert_accuracy_row_is_the_rule(report, alpha1)
+
+
+class TieOrder:
+    """numpy, except that argsort puts tied values in the order of keys (a
+    permutation of the positions), so -0.0 and 0.0 may come in any order."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, values):
+        return np.lexsort((self.keys, values))
+
+
+def report_bytes(report) -> tuple:
+    """Everything a report holds, zero signs included: the rule, gamma_hat,
+    the achieved values, feasibility and each trace column's bytes."""
+    trace = [(name, column.dtype.str, column.tobytes()) for name, column in report.trace.items()]
+    return repr(report.rule), repr(report.gamma_hat), repr(report.achieved), report.feasible, trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]), min_size=6, max_size=60),
+    data=st.data(),
+    alpha1=ALPHAS,
+    alpha2=ALPHAS,
+)
+def test_selectors_do_not_depend_on_the_order_of_ties(scores, data, alpha1, alpha2):
+    """All four selectors return the same bytes whatever order the sort puts
+    tied values in: in input order (a stable sort), in reverse, at random,
+    and as numpy's default argsort does."""
+    n = len(scores)
+    scores = np.array(scores)
+    xs = np.array(data.draw(st.lists(st.sampled_from([2.0, -2.0, 1.0, -1.0, 0.0, -0.0]), min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n)))
+    assume(len(set(labels.tolist())) == 2)
+    cal, cal_x = CalibrationSample(scores=scores, labels=labels), CalibrationSample(xs=xs, labels=labels)
+
+    def run():
+        return [
+            report_bytes(calibrate_accuracy(cal, alpha1, want_trace=True)),
+            report_bytes(calibrate_accuracy_mlr(cal_x, alpha1, want_trace=True)),
+            report_bytes(calibrate_np(cal, alpha1, alpha2, want_trace=True)),
+            report_bytes(calibrate_np_mlr(cal_x, alpha1, alpha2, want_trace=True)),
+        ]
+
+    default = run()
+    orders = (np.arange(n), np.arange(n)[::-1], np.array(data.draw(st.permutations(range(n)))))
+    for keys in orders:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "np", TieOrder(keys))
+            assert run() == default

@@ -572,7 +572,7 @@ class TestExperimentCommand:
             code = main(["experiment", "phase", "--config", str(cfg), "--out-dir", str(tmp_path / f"cpus{cpus}")])
             assert code == EXIT_OK
             # one CPU solves the panels in turn in this process; two give each its own
-            assert [size for size, _ in process_pools] == ([] if cpus == 1 else [2])
+            assert [size for size, _, _ in process_pools] == ([] if cpus == 1 else [2])
         names = sorted(p.name for p in (tmp_path / "cpus1").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "cpus2").iterdir())
         for name in names:

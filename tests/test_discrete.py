@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discrete_oracles import SizeLimitError, brute_force_min
 from indecide.discrete import (
     DegenerateAtomError,
     DiscreteJoint,
     InfeasibleConstraintError,
-    SizeLimitError,
-    brute_force_min,
     eta_of,
     oracle_binary,
     oracle_multiclass,

@@ -88,10 +88,16 @@ class TestAccuracySweep:
         assert same_columns(a.rows, b.rows)
         assert same_columns(a.aggregates, b.aggregates)
 
-    def test_workers_do_not_change_results(self):
-        a = run_accuracy_sweep(self.small_cfg(), workers=1)
-        b = run_accuracy_sweep(self.small_cfg(), workers=2)
-        assert same_columns(a.rows, b.rows)
+    def test_workers_do_not_change_results(self, process_pools):
+        # 11 replications go out in blocks of 2 (the last of 1) on 2 workers, one by one on 3
+        cfg = self.small_cfg(reps=11)
+        for run in (run_accuracy_sweep, run_np_sweep):
+            a = run(cfg, workers=1)
+            for workers in (2, 3):
+                b = run(cfg, workers=workers)
+                assert same_columns(a.rows, b.rows)
+                assert same_columns(a.aggregates, b.aggregates)
+        assert [(size, chunksize) for size, _, chunksize in process_pools] == [(2, 2), (3, 1)] * 2
 
     def test_error_controlled_on_average(self):
         cfg = self.small_cfg(
@@ -208,12 +214,21 @@ class TestParallelMap:
         monkeypatch.setattr(experiments, "_start_method", lambda: method)
         serial = [self.rep(r) for r in range(5)]
         assert _parallel_map(self.rep, range(5), 2) == serial
-        assert process_pools == [(2, method)]
+        assert process_pools == [(2, method, 1)]
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_blocks_of_items_come_back_in_item_order(self, monkeypatch, process_pools, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setattr(experiments, "_start_method", lambda: method)
+        # 23 items on 2 workers: eight blocks of ceil(23 / 8) = 3, the last one of 2
+        assert _parallel_map(self.rep, range(23), 2) == [self.rep(r) for r in range(23)]
+        assert process_pools == [(2, method, 3)]
 
     def test_pool_capped_at_item_count(self, process_pools):
         # --workers 8 with reps = 2 used to start 8 processes
         assert _parallel_map(abs, [-1, -2], 8) == [1, 2]
-        assert [size for size, _ in process_pools] == [2]
+        assert [(size, chunksize) for size, _, chunksize in process_pools] == [(2, 1)]
 
     def test_one_item_or_one_worker_runs_in_process(self, process_pools):
         assert _parallel_map(abs, [-3], 8) == [3]
@@ -230,7 +245,7 @@ class TestParallelMap:
             release.set()
             thread.join(timeout=60)
         assert not thread.is_alive()
-        assert process_pools == [(2, "spawn")]
+        assert process_pools == [(2, "spawn", 1)]
 
 def sorted_list_percentile(values, q):
     """Nearest-rank percentile by sorted() over a Python list.

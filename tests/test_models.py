@@ -1,6 +1,7 @@
 """Tests for the built-in plug-in score estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,134 @@ def lda_cases(draw):
     n = draw(st.integers(0, 40))
     x = matrix(n, d, st.floats(-1e3, 1e3))
     return model, x.reshape(n, d)
+
+
+def oracle_lda_model(class_means, pooled_covariance, priors) -> tuple:
+    """LdaModel's checks and discriminant as first written (np.allclose,
+    eigvalsh and np.linalg.inv on every matrix): the oracle for the model's
+    shortcuts.  Returns (means, covariance, priors, weights, biases)."""
+    means = np.atleast_2d(np.asarray(class_means, dtype=float))
+    cov = np.atleast_2d(np.asarray(pooled_covariance, dtype=float))
+    priors = np.asarray(priors, dtype=float)
+    if abs(priors.sum() - 1.0) > 1e-9 or (priors <= 0).any():
+        raise ValueError("priors must be positive and sum to 1")
+    if not np.allclose(cov, cov.T):
+        raise ValueError("pooled covariance must be symmetric")
+    if np.linalg.eigvalsh(cov).min() <= 0:
+        raise ValueError("pooled covariance must be positive definite")
+    cov_inv = np.linalg.inv(cov)
+    biases = tuple(-0.5 * float(mu @ cov_inv @ mu) + math.log(prior) for mu, prior in zip(means, priors))
+    return means, cov, priors, tuple(cov_inv @ mu for mu in means), biases
+
+
+def oracle_fit_lda(features, labels) -> tuple:
+    """fit_lda as first written (np.unique of the labels, eigvalsh for the
+    ridge test), ending in oracle_lda_model."""
+    x = np.asarray(features, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("features must be an n x d array with d >= 1")
+    y = np.asarray(labels, dtype=int)
+    classes = np.unique(y)
+    if len(classes) < 2:
+        raise ValueError("need at least two classes")
+    if not np.array_equal(classes, np.arange(1, len(classes) + 1)):
+        raise ValueError("labels must be 1..K with every class present")
+    means, priors = [], []
+    n, d = x.shape
+    scatter = np.zeros((d, d))
+    for c in classes:
+        xc = x[y == c]
+        if len(xc) < 2:
+            raise ValueError(f"class {c} needs at least 2 points")
+        mu = xc.mean(axis=0)
+        means.append(mu)
+        priors.append(len(xc) / n)
+        centered = xc - mu
+        scatter += centered.T @ centered
+    cov = scatter / (n - len(classes))
+    if np.linalg.eigvalsh(cov).min() <= 1e-12:
+        warnings.warn("singular pooled covariance; adding ridge 1e-6", stacklevel=2)
+        cov = cov + 1e-6 * np.eye(d)
+    return oracle_lda_model(np.array(means), cov, np.array(priors))
+
+
+def model_parts(model: LdaModel) -> tuple:
+    return model.class_means, model.pooled_covariance, model.priors, model.weights, model.biases
+
+
+def outcome(fn, *args) -> tuple:
+    """What fn(*args) does: the bytes of each array it returns (or the type
+    and message of the error it raises), and every warning's category and
+    message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parts = fn(*args)
+            result = [(a.dtype.str, a.shape, a.tobytes()) for part in parts for a in map(np.asarray, part)]
+        except (ValueError, IndexError) as err:
+            result = (type(err), str(err))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# few values, so that NaN, +-inf, overflow to inf, equal points and asymmetry are common
+_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1.0, -1.0, 2.5, 1e200])
+
+
+@st.composite
+def covariances(draw):
+    """A d x d matrix: positive definite, then perhaps one entry replaced (on
+    both sides or one), or moved by a little, within or beyond np.allclose."""
+    d = draw(st.integers(1, 3))
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d * d, max_size=d * d))).reshape(d, d)
+    cov = a @ a.T + draw(st.sampled_from([0.0, 1e-13, 0.5])) * np.eye(d)
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    change = draw(st.sampled_from(["none", "both", "one", "nudge"]))
+    if change == "nudge":
+        cov[i, j] += draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])) * max(1.0, abs(cov[i, j]))
+    elif change != "none":
+        value = draw(_ENTRIES)
+        cov[i, j] = value
+        if change == "both":
+            cov[j, i] = value
+    return cov
+
+
+class TestLdaMatchesTheOracle:
+    """fit_lda and LdaModel accept, reject, warn and compute as the checks
+    they replaced: same fields, weights and biases bit for bit, same error
+    type and message, same warnings."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(covariances(), st.sampled_from([(0.5, 0.5), (0.25, 0.75), (0.7, 0.7), (1.0, 0.0)]), st.data())
+    def test_model_checks(self, cov, priors, data):
+        d = cov.shape[0]
+        means = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=2 * d, max_size=2 * d))).reshape(2, d)
+        got = outcome(lambda: model_parts(LdaModel(means, cov, np.array(priors))))
+        assert got == outcome(oracle_lda_model, means, cov, np.array(priors))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        d=st.integers(1, 2),
+        extra=st.sampled_from([0, 0, 0, 1, -1]),
+        label_set=st.sampled_from([[1, 2], [1, 2], [1, 2, 3], [1, 3], [0, 1, 2], [2, 3], [-1, 1, 2], [1, 10**12]]),
+        data=st.data(),
+    )
+    def test_fit(self, n, d, extra, label_set, data):
+        x = np.array(data.draw(st.lists(_ENTRIES | st.floats(-3.0, 3.0), min_size=n * d, max_size=n * d)))
+        labels = data.draw(st.lists(st.sampled_from(label_set), min_size=max(n + extra, 0), max_size=max(n + extra, 0)))
+        features = x.reshape(n, d) if d > 1 else x
+        got = outcome(lambda: model_parts(fit_lda(features, labels)))
+        assert got == outcome(oracle_fit_lda, features, labels)
+
+    def test_one_by_one_inverse_is_lapacks(self):
+        values = np.concatenate([np.geomspace(1e-308, 1e308, 6001), seeded_stream(45, 0).random(2000) * 10, [5e-324, 1e-310, np.inf]])
+        means, priors = np.array([[1.5], [-0.25]]), np.array([0.5, 0.5])
+        for v in values:
+            got = outcome(lambda: model_parts(LdaModel(means, np.array([[v]]), priors)))
+            assert got == outcome(oracle_lda_model, means, [[v]], priors)
 
 
 class TestLda:

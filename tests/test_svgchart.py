@@ -1,6 +1,7 @@
 """Tests for the deterministic SVG writers."""
 
 import math
+import os
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indecide import gmm
+from indecide.cli import _phase_configs
 from indecide.svgchart import heatmap_svg, line_chart_svg
 
 DATA = Path(__file__).parent / "data"
@@ -28,10 +31,18 @@ def scalar_color(v: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def widened(axis) -> tuple[float, float]:
+    """The heatmap's range of an axis: the data range plus half a grid step on
+    each side, or the value +- 0.5 when all values are equal."""
+    lo, hi = min(axis), max(axis)
+    half = 0.5 if hi == lo else (hi - lo) / (len(axis) - 1) / 2
+    return lo - half, hi + half
+
+
 def per_cell_rects(xs, ys, values, vmin, vmax, missing="#c8c8c8") -> list[tuple]:
     """(x, y, width, height, fill) of each heatmap cell as one rect per cell
     writes it, row by row: the oracle for the runs."""
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    (x0, x1), (y0, y1) = widened(xs), widened(ys)
     cw, ch = 520 / len(xs), 360 / len(ys)
     cells = []
     for y, row in zip(ys, values):
@@ -68,8 +79,8 @@ def assert_runs_cover_cells(runs: list[tuple], cells: list[tuple]) -> None:
 def fills(svg: str, columns: int) -> list[str]:
     """The fill of each cell of a heatmap with `columns` evenly spaced cells per
     row, row by row: each rect counts for the cells its width spans."""
-    cw, step = 520 / columns, 520 / (columns - 1)
-    return [fill for _, _, w, _, fill in RECT.findall(svg) for _ in range(1 + round((float(w) - 0.5 - cw) / step))]
+    cw = 520 / columns
+    return [fill for _, _, w, _, fill in RECT.findall(svg) for _ in range(round((float(w) - 0.5) / cw))]
 
 
 def ticks(svg: str) -> tuple[list, list]:
@@ -135,13 +146,35 @@ class TestHeatmap:
         assert [runs[k][4] for k in painted] == [c[4] for c in oracle]
 
 
+def phase_heatmap_arguments(panel: str) -> tuple:
+    """(xs, ys, values, vmin, vmax) of the panel's heatmap at 12 grid points,
+    as the phase golden test's run draws it."""
+    calls = []
+
+    def recording(xs, ys, values, **kw):
+        calls.append((xs, ys, values.tolist(), kw["vmin"], kw["vmax"]))
+        return heatmap_svg(xs, ys, values, **kw)
+
+    cfg = dict(_phase_configs(12))[panel]
+    real = gmm.heatmap_svg
+    gmm.heatmap_svg = recording
+    try:
+        gmm.phase_grid_to_svg(gmm.phase_grid(cfg), cfg, os.devnull)
+    finally:
+        gmm.heatmap_svg = real
+    (call,) = calls
+    return call
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize("panel", ["lower", "upper"])
     def test_runs_expand_to_the_per_cell_rendering(self, panel):
-        # phase_*_percell.svg were written with one rect per cell, from the same grid
+        # phase_*_percell.svg are the golden SVGs with one rect per cell, as per_cell_rects writes them
         runs_svg = (DATA / f"phase_{panel}_golden.svg").read_text()
         cells_svg = (DATA / f"phase_{panel}_percell.svg").read_text()
-        assert_runs_cover_cells(RECT.findall(runs_svg), RECT.findall(cells_svg))
+        cells = [tuple(rect) for rect in RECT.findall(cells_svg)]
+        assert cells == per_cell_rects(*phase_heatmap_arguments(panel))
+        assert_runs_cover_cells(RECT.findall(runs_svg), cells)
         assert [line for line in runs_svg.splitlines() if not RECT.fullmatch(line)] == [
             line for line in cells_svg.splitlines() if not RECT.fullmatch(line)
         ]
@@ -170,6 +203,31 @@ class TestFrame:
         # the x range widens to 0.5 +- 0.5: each cell spans the plot, plus the 0.5 px overlap
         assert [(r[0], r[2]) for r in RECT.findall(svg)] == [("60", "520.5")] * 2
         assert ticks(svg)[0] == [(60, 0), (190, 0.25), (320, 0.5), (450, 0.75), (580, 1)]
+
+    def test_evenly_spaced_cells_tile_the_plot(self):
+        svg = heatmap_svg([0.0, 1.0, 2.0], [0.0, 1.0], [[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]], vmin=0.0, vmax=1.0)
+        # three columns of 520/3 px and two rows of 180 px, the first row at the bottom, each 0.5 px wider to overlap
+        assert [r[:4] for r in RECT.findall(svg)] == [
+            (x, y, "173.833", "180.5") for y in ("240", "60") for x in ("60", "233.333", "406.667")
+        ]
+        # the ranges widen by half a step: x to [-0.5, 2.5], y to [-0.5, 1.5]
+        assert ticks(svg) == (
+            [(60, -0.5), (190, 0.25), (320, 1), (450, 1.75), (580, 2.5)],
+            [(423, -0.5), (333, 0), (243, 0.5), (153, 1), (63, 1.5)],
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(nx=st.integers(2, 60), ny=st.integers(2, 60), lo=st.floats(-1e3, 1e3), span=st.floats(1e-3, 1e3))
+    def test_cells_leave_no_gap_and_stay_in_the_plot(self, nx, ny, lo, span):
+        xs, ys = np.linspace(lo, lo + span, nx).tolist(), np.linspace(lo, lo + span, ny).tolist()
+        values = np.arange(nx * ny, dtype=float).reshape(ny, nx) % 2  # neighbours differ: one rect per cell
+        rects = np.array([[float(v) for v in r[:4]] for r in RECT.findall(heatmap_svg(xs, ys, values, vmin=0.0, vmax=1.0))])
+        x, y, w, h = rects.T
+        # each cell starts where its left (lower) neighbour's 0.5 px overlap begins, to 1e-3 px
+        assert np.allclose(x[1:nx] - x[: nx - 1], w[: nx - 1] - 0.5, atol=1e-3)
+        assert np.allclose(y[:-nx:nx] - y[nx::nx], h[nx::nx] - 0.5, atol=1e-3)
+        assert abs(x.min() - 60) <= 1e-3 and abs((x + w).max() - 580.5) <= 1e-3
+        assert abs(y.min() - 60) <= 1e-3 and abs((y + h).max() - 420.5) <= 1e-3
 
     def test_one_row_heatmap_fills_the_plot_height(self):
         svg = heatmap_svg([0.0, 1.0], [0.5], [[0.2, 0.7]], vmin=0.0, vmax=1.0)
