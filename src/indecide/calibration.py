@@ -24,6 +24,8 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
+from .numerics import class_labels
+
 __all__ = [
     "CalibrationSample",
     "Rule",
@@ -106,12 +108,7 @@ class CalibrationSample:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check(getattr(self, name)))
         if self.labels is not None:
-            lab = np.asarray(self.labels)
-            if lab.dtype.kind != "i":
-                lab = _finite(lab, "labels")
-                if (lab != np.trunc(lab)).any():
-                    raise ValueError("labels must be integer class indices")
-            lab = lab.astype(int, copy=False)
+            lab = class_labels(self.labels)
             if lab.shape != (n,):
                 raise ValueError("labels must match the sample length")
             if (lab < 1).any():

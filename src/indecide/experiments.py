@@ -265,10 +265,6 @@ def run_intro_tradeoff(cfg: SimConfig, target_error: float = 0.01, workers: int 
 # plug-in consistency trend
 
 
-def _mixture_cdf(a: float, delta: float) -> float:
-    return 0.5 * ((1.0 - normal_tail(a - delta)) + (1.0 - normal_tail(a + delta)))
-
-
 def plugin_population_risk(center: float, predict1_right: bool, delta: float, gamma: float) -> float:
     """Exact conditional risk of a fitted symmetric-in-confidence 1-d rule.
 
@@ -279,24 +275,13 @@ def plugin_population_risk(center: float, predict1_right: bool, delta: float, ga
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    spec = gmm.GmmSpec(delta)
 
-    def short(hs: np.ndarray) -> np.ndarray:
-        """The interval of half-width h holds less than gamma of the mixture."""
-        mass = [_mixture_cdf(center + h, delta) - _mixture_cdf(center - h, delta) for h in hs.tolist()]
-        return np.array(mass) < gamma
+    def errors(h: float) -> dict:
+        return gmm.interval_errors(spec, center - h, center + h, predict1_right)
 
-    (h,), _ = bisect(short, [1.0])
-    a, b = center - h, center + h
-    # class-conditional tail masses on each decided side
-    p1_right = 0.5 * normal_tail(b - delta)
-    p2_right = 0.5 * normal_tail(b + delta)
-    p1_left = 0.5 * (1.0 - normal_tail(a - delta))
-    p2_left = 0.5 * (1.0 - normal_tail(a + delta))
-    if predict1_right:
-        wrong = p2_right + p1_left
-    else:
-        wrong = p1_right + p2_left
-    return wrong / (1.0 - gamma)
+    (h,), _ = bisect(lambda hs: np.array([errors(h)["gamma"] < gamma for h in hs.tolist()]), [1.0])
+    return errors(h)["conditional_error"]
 
 
 def _consistency_rep(delta: float, gamma: float, n_grid: tuple[int, ...], seed: int, rep: int) -> list[dict]:
@@ -306,14 +291,8 @@ def _consistency_rep(delta: float, gamma: float, n_grid: tuple[int, ...], seed: 
     for n_train in n_grid:
         x, y = _draw_mixture(rng, n_train, delta)
         model = fit_lda(x, y)
-        cov_inv = np.linalg.inv(model.pooled_covariance)[0, 0]
-        w = float(cov_inv * (model.class_means[0, 0] - model.class_means[1, 0]))
-        b = float(
-            -0.5
-            * cov_inv
-            * (model.class_means[0, 0] ** 2 - model.class_means[1, 0] ** 2)
-            + math.log(model.priors[0] / model.priors[1])
-        )
+        # class 1 is decided where the discriminant w x + b is positive
+        (w,), b = model.weights[0] - model.weights[1], model.biases[0] - model.biases[1]
         if w == 0.0:
             center, predict1_right = 0.0, True
         else:

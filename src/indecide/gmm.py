@@ -1,8 +1,9 @@
 """Closed-form oracle for the symmetric two-component Gaussian mixture.
 
 The mixture has centers at -delta and +delta, unit variance, and equal
-priors; class 1 sits at +delta.  A symmetric abstention band |x| < t maps to
-an operating point (t, gamma, risk):
+priors; class 1 sits at +delta.  interval_errors gives the population errors
+of any rule that abstains on an interval of x.  The symmetric band |x| < t
+is the oracle's operating point (t, gamma, risk):
 
     gamma = P(xi >= delta - t) - P(xi >= delta + t)
     risk  = P(xi >= delta + t) / (1 - gamma)
@@ -32,6 +33,7 @@ __all__ = [
     "PhaseGridConfig",
     "PhaseGrid",
     "InfeasibleTargetError",
+    "interval_errors",
     "operating_point_at_t",
     "threshold_for_gamma",
     "gamma_for_target_risk",
@@ -131,18 +133,42 @@ class PhaseGrid:
         return self.c.size
 
 
+def interval_errors(spec: GmmSpec, a: float, b: float, predict1_right: bool) -> dict:
+    """Population errors of the rule that abstains on a <= x <= b and decides
+    class 1 above b and class 2 below a (the reverse when not predict1_right).
+
+    a may be -inf and b inf.  The keys are calibration._selective_errors',
+    plus gamma_complement, the decided mass.  A class's mass in the interval
+    is the difference of its two smaller tails and its decided mass the sum
+    of its two outer tails, so neither cancels.
+    """
+    if not a <= b:  # NaN too
+        raise ValueError("interval needs a <= b")
+    inside, below, above = [], [], []
+    for mu in (spec.delta, -spec.delta):  # class 1, then class 2
+        lo, hi = a - mu, b - mu
+        inside.append(normal_tail(lo) - normal_tail(hi) if lo + hi >= 0 else normal_tail(-hi) - normal_tail(-lo))
+        below.append(normal_tail(-lo))
+        above.append(normal_tail(hi))
+    wrong = (below[0], above[1]) if predict1_right else (above[0], below[1])
+    decided = (below[0] + above[0], below[1] + above[1])
+    out = {"gamma": min(max(0.5 * sum(inside), 0.0), 1.0), "gamma_complement": 0.5 * sum(decided)}
+    for key, errors, total in (
+        ("conditional_error", 0.5 * sum(wrong), out["gamma_complement"]),
+        ("type1", wrong[0], decided[0]),
+        ("type2", wrong[1], decided[1]),
+        ("type1_marginal", wrong[0], 1.0),
+    ):
+        out[key] = errors / total if total else 0.0
+    return out
+
+
 def operating_point_at_t(spec: GmmSpec, t: float) -> OracleOperatingPoint:
     """Operating point of the symmetric abstention band |x| < t."""
     if not t >= 0:  # NaN too
         raise ValueError("threshold t must be nonnegative")
-    d = spec.delta
-    upper = normal_tail(d + t)
-    # 1 - gamma = P(xi >= t - d) + P(xi >= d + t), exact for any t >= 0
-    complement = normal_tail(t - d) + upper
-    gamma = normal_tail(d - t) - upper
-    gamma = min(max(gamma, 0.0), 1.0)
-    risk = upper / complement if complement > 0 else 0.0
-    return OracleOperatingPoint(t=float(t), gamma=gamma, risk=risk, gamma_complement=complement)
+    point = interval_errors(spec, -t, t, True)
+    return OracleOperatingPoint(float(t), point["gamma"], point["conditional_error"], point["gamma_complement"])
 
 
 def threshold_for_gamma(spec: GmmSpec, gamma: float) -> OracleOperatingPoint:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import sigmoid
+from .numerics import class_labels, sigmoid
 
 __all__ = [
     "LdaModel",
@@ -99,7 +99,7 @@ def fit_lda(features, labels) -> LdaModel:
     diagonal with a warning rather than failing.
     """
     x = _as_features(features)
-    y = np.asarray(labels, dtype=int)
+    y = class_labels(labels)
     flat = y.ravel()
     lo, hi = (flat.min(), flat.max()) if flat.size else (0, 0)
     if lo == hi:
@@ -167,7 +167,7 @@ def fit_logistic(features, labels, tol: float = 1e-8, max_iter: int = 100) -> Lo
     converged=False.
     """
     x = _as_features(features)
-    y = np.asarray(labels, dtype=int)
+    y = class_labels(labels)
     if set(np.unique(y)) != {1, 2}:
         raise ValueError("labels must contain both classes 1 and 2")
     target = (y == 1).astype(float)

@@ -1,8 +1,8 @@
 """Numerical kernels shared by every other module.
 
 Standard normal tail, the logistic function, the bisection that inverts
-every monotone oracle map, and the deterministic seeded random-stream
-contract used by the simulation harness.
+every monotone oracle map, the class-label check, and the deterministic
+seeded random-stream contract used by the simulation harness.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "bisect",
+    "class_labels",
     "normal_tail",
     "normal_tail_vec",
     "seeded_stream",
@@ -90,6 +91,18 @@ def bisect(below, hi, *columns):
             cols = tuple(column[moved] for column in cols)
     lo[pos], hi[pos], steps[pos] = l, h, moves
     return 0.5 * (lo + hi), steps
+
+
+def class_labels(values) -> np.ndarray:
+    """values as int class labels; unless they are ints, each must be a finite whole number (1.7 is not class 1)."""
+    labels = np.asarray(values)
+    if labels.dtype.kind != "i":
+        labels = np.asarray(labels, dtype=float)
+        if not np.isfinite(labels).all():
+            raise ValueError("labels must be finite (no NaN or infinity)")
+        if (labels != np.trunc(labels)).any():
+            raise ValueError("labels must be integer class indices")
+    return labels.astype(int, copy=False)
 
 
 _MASK64 = (1 << 64) - 1

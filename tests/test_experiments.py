@@ -170,27 +170,71 @@ class TestConsistencyTrend:
         # the fixed-length loop that numerics.bisect replaced: every step past
         # the fixed point leaves the bracket as it is
         def loop_risk(center, predict1_right, delta, gamma):
-            def mass(h):
-                return experiments._mixture_cdf(center + h, delta) - experiments._mixture_cdf(center - h, delta)
+            def errors(h):
+                return gmm.interval_errors(gmm.GmmSpec(delta), center - h, center + h, predict1_right)
 
             lo, hi = 0.0, 1.0
-            while mass(hi) < gamma and hi <= 1e6:
+            while errors(hi)["gamma"] < gamma and hi <= 1e6:
                 hi *= 2.0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if mass(mid) < gamma else (lo, mid)
-            h = 0.5 * (lo + hi)
-            a, b = center - h, center + h
-            if predict1_right:
-                wrong = 0.5 * normal_tail(b + delta) + 0.5 * (1.0 - normal_tail(a - delta))
-            else:
-                wrong = 0.5 * normal_tail(b - delta) + 0.5 * (1.0 - normal_tail(a + delta))
-            return wrong / (1.0 - gamma)
+                lo, hi = (mid, hi) if errors(mid)["gamma"] < gamma else (lo, mid)
+            return errors(0.5 * (lo + hi))["conditional_error"]
 
         rng = np.random.default_rng(8)
         for _ in range(300):
             args = (rng.normal(0.0, 0.5), bool(rng.integers(2)), rng.uniform(0.05, 5.0), rng.uniform(0.0, 0.999))
             assert plugin_population_risk(*args) == loop_risk(*args)
+
+    @staticmethod
+    def mpmath_population_risk(center, predict1_right, delta, gamma):
+        """The risk at the half-width whose mixture mass is gamma, by a 40-digit bisection."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            c, d, g = mpmath.mpf(center), mpmath.mpf(delta), mpmath.mpf(gamma)
+
+            def tail(x):
+                return mpmath.erfc(x / mpmath.sqrt(2)) / 2
+
+            def mass(h):
+                return (tail(c - h - d) - tail(c + h - d) + tail(c - h + d) - tail(c + h + d)) / 2
+
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            while mass(hi) < g:
+                lo, hi = hi, 2 * hi
+            for _ in range(150):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if mass(mid) < g else (lo, mid)
+            a, b = c - lo, c + lo
+            if predict1_right:
+                wrong = tail(b + d) + tail(d - a)
+            else:
+                wrong = tail(b - d) + tail(-a - d)
+            return float(wrong / 2 / (1 - g))
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            # 1 - tail(a - delta) cancelled: the risk came out as 4.70e-31
+            ((1.0292, True, 3.6727, 0.99747), 3.462006820521e-21),
+            # and here as 1.0000000000000286, above 1
+            ((-0.0608, False, 3.0941, 0.99702), 1.0),
+        ],
+    )
+    def test_population_risk_in_the_deep_tail(self, case, expected):
+        reference = self.mpmath_population_risk(*case)
+        assert reference == pytest.approx(expected, rel=1e-12, abs=0.0)
+        risk = plugin_population_risk(*case)
+        assert risk <= 1.0
+        assert risk == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_population_risk_matches_mpmath(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            case = (rng.normal(0.0, 0.5), bool(rng.integers(2)), rng.uniform(0.05, 5.0), rng.uniform(0.0, 0.999))
+            risk = plugin_population_risk(*case)
+            assert risk <= 1.0
+            assert risk == pytest.approx(self.mpmath_population_risk(*case), rel=1e-12, abs=0.0)
 
     def test_population_risk_penalizes_offset(self):
         base = plugin_population_risk(0.0, True, 1.0, 0.3)

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indecide import gmm
-from indecide.numerics import bisect, normal_tail, normal_tail_vec
+from indecide.calibration import _selective_errors
+from indecide.experiments import _draw_mixture
+from indecide.numerics import bisect, normal_tail, normal_tail_vec, seeded_stream
 
 
 class TestOperatingPoint:
@@ -52,6 +54,74 @@ class TestOperatingPoint:
         b = gmm.operating_point_at_t(spec, t + h)
         assert b.gamma >= a.gamma - 1e-14
         assert b.risk <= a.risk + 1e-14
+
+
+def band_oracle(delta, t):
+    """operating_point_at_t as first written, from three tails: (gamma,
+    gamma_complement, risk) of the band |x| < t."""
+    upper = normal_tail(delta + t)
+    complement = normal_tail(t - delta) + upper
+    gamma = min(max(normal_tail(delta - t) - upper, 0.0), 1.0)
+    return gamma, complement, upper / complement if complement > 0 else 0.0
+
+
+def interval_or_infinite():
+    """An interval a <= b whose ends may be infinite."""
+    end = st.floats(allow_nan=False) | st.floats(min_value=-12.0, max_value=12.0)
+    return st.tuples(end, end).map(sorted)
+
+
+class TestIntervalErrors:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(min_value=1e-6, max_value=40.0) | st.floats(min_value=0.1, max_value=3.0),
+        st.floats(min_value=0.0, max_value=60.0) | st.floats(min_value=0.0, max_value=1e-3) | st.just(math.inf),
+    )
+    def test_symmetric_band_is_the_oracle_bit_for_bit(self, delta, t):
+        spec = gmm.GmmSpec(delta)
+        errors = gmm.interval_errors(spec, -t, t, True)
+        point = gmm.operating_point_at_t(spec, t)
+        expected = band_oracle(delta, t)
+        assert (errors["gamma"], errors["gamma_complement"], errors["conditional_error"]) == expected
+        assert (point.gamma, point.gamma_complement, point.risk) == expected
+
+    @pytest.mark.parametrize(
+        "a, b, predict1_right",
+        [(-0.3, 1.2, True), (-1.5, 0.4, False), (-math.inf, 0.7, True), (0.2, math.inf, False), (-2.0, -0.5, True)],
+    )
+    def test_monte_carlo_within_five_standard_errors(self, a, b, predict1_right):
+        n, delta = 10**6, 0.8
+        x, y = _draw_mixture(seeded_stream(18, 0), n, delta)
+        left, right = (2, 1) if predict1_right else (1, 2)
+        decisions = np.where(x < a, left, np.where(x > b, right, 0))
+        sample = _selective_errors(decisions, y)
+        exact = gmm.interval_errors(gmm.GmmSpec(delta), a, b, predict1_right)
+        decided = decisions != 0
+        counts = {
+            "gamma": n,
+            "gamma_complement": n,
+            "conditional_error": np.count_nonzero(decided),
+            "type1": np.count_nonzero(decided & (y == 1)),
+            "type2": np.count_nonzero(decided & (y == 2)),
+            "type1_marginal": np.count_nonzero(y == 1),
+        }
+        sample["gamma_complement"] = 1.0 - sample["gamma"]
+        assert exact.keys() == counts.keys()
+        for name, count in counts.items():
+            p = exact[name]
+            assert abs(sample[name] - p) <= 5.0 * math.sqrt(p * (1.0 - p) / count), name
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=1e-6, max_value=40.0), interval_or_infinite(), st.booleans())
+    def test_rates_lie_in_the_unit_interval(self, delta, interval, predict1_right):
+        errors = gmm.interval_errors(gmm.GmmSpec(delta), *interval, predict1_right)
+        for rate in errors.values():
+            assert 0.0 <= rate <= 1.0
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.5), (math.nan, 1.0), (0.0, math.nan), (math.inf, -math.inf)])
+    def test_interval_must_be_ordered(self, a, b):
+        with pytest.raises(ValueError, match="a <= b"):
+            gmm.interval_errors(gmm.GmmSpec(1.0), a, b, True)
 
 
 class TestInversion:

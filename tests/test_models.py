@@ -306,6 +306,28 @@ class TestLogistic:
             )
 
 
+class TestLabels:
+    @pytest.mark.parametrize("fit", [fit_lda, fit_logistic])
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([1.7, 1.2, 2.9, 2.1], "labels must be integer class indices"),
+            ([1.0, 1.0, 2.0, math.nan], "labels must be finite"),
+            ([1.0, 1.0, 2.0, math.inf], "labels must be finite"),
+        ],
+    )
+    def test_labels_that_are_not_whole_numbers_rejected(self, fit, labels, message):
+        # 1.7 used to be cast to class 1: fit_lda fitted means 0.5 and 5.5, and fit_logistic converged
+        with pytest.raises(ValueError, match=message):
+            fit([0.0, 1.0, 5.0, 6.0], labels)
+
+    def test_whole_float_labels_fit_as_integers(self):
+        x = np.array([0.0, 1.0, 5.0, 6.0, 2.0, 4.5])
+        for fit in (fit_lda, fit_logistic):
+            by_float, by_int = fit(x, [1.0, 1.0, 2.0, 2.0, 1.0, 2.0]), fit(x, [1, 1, 2, 2, 1, 2])
+            assert predict_eta(by_float, x).tobytes() == predict_eta(by_int, x).tobytes()
+
+
 class TestPredictEta:
     @settings(max_examples=300, deadline=None)
     @given(lda_cases())
