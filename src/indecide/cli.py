@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import io
-import os
 import sys
 import warnings
 from concurrent.futures import BrokenExecutor
@@ -42,6 +41,7 @@ from .calibration import (
 from .experiments import (
     SimConfig,
     _parallel_map,
+    _usable_cpus,
     run_accuracy_sweep,
     run_consistency_trend,
     run_intro_tradeoff,
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out-dir", required=True)
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--full", action="store_true", help="full-scale grids and replication counts")
-    exp.add_argument("--workers", type=int, default=None)
+    exp.add_argument("--workers", type=int, default=1)
     exp.set_defaults(handler=cmd_experiment)
 
     orc = sub.add_parser("oracle", help="closed-form mixture oracle queries")
@@ -332,22 +332,6 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        workers, source = args.workers, "--workers"
-    else:
-        env = os.environ.get("INDECIDE_WORKERS")
-        if not env:
-            return 1
-        try:
-            workers, source = int(env), "INDECIDE_WORKERS"
-        except ValueError:
-            raise SchemaError(f"INDECIDE_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise SchemaError(f"{source} must be at least 1, got {workers}")
-    return workers
-
-
 def _read_config(overrides: dict, defaults: dict) -> dict:
     """defaults with the --config overrides, each read as its default's type: floats split at ";"
     for a tuple, text for a str, else a number, not a bool, and for an int an integral one of
@@ -405,7 +389,8 @@ def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConf
 
 
 def cmd_experiment(args) -> int:
-    workers = _resolve_workers(args)
+    if args.workers < 1:
+        raise SchemaError(f"--workers must be at least 1, got {args.workers}")
     defaults, full, metric = _EXPERIMENTS[args.name]
     settings = _read_config(read_kv(args.config) if args.config else {}, {**defaults, **(full if args.full else {})})
     out_dir = Path(args.out_dir)
@@ -414,20 +399,20 @@ def cmd_experiment(args) -> int:
         panels = _phase_configs(settings["grid_points"])
         out_dir.mkdir(parents=True, exist_ok=True)
         # one process per panel, up to the usable CPUs
-        written = _parallel_map(partial(_write_phase_panel, out_dir), panels, gmm._usable_cpus())
+        written = _parallel_map(partial(_write_phase_panel, out_dir), panels, _usable_cpus())
         outputs = [name for names in written for name in names]
     else:
         if args.name == "consistency-trend":
-            result = run_consistency_trend(**settings, seed=args.seed, workers=workers)
+            result = run_consistency_trend(**settings, seed=args.seed, workers=args.workers)
         else:
             run = {"accuracy-sweep": run_accuracy_sweep, "np-sweep": run_np_sweep}.get(args.name, run_intro_tradeoff)
-            result = run(SimConfig(**settings, seed=args.seed), workers=workers)
+            result = run(SimConfig(**settings, seed=args.seed), workers=args.workers)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = [f"{args.name}_rows.csv", f"{args.name}_aggregates.csv", f"{args.name}.svg"]
         sim_result_to_csv(result, out_dir / outputs[0], out_dir / outputs[1])
         sim_result_to_svg(result, metric, out_dir / outputs[2], title=args.name)
     inputs = [args.config] if args.config else []
-    extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": workers}
+    extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": args.workers}
     _write_manifest(out_dir, f"experiment-{args.name}", inputs, outputs + ["manifest.kv"], extra)
     return EXIT_OK
 

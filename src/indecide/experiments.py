@@ -10,6 +10,7 @@ seeded_stream(s, r), so results are byte-identical at any worker count.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -216,17 +217,23 @@ def run_np_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
 # accuracy/abstention tradeoff across separations
 
 
-def _tradeoff_rep(cfg: SimConfig, target: float, rep: int) -> list[dict]:
+_TARGET_ERROR = 0.01  # the intro tradeoff's conditional error target
+
+
+def _tradeoff_oracle(delta: float) -> tuple[float, float, float]:
+    """(Bayes error, gamma*, t*) at delta: the exact minimal abstention reaching
+    _TARGET_ERROR and its threshold, both NaN where no threshold reaches it."""
+    try:
+        point = gmm.gamma_for_target_risk(gmm.GmmSpec(delta), _TARGET_ERROR)
+    except gmm.InfeasibleTargetError:
+        return normal_tail(delta), math.nan, math.nan
+    return normal_tail(delta), point.gamma, point.t
+
+
+def _tradeoff_rep(cfg: SimConfig, oracles: list, rep: int) -> list[dict]:
     rng = seeded_stream(cfg.seed, rep)
     rows = []
-    for delta in cfg.delta_grid:
-        spec = gmm.GmmSpec(delta)
-        bayes_error = normal_tail(delta)
-        try:
-            point = gmm.gamma_for_target_risk(spec, target)
-            gamma_star, t_star = point.gamma, point.t
-        except gmm.InfeasibleTargetError:
-            gamma_star, t_star = math.nan, math.nan
+    for delta, (bayes_error, gamma_star, t_star) in zip(cfg.delta_grid, oracles):
         x, y = _draw_mixture(rng, cfg.n_test, delta)
         if math.isfinite(t_star):
             decisions = np.where(np.abs(x) < t_star, 0, np.where(x >= 0, 1, 2))
@@ -240,7 +247,7 @@ def _tradeoff_rep(cfg: SimConfig, target: float, rep: int) -> list[dict]:
                 "separation_2delta": 2.0 * delta,
                 "rep": rep,
                 "bayes_accuracy": 1.0 - bayes_error,
-                "target_error": target,
+                "target_error": _TARGET_ERROR,
                 "gamma_star": gamma_star,
                 "empirical_gamma": emp_gamma,
                 "empirical_conditional_error": emp_err,
@@ -249,16 +256,18 @@ def _tradeoff_rep(cfg: SimConfig, target: float, rep: int) -> list[dict]:
     return rows
 
 
-def run_intro_tradeoff(cfg: SimConfig, target_error: float = 0.01, workers: int = 1) -> SimResult:
+def run_intro_tradeoff(cfg: SimConfig, workers: int = 1) -> SimResult:
     """Exact accuracy/abstention tradeoff plus a sampled check per separation.
 
     For each delta: the no-abstention accuracy ceiling, the exact minimal
-    abstention gamma* reaching target_error, and the empirical abstention and
-    error of the closed-form thresholds on a fresh sample.  Separation is
-    reported both as delta (half the center distance) and as 2 * delta.
+    abstention gamma* reaching a conditional error of 1%, and the empirical
+    abstention and error of the closed-form thresholds on a fresh sample.
+    Separation is reported both as delta (half the center distance) and as
+    2 * delta.
     """
+    oracles = [_tradeoff_oracle(delta) for delta in cfg.delta_grid]
     metrics = ("gamma_star", "empirical_gamma", "empirical_conditional_error")
-    return _run_study(partial(_tradeoff_rep, cfg, target_error), cfg.reps, workers, ("delta",), metrics)
+    return _run_study(partial(_tradeoff_rep, cfg, oracles), cfg.reps, workers, ("delta",), metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +293,15 @@ def plugin_population_risk(center: float, predict1_right: bool, delta: float, ga
     return errors(h)["conditional_error"]
 
 
-def _consistency_rep(delta: float, gamma: float, n_grid: tuple[int, ...], seed: int, rep: int) -> list[dict]:
+# the consistency trend's mixture, abstention mass and training sizes
+_TREND_DELTA, _TREND_GAMMA, _TREND_N_GRID = 1.0, 0.3, (100, 1000, 10000)
+
+
+def _consistency_rep(oracle_risk: float, seed: int, rep: int) -> list[dict]:
     rng = seeded_stream(seed, rep)
-    oracle_risk = gmm.threshold_for_gamma(gmm.GmmSpec(delta), gamma).risk
     rows = []
-    for n_train in n_grid:
-        x, y = _draw_mixture(rng, n_train, delta)
+    for n_train in _TREND_N_GRID:
+        x, y = _draw_mixture(rng, n_train, _TREND_DELTA)
         model = fit_lda(x, y)
         # class 1 is decided where the discriminant w x + b is positive
         (w,), b = model.weights[0] - model.weights[1], model.biases[0] - model.biases[1]
@@ -297,11 +309,11 @@ def _consistency_rep(delta: float, gamma: float, n_grid: tuple[int, ...], seed: 
             center, predict1_right = 0.0, True
         else:
             center, predict1_right = -b / w, w > 0
-        risk = plugin_population_risk(center, predict1_right, delta, gamma)
+        risk = plugin_population_risk(center, predict1_right, _TREND_DELTA, _TREND_GAMMA)
         rows.append(
             {
-                "delta": delta,
-                "gamma": gamma,
+                "delta": _TREND_DELTA,
+                "gamma": _TREND_GAMMA,
                 "n_train": n_train,
                 "rep": rep,
                 "plugin_risk": risk,
@@ -312,21 +324,17 @@ def _consistency_rep(delta: float, gamma: float, n_grid: tuple[int, ...], seed: 
     return rows
 
 
-def run_consistency_trend(
-    delta: float = 1.0,
-    gamma: float = 0.3,
-    n_grid: tuple[int, ...] = (100, 1000, 10000),
-    reps: int = 100,
-    seed: int = 0,
-    workers: int = 1,
-) -> SimResult:
+def run_consistency_trend(reps: int = 100, seed: int = 0, workers: int = 1) -> SimResult:
     """Risk gap of the fitted-score rule versus the exact rule as n grows.
 
-    The fitted rule's risk is computed in closed form (equivalent to an
-    infinite calibration set), so the gap isolates estimation error of the
-    score itself.  Aggregates report the median gap per training size.
+    The mixture has delta = 1, both rules abstain on a mass of 0.3, and the
+    scorer is fitted on 100, 1000 and 10000 points.  The fitted rule's risk
+    is computed in closed form (equivalent to an infinite calibration set),
+    so the gap isolates estimation error of the score itself.  Aggregates
+    report the median gap per training size.
     """
-    rep_fn = partial(_consistency_rep, delta, gamma, tuple(n_grid), seed)
+    oracle_risk = gmm.threshold_for_gamma(gmm.GmmSpec(_TREND_DELTA), _TREND_GAMMA).risk
+    rep_fn = partial(_consistency_rep, oracle_risk, seed)
     return _run_study(rep_fn, reps, workers, ("n_train",), ("risk_gap",))
 
 
@@ -388,6 +396,13 @@ def _start_method() -> str:
     holds, so then, and off Linux, workers start from a fresh interpreter.
     """
     return "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parallel_map(fn, items, workers: int) -> list:

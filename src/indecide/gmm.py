@@ -17,7 +17,6 @@ delta_target, and computes where risk / delta_target crosses 1.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -76,21 +75,23 @@ class OracleOperatingPoint:
     gamma_complement: float
 
 
+_CAP = (0.5, 2.0)  # risk ratios are clipped to this interval, the heatmap's colour range
+_DEAD_BAND = 0.05  # cells with |c - 1/2| at most this are unresolved
+
+
 @dataclass(frozen=True)
 class PhaseGridConfig:
     """Grid description for the risk-ratio phase diagram.
 
     delta_target is the misclassification level whose attainability is being
     probed; c scales the separation, m the abstention-mass exponent.  Cells
-    with |c - 1/2| <= dead_band are left unresolved since neither
+    with |c - 1/2| <= _DEAD_BAND are left unresolved since neither
     parameterization of the abstention mass applies there.
     """
 
     delta_target: float
     c_grid: tuple[float, ...]
     m_grid: tuple[float, ...]
-    cap: tuple[float, float] = (0.5, 2.0)
-    dead_band: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta_target < 1.0:
@@ -102,8 +103,6 @@ class PhaseGridConfig:
                 raise ValueError(f"{name} values must lie in (0, 1)")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        if not self.cap[0] < self.cap[1]:
-            raise ValueError("cap interval must be ordered")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +119,7 @@ class PhaseGrid:
     c: np.ndarray
     m: np.ndarray
     gamma: np.ndarray
-    gamma_complement: np.ndarray
     t: np.ndarray
-    risk: np.ndarray
     risk_ratio_raw: np.ndarray
     risk_ratio_capped: np.ndarray
     resolved: np.ndarray
@@ -309,13 +306,6 @@ _MONOTONE_ULPS = 16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool):
     """_solve_t_cells over fixed-size chunks of the pairs, in turn.
 
@@ -431,9 +421,8 @@ def phase_grid(cfg: PhaseGridConfig) -> PhaseGrid:
         residual[side] = np.abs(_t_map(delta_sep[side], t[side], increasing) - small[side])
     complement = np.where(upper_side, 1.0 - small, small)
     gamma = np.where(upper_side, small, 1.0 - small)
-    risk = normal_tail_vec(delta_sep + t) / complement
-    resolved = (np.abs(c - 0.5) > cfg.dead_band) & (complement > 0.0)
-    raw = risk / dt
+    resolved = (np.abs(c - 0.5) > _DEAD_BAND) & (complement > 0.0)
+    raw = normal_tail_vec(delta_sep + t) / complement / dt  # conditional risk over the target
 
     def shown(column: np.ndarray) -> np.ndarray:
         return np.where(resolved, column, math.nan)
@@ -442,11 +431,9 @@ def phase_grid(cfg: PhaseGridConfig) -> PhaseGrid:
         c=c,
         m=m,
         gamma=shown(gamma),
-        gamma_complement=shown(complement),
         t=shown(t),
-        risk=shown(risk),
         risk_ratio_raw=shown(raw),
-        risk_ratio_capped=shown(np.clip(raw, *cfg.cap)),
+        risk_ratio_capped=shown(np.clip(raw, *_CAP)),
         resolved=resolved,
         max_iterations=int(steps.max()),
         max_residual=float(residual.max()),
@@ -471,7 +458,7 @@ def phase_grid_to_svg(grid: PhaseGrid, cfg: PhaseGridConfig, path) -> None:
     ):
         pts = []
         for c in cs:
-            if abs(c - 0.5) <= cfg.dead_band:
+            if abs(c - 0.5) <= _DEAD_BAND:
                 continue
             try:
                 y = fn(c)
@@ -485,8 +472,8 @@ def phase_grid_to_svg(grid: PhaseGrid, cfg: PhaseGridConfig, path) -> None:
         cs,
         ms,
         values,
-        vmin=cfg.cap[0],
-        vmax=cfg.cap[1],
+        vmin=_CAP[0],
+        vmax=_CAP[1],
         title=f"risk ratio at delta_target={cfg.delta_target:g}",
         xlabel="c (relative separation)",
         ylabel="m (abstention exponent)",

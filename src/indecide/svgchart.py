@@ -13,6 +13,7 @@ __all__ = ["heatmap_svg", "line_chart_svg"]
 _W, _H = 640, 480
 _MARGIN = 60
 _COLORS = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e"]
+_MISSING = "#c8c8c8"  # heatmap cells without a value
 
 
 def _fmt(x: float) -> str:
@@ -71,17 +72,17 @@ def _document(body: list[str], bounds, px, py, title: str, xlabel: str, ylabel: 
     return "\n".join(parts)
 
 
-def _fills(values: np.ndarray, vmin: float, vmax: float, missing: str) -> tuple[np.ndarray, list[str]]:
+def _fills(values: np.ndarray, vmin: float, vmax: float) -> tuple[np.ndarray, list[str]]:
     """Cell colors on a blue (0) -> white (0.5) -> red (1) diverging ramp, as
     (codes, names): the cell values[j, i] is drawn in names[codes[j, i]].
 
     v = (value - vmin) / (vmax - vmin) is clipped to [0, 1] and each channel
     truncated to an int; NaN cells, or every cell when vmax <= vmin, get
-    `missing`.  Two cells share a code exactly when they share a ramp color
+    _MISSING.  Two cells share a code exactly when they share a ramp color
     or are both missing.
     """
     if not vmax > vmin:
-        return np.zeros(values.shape, dtype=np.intp), [missing]
+        return np.zeros(values.shape, dtype=np.intp), [_MISSING]
     nan = np.isnan(values)
     v = np.minimum(1.0, np.maximum(0.0, (np.where(nan, vmin, values) - vmin) / (vmax - vmin)))
     low = v < 0.5
@@ -90,7 +91,7 @@ def _fills(values: np.ndarray, vmin: float, vmax: float, missing: str) -> tuple[
     g = np.where(low, 80 + 175 * s, 255 - 175 * s).astype(int)
     b = np.where(low, 255, 255 - 195 * s).astype(int)
     rgb, codes = np.unique(np.where(nan, -1, (r << 16) | (g << 8) | b).ravel(), return_inverse=True)
-    return codes.reshape(values.shape), [missing if c < 0 else "#%06x" % c for c in rgb.tolist()]
+    return codes.reshape(values.shape), [_MISSING if c < 0 else "#%06x" % c for c in rgb.tolist()]
 
 
 def heatmap_svg(
@@ -104,12 +105,11 @@ def heatmap_svg(
     xlabel: str = "",
     ylabel: str = "",
     overlays: list[tuple[str, list[tuple[float, float]]]] | None = None,
-    missing: str = "#c8c8c8",
 ) -> str:
     """Render a dense grid as colored cells.
 
-    values[j][i] corresponds to (xs[i], ys[j]); NaN or None cells use the
-    `missing` color.  `overlays` are (label, [(x, y), ...]) curves drawn on
+    values[j][i] corresponds to (xs[i], ys[j]); NaN or None cells are drawn
+    in _MISSING grey.  `overlays` are (label, [(x, y), ...]) curves drawn on
     top.  Each axis is widened by half a grid step on each side (+- 0.5 for
     one column or row), so n evenly spaced cells, 1/n of the plot each, tile it.
 
@@ -126,7 +126,7 @@ def heatmap_svg(
         bounds += (lo - half, hi + half)
     px, py = _scales(*bounds)
     cw, ch = (_W - 2 * _MARGIN) / len(xs), (_H - 2 * _MARGIN) / len(ys)
-    codes, names = _fills(values, vmin, vmax, missing)
+    codes, names = _fills(values, vmin, vmax)
     # one rect per maximal run of equal codes in a row, flattened row-major:
     # a run starts at column 0 or where the code changes, and ends where the next run starts
     change = np.ones(codes.shape, dtype=bool)

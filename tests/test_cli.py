@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from indecide import gmm
+from indecide import cli
 from indecide.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from indecide.kvdoc import read_kv
 
@@ -361,37 +361,43 @@ class TestExperimentCommand:
         assert (out1 / "np-sweep_rows.csv").read_bytes() == (out2 / "np-sweep_rows.csv").read_bytes()
         assert (out1 / "np-sweep_aggregates.csv").read_bytes() == (out2 / "np-sweep_aggregates.csv").read_bytes()
 
-    def test_worker_env_fallback(self, tmp_path, monkeypatch):
-        cfg = self.small_config(tmp_path)
-        monkeypatch.setenv("INDECIDE_WORKERS", "2")
-        serial = tmp_path / "serial"
-        env2 = tmp_path / "env2"
-        assert main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(serial), "--workers", "1"]) == EXIT_OK
-        assert main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(env2)]) == EXIT_OK
-        assert (serial / "accuracy-sweep_rows.csv").read_bytes() == (env2 / "accuracy-sweep_rows.csv").read_bytes()
-
-    def test_bad_worker_env(self, tmp_path, monkeypatch):
+    def test_worker_env_is_ignored(self, tmp_path, monkeypatch):
+        # no environment variable sets the worker count: only --workers does
         cfg = self.small_config(tmp_path)
         monkeypatch.setenv("INDECIDE_WORKERS", "lots")
-        code = main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        assert main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+        assert read_kv(out / "manifest.kv")["workers_requested"] == 1
+
+    @pytest.mark.parametrize("study", ["accuracy-sweep", "phase"])
+    @pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers", "-3"]], ids=["flag-zero", "flag-negative"])
+    def test_worker_count_below_one(self, tmp_path, capsys, flag, study):
+        # checked before the config, which phase would reject for its sizes
+        cfg = self.small_config(tmp_path)
+        out = tmp_path / "o"
+        code = main(["experiment", study, "--config", cfg, "--out-dir", str(out), *flag])
         assert code == EXIT_USAGE
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, env",
-        [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "0")],
-        ids=["flag-zero", "flag-negative", "env-zero"],
+        "study, config, workers, pools",
+        [("accuracy-sweep", None, 8, [3]), ("phase", {"grid_points": 4}, 5, [])],
+        ids=["capped-at-reps", "phase-pool-from-cpus"],
     )
-    def test_worker_count_below_one(self, tmp_path, monkeypatch, capsys, flag, env):
+    def test_workers_requested_is_the_flag_as_given(
+        self, tmp_path, monkeypatch, process_pools, study, config, workers, pools
+    ):
+        from indecide.kvdoc import write_kv
+
         cfg = self.small_config(tmp_path)
-        if env is None:
-            monkeypatch.delenv("INDECIDE_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("INDECIDE_WORKERS", env)
+        if config:
+            write_kv(config, cfg)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # phase runs one process per panel, up to this
         out = tmp_path / "o"
-        code = main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(out), *flag])
-        assert code == EXIT_USAGE
-        assert "must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["experiment", study, "--config", cfg, "--out-dir", str(out), "--workers", str(workers)]) == EXIT_OK
+        assert [size for size, _, _ in process_pools] == pools
+        assert read_kv(out / "manifest.kv")["workers_requested"] == workers
 
     def test_unknown_config_key(self, tmp_path):
         from indecide.kvdoc import write_kv
@@ -568,7 +574,7 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.kv"
         write_kv({"grid_points": 12}, cfg)
         for cpus in (1, 2):
-            monkeypatch.setattr(gmm, "_usable_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(cli, "_usable_cpus", lambda n=cpus: n)
             code = main(["experiment", "phase", "--config", str(cfg), "--out-dir", str(tmp_path / f"cpus{cpus}")])
             assert code == EXIT_OK
             # one CPU solves the panels in turn in this process; two give each its own

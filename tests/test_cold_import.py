@@ -68,7 +68,7 @@ def test_cli_commands_run_without_scipy(tmp_path):
     assert out["scipy"] == []
 
 
-def test_first_scipy_import_on_solver_threads(tmp_path):
+def test_chunked_solver_imports_scipy_on_first_use(tmp_path):
     out = run_fresh(SOLVER_SCRIPT, tmp_path)
     assert out["scipy_before"] is False
     assert out["t_equal"] and out["steps_equal"]

@@ -131,7 +131,7 @@ class TestNpSweep:
 class TestIntroTradeoff:
     def test_closed_form_columns(self):
         cfg = SimConfig(n_test=5000, reps=3, delta_grid=(1.0, 2.0), seed=6)
-        result = run_intro_tradeoff(cfg, target_error=0.01)
+        result = run_intro_tradeoff(cfg)
         first = int(np.flatnonzero(result.rows["delta"] == 1.0)[0])
         row = {name: column[first] for name, column in result.rows.items()}
         assert row["separation_2delta"] == 2.0
@@ -141,19 +141,32 @@ class TestIntroTradeoff:
         assert row["empirical_gamma"] == pytest.approx(exact, abs=0.03)
         assert row["empirical_conditional_error"] <= 0.05
 
+    def test_oracle_solved_once_per_delta(self, monkeypatch):
+        calls, solve = [], gmm.gamma_for_target_risk
+        monkeypatch.setattr(gmm, "gamma_for_target_risk", lambda *a: calls.append(a) or solve(*a))
+        run_intro_tradeoff(SimConfig(n_test=50, reps=3, delta_grid=(1.0, 2.0), seed=6))
+        assert len(calls) == 2
+
     def test_gamma_star_decreases_with_separation(self):
         cfg = SimConfig(n_test=100, reps=1, delta_grid=(0.5, 1.0, 1.5, 2.0), seed=7)
-        result = run_intro_tradeoff(cfg, target_error=0.01)
+        result = run_intro_tradeoff(cfg)
         gammas = result.rows["gamma_star"][np.argsort(result.rows["delta"], kind="stable")]
         assert all(b <= a + 1e-12 for a, b in zip(gammas, gammas[1:]))
 
 
 class TestConsistencyTrend:
     def test_gap_positive_and_shrinking(self):
-        result = run_consistency_trend(reps=20, seed=8, n_grid=(100, 1000))
+        result = run_consistency_trend(reps=20, seed=8)
         medians = dict(zip(result.aggregates["n_train"].tolist(), result.aggregates["risk_gap_median"]))
         assert medians[100] >= 0.0
         assert medians[1000] <= medians[100]
+
+    def test_oracle_solved_once_per_study(self, monkeypatch):
+        calls, solve = [], gmm.threshold_for_gamma
+        monkeypatch.setattr(gmm, "threshold_for_gamma", lambda *a: calls.append(a) or solve(*a))
+        rows = run_consistency_trend(reps=3, seed=8).rows
+        assert len(calls) == 1
+        assert (rows["oracle_risk"] == solve(gmm.GmmSpec(1.0), 0.3).risk).all()
 
     def test_empty_study_rejected(self):
         # reps = 0 used to write header-only CSVs, while the other studies rejected it
@@ -249,7 +262,7 @@ class TestConsistencyTrend:
 
 
 class TestParallelMap:
-    rep = staticmethod(partial(experiments._consistency_rep, 1.0, 0.3, (50, 80), 7))
+    rep = staticmethod(partial(experiments._consistency_rep, 0.25, 7))
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_serial_results_in_order_under_each_start_method(self, monkeypatch, process_pools, method):
@@ -278,6 +291,13 @@ class TestParallelMap:
         assert _parallel_map(abs, [-3], 8) == [3]
         assert _parallel_map(abs, [-1, -2], 1) == [1, 2]
         assert process_pools == []
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        assert experiments._usable_cpus() == 1
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        assert experiments._usable_cpus() == 64
 
     def test_no_fork_while_a_second_thread_runs(self, process_pools):
         release = threading.Event()

@@ -107,8 +107,8 @@ class TestHeatmap:
         assert fills(svg, len(xs)) == expected
 
     def test_degenerate_range_is_all_missing(self):
-        svg = heatmap_svg([0.0, 1.0], [0.0], [[1.0, 2.0]], vmin=1.0, vmax=1.0, missing="#000000")
-        assert fills(svg, 2) == ["#000000", "#000000"]
+        svg = heatmap_svg([0.0, 1.0], [0.0], [[1.0, 2.0]], vmin=1.0, vmax=1.0)
+        assert fills(svg, 2) == ["#c8c8c8", "#c8c8c8"]
 
     def test_data_comment_rows(self):
         svg = heatmap_svg([0.0, 1.0], [0.0, 1.0], [[0.1234567, None], [math.nan, 2]], vmin=0.0, vmax=1.0)
