@@ -31,6 +31,8 @@ from indecide.experiments import _draw_mixture, oracle_eta
 from indecide.kvdoc import dump_kv, load_kv
 from indecide.numerics import seeded_stream
 
+from budget_oracles import loop_type1_count_budget, ppf_type1_count_budget
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -408,25 +410,20 @@ class TestCalibrateNp:
         strict = calibrate_np(cal, 0.1, 0.3, high_prob_delta=0.05)
         assert strict.achieved["type1_marginal"] <= plain.achieved["type1_marginal"] + 1e-12
 
+    @pytest.mark.parametrize("delta", [-0.1, 0.0, 1.0, 1.5, math.nan, math.inf])
+    def test_bad_high_prob_delta(self, delta):
+        x, y = _draw_mixture(seeded_stream(28, 0), 500, 1.0)
+        with pytest.raises(ValueError, match="high_prob_delta must lie in"):
+            calibrate_np(CalibrationSample(scores=oracle_eta(x, 1.0), labels=y), 0.1, 0.2, high_prob_delta=delta)
+        with pytest.raises(ValueError, match="high_prob_delta must lie in"):
+            calibrate_np_mlr(CalibrationSample(xs=-x, labels=y), 0.1, 0.2, high_prob_delta=delta)
+
     def test_infeasible_reports_best_type2(self):
         cal = CalibrationSample(
             scores=np.array([0.9, 0.8, 0.7, 0.6]), labels=np.array([2, 2, 1, 1])
         )
         report = calibrate_np(cal, 0.2, 0.01)
         assert not report.feasible
-
-
-def loop_type1_count_budget(n1, levels, high_prob_delta):
-    """The per-level loop the vectorized high-probability budget replaced."""
-    from scipy.stats import binom
-
-    counts = np.zeros(len(levels))
-    for idx, p in enumerate(levels):
-        j = int(np.floor(p * n1))
-        while j > 0 and binom.cdf(j - 1, n1, p) > high_prob_delta:
-            j -= 1
-        counts[idx] = j
-    return counts
 
 
 class TestType1Budget:
@@ -445,6 +442,18 @@ class TestType1Budget:
             )
             got = _type1_count_budget(n1, levels, delta)
             np.testing.assert_array_equal(got, loop_type1_count_budget(n1, levels, delta), err_msg=f"n1={n1}")
+
+    @pytest.mark.parametrize("delta", [1e-6, 0.05, 0.5])
+    @pytest.mark.parametrize("alpha1", [0.05, 0.1, 0.3])
+    def test_matches_quantile_budget_on_calibrate_grids(self, alpha1, delta):
+        """The levels calibrate_np sweeps, (1 - k/n) * alpha1 for k = 0..n."""
+        for n in (1, 7, 100, 1000, 20000):
+            levels = (1.0 - np.arange(n + 1) / n) * alpha1
+            for n1 in sorted({1, max(1, n // 3), max(1, n // 2), n}):
+                got = _type1_count_budget(n1, levels, delta)
+                np.testing.assert_array_equal(
+                    got, ppf_type1_count_budget(n1, levels, delta), err_msg=f"n={n} n1={n1}"
+                )
 
 
 class TestCalibrateMulticlass:
@@ -723,6 +732,15 @@ def assert_grid_row_is_the_rule(report, labels, alpha2):
         assert (trace["type2"][:k][trace["valid"][:k]] > alpha2).all()
 
 
+def assert_within_high_prob_budget(report, values, labels, alpha1, delta):
+    """With delta set, the class-1 points the rule sends to class 2 number
+    at most the per-level loop's budget at (1 - gamma_hat) * alpha1."""
+    if delta is not None:
+        n1 = int((labels == 1).sum())
+        wrong1 = int(((labels == 1) & (report.rule.apply(values) == 2)).sum())
+        assert wrong1 <= loop_type1_count_budget(n1, [(1.0 - report.gamma_hat) * alpha1], delta)[0]
+
+
 def assert_accuracy_row_is_the_rule(report, alpha):
     """The accuracy selector scored the rule it ships: the first candidate
     within alpha, or none."""
@@ -774,16 +792,19 @@ def test_every_report_is_what_its_rule_does(kind, data, alpha1, alpha2, gamma):
     vectors = np.stack([scores, 1.0 - scores], axis=1)
 
     holdout = CalibrationSample(scores=held_scores, labels=held_labels)
-    report = calibrate_np(cal, alpha1, alpha2, holdout=holdout, want_trace=True)
-    assert_report_is_apply(report, scores, labels, (held_scores, held_labels))
-    assert_grid_row_is_the_rule(report, labels, alpha2)
-    assert ("holdout_type1" in report.achieved) == report.feasible
-    report = calibrate_np_mlr(cal_x, alpha1, alpha2, want_trace=True)
-    assert_report_is_apply(report, xs, labels)
-    assert_grid_row_is_the_rule(report, labels, alpha2)
     power = recomputed_power_at_gamma0(xs, labels, alpha1)
-    assert report.achieved["power_at_gamma0"] == power
-    assert report.achieved["power_criterion_positive_gamma"] == (power < 1.0 - alpha2)
+    for delta in (None, 0.05):
+        report = calibrate_np(cal, alpha1, alpha2, holdout=holdout, high_prob_delta=delta, want_trace=True)
+        assert_report_is_apply(report, scores, labels, (held_scores, held_labels))
+        assert_grid_row_is_the_rule(report, labels, alpha2)
+        assert ("holdout_type1" in report.achieved) == report.feasible
+        assert_within_high_prob_budget(report, scores, labels, alpha1, delta)
+        report = calibrate_np_mlr(cal_x, alpha1, alpha2, high_prob_delta=delta, want_trace=True)
+        assert_report_is_apply(report, xs, labels)
+        assert_grid_row_is_the_rule(report, labels, alpha2)
+        assert report.achieved["power_at_gamma0"] == power
+        assert report.achieved["power_criterion_positive_gamma"] == (power < 1.0 - alpha2)
+        assert_within_high_prob_budget(report, xs, labels, alpha1, delta)
     for report, values in (
         (calibrate_accuracy(cal, alpha1, want_trace=True), scores),
         (calibrate_accuracy_mlr(cal_x, alpha1, want_trace=True), xs),
