@@ -12,12 +12,17 @@ import argparse
 import csv
 import hashlib
 import io
+import os
 import sys
 import warnings
 from concurrent.futures import BrokenExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
+
+# the package's linear algebra is 1x1 and 2x2: one OpenBLAS thread, unless the
+# caller chose otherwise, saves the idle threads' spin at every start
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -307,7 +312,7 @@ def cmd_calibrate(args) -> int:
     write_kv(report_entries, out_dir / "report.kv")
     outputs = ["rule.kv", "report.kv"]
     if report.trace:
-        write_columns(out_dir / "trace.csv", report.trace)
+        write_columns(out_dir / "trace.csv", [report.trace])
         outputs.append("trace.csv")
     _write_manifest(out_dir, f"calibrate-{mode}", [args.input], outputs + ["manifest.kv"], {})
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
@@ -376,15 +381,23 @@ def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConf
     """Solve one (name, config) phase panel and write its CSV and SVG; returns
     the file names.
 
-    The panel's grid lives only in this call, so a worker process holds at
-    most one grid, and it is freed before the next panel on that process.
+    The bytes are those of phase_grid_to_csv and phase_grid_to_svg of
+    phase_grid(cfg), but the grid is solved and written one block of cells at
+    a time: each block's rows go to the CSV as soon as it is built, and only
+    its capped ratios, the heatmap's column, outlive it.
     """
     panel, cfg = panel_config
-    grid = gmm.phase_grid(cfg)
     csv_path = out_dir / f"phase_{panel}.csv"
     svg_path = out_dir / f"phase_{panel}.svg"
-    gmm.phase_grid_to_csv(grid, csv_path)
-    gmm.phase_grid_to_svg(grid, cfg, svg_path)
+    capped = []
+
+    def csv_blocks():
+        for block in gmm._phase_blocks(cfg):
+            capped.append(block.risk_ratio_capped)
+            yield gmm._csv_columns(block)
+
+    write_columns(csv_path, csv_blocks())
+    gmm._capped_to_svg(np.concatenate(capped), cfg, svg_path)
     return [csv_path.name, svg_path.name]
 
 

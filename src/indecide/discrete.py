@@ -78,7 +78,7 @@ class DiscreteJoint:
     def to_csv(self, path) -> None:
         """One row per atom: id, w_1..w_K."""
         weights = np.array(self.points, dtype=float)
-        write_columns(path, {"id": np.arange(self.n_atoms), **{f"w_{j + 1}": w for j, w in enumerate(weights.T)}})
+        write_columns(path, [{"id": np.arange(self.n_atoms), **{f"w_{j + 1}": w for j, w in enumerate(weights.T)}}])
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteJoint":

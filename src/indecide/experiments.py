@@ -451,8 +451,8 @@ def _run_study(rep_fn, reps: int, workers: int, keys: tuple, metrics: tuple) -> 
 
 def sim_result_to_csv(result: SimResult, rows_path, aggregates_path) -> None:
     """Tidy CSVs: one row per replication cell plus one aggregate file."""
-    write_columns(rows_path, result.rows)
-    write_columns(aggregates_path, result.aggregates)
+    write_columns(rows_path, [result.rows])
+    write_columns(aggregates_path, [result.aggregates])
 
 
 def sim_result_to_svg(result: SimResult, metric: str, path, *, title: str = "") -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -75,6 +76,9 @@ class OracleOperatingPoint:
     gamma_complement: float
 
 
+# PhaseGrid's per-cell columns, and those its CSV writes, in file order
+_CELL_COLUMNS = ("c", "m", "gamma", "t", "risk_ratio_raw", "risk_ratio_capped", "resolved")
+_CSV_COLUMNS = _CELL_COLUMNS[:-1]
 _CAP = (0.5, 2.0)  # risk ratios are clipped to this interval, the heatmap's colour range
 _DEAD_BAND = 0.05  # cells with |c - 1/2| at most this are unresolved
 
@@ -297,7 +301,7 @@ def _below(delta: np.ndarray, target: np.ndarray, t: np.ndarray, increasing: boo
     return (_t_map(delta, t, increasing) < target) == increasing
 
 
-_SOLVE_CHUNK = 16384  # cells solved at once; larger chunks let the solver's arrays spill out of cache
+_SOLVE_CHUNK = 16384  # cells per phase block, solved at once; larger blocks let the solver's arrays spill out of cache
 _NEWTON_STEPS = 4
 _WINDOWS = (1e-13, 1e-9, 1e-6)  # relative half-widths tried around the estimate, tightest first
 # scipy's ndtr can step down between arguments a few ulps apart; sampled
@@ -398,59 +402,85 @@ def _solve_t_cells(delta: np.ndarray, target: np.ndarray, increasing: bool):
     return bisect(below, delta + 2.0, delta, target, *_t_window(delta, target, increasing))
 
 
+def _phase_blocks(cfg: PhaseGridConfig) -> Iterator[PhaseGrid]:
+    """phase_grid's cells in row-major blocks of _SOLVE_CHUNK, the last one
+    partial, each a PhaseGrid with its own solver diagnostics.
+
+    A cell's values depend only on its own (c, m), so the blocks hold the
+    cells of phase_grid(cfg) bit for bit.
+    """
+    dt = cfg.delta_target
+    log_inv = math.log(1.0 / dt)
+    c_grid, m_grid = np.asarray(cfg.c_grid), np.asarray(cfg.m_grid)
+    cells = c_grid.size * m_grid.size
+    for start in range(0, cells, _SOLVE_CHUNK):
+        row, col = np.divmod(np.arange(start, min(start + _SOLVE_CHUNK, cells)), m_grid.size)
+        c, m = c_grid[row], m_grid[col]
+        delta_sep = c * math.sqrt(2.0 * log_inv)
+        upper_side = c > 0.5
+        # gamma = dt**m above c=1/2, 1 - dt**m below; solve each side in its
+        # well-conditioned parameterization, on that side's cells only
+        small = dt**m
+        t = np.empty_like(small)
+        steps = np.empty(small.size, dtype=int)
+        residual = np.empty_like(small)
+        for side, increasing in ((upper_side, True), (~upper_side, False)):
+            t[side], steps[side] = _solve_t_grid(delta_sep[side], small[side], increasing)
+            residual[side] = np.abs(_t_map(delta_sep[side], t[side], increasing) - small[side])
+        complement = np.where(upper_side, 1.0 - small, small)
+        gamma = np.where(upper_side, small, 1.0 - small)
+        resolved = (np.abs(c - 0.5) > _DEAD_BAND) & (complement > 0.0)
+        raw = normal_tail_vec(delta_sep + t) / complement / dt  # conditional risk over the target
+
+        def shown(column: np.ndarray) -> np.ndarray:
+            return np.where(resolved, column, math.nan)
+
+        yield PhaseGrid(
+            c=c,
+            m=m,
+            gamma=shown(gamma),
+            t=shown(t),
+            risk_ratio_raw=shown(raw),
+            risk_ratio_capped=shown(np.clip(raw, *_CAP)),
+            resolved=resolved,
+            max_iterations=int(steps.max()),
+            max_residual=float(residual.max()),
+        )
+
+
 def phase_grid(cfg: PhaseGridConfig) -> PhaseGrid:
     """Capped risk ratios risk / delta_target over the (c, m) grid.
 
     Cells inside the dead band around c = 1/2, or whose abstention mass is
     numerically 1, are emitted with resolved=False rather than dropped.
     """
-    dt = cfg.delta_target
-    log_inv = math.log(1.0 / dt)
-    c_mat, m_mat = np.meshgrid(np.asarray(cfg.c_grid), np.asarray(cfg.m_grid), indexing="ij")
-    c, m = c_mat.ravel(), m_mat.ravel()
-    delta_sep = c * math.sqrt(2.0 * log_inv)
-    upper_side = c > 0.5
-    # gamma = dt**m above c=1/2, 1 - dt**m below; solve each side in its
-    # well-conditioned parameterization, on that side's cells only
-    small = dt**m
-    t = np.empty_like(small)
-    steps = np.empty(small.size, dtype=int)
-    residual = np.empty_like(small)
-    for side, increasing in ((upper_side, True), (~upper_side, False)):
-        t[side], steps[side] = _solve_t_grid(delta_sep[side], small[side], increasing)
-        residual[side] = np.abs(_t_map(delta_sep[side], t[side], increasing) - small[side])
-    complement = np.where(upper_side, 1.0 - small, small)
-    gamma = np.where(upper_side, small, 1.0 - small)
-    resolved = (np.abs(c - 0.5) > _DEAD_BAND) & (complement > 0.0)
-    raw = normal_tail_vec(delta_sep + t) / complement / dt  # conditional risk over the target
-
-    def shown(column: np.ndarray) -> np.ndarray:
-        return np.where(resolved, column, math.nan)
-
+    blocks = list(_phase_blocks(cfg))
     return PhaseGrid(
-        c=c,
-        m=m,
-        gamma=shown(gamma),
-        t=shown(t),
-        risk_ratio_raw=shown(raw),
-        risk_ratio_capped=shown(np.clip(raw, *_CAP)),
-        resolved=resolved,
-        max_iterations=int(steps.max()),
-        max_residual=float(residual.max()),
+        **{name: np.concatenate([getattr(b, name) for b in blocks]) for name in _CELL_COLUMNS},
+        max_iterations=max(b.max_iterations for b in blocks),
+        max_residual=float(np.max([b.max_residual for b in blocks])),
     )
+
+
+def _csv_columns(grid: PhaseGrid) -> dict:
+    """The grid's CSV columns, in file order."""
+    return {name: getattr(grid, name) for name in _CSV_COLUMNS}
 
 
 def phase_grid_to_csv(grid: PhaseGrid, path) -> None:
     """Write the grid as CSV: c, m, gamma, t, risk_ratio_raw, risk_ratio_capped."""
-    names = ("c", "m", "gamma", "t", "risk_ratio_raw", "risk_ratio_capped")
-    write_columns(path, {name: getattr(grid, name) for name in names})
+    write_columns(path, [_csv_columns(grid)])
 
 
 def phase_grid_to_svg(grid: PhaseGrid, cfg: PhaseGridConfig, path) -> None:
     """Render the capped risk-ratio grid as a heatmap with envelope curves."""
-    n_m = len(cfg.m_grid)
-    cs, ms = grid.c[::n_m].tolist(), grid.m[:n_m].tolist()
-    values = grid.risk_ratio_capped.reshape(len(cs), n_m).T
+    _capped_to_svg(grid.risk_ratio_capped, cfg, path)
+
+
+def _capped_to_svg(capped: np.ndarray, cfg: PhaseGridConfig, path) -> None:
+    """phase_grid_to_svg from the grid's risk_ratio_capped column alone."""
+    cs, ms = np.asarray(cfg.c_grid).tolist(), np.asarray(cfg.m_grid).tolist()
+    values = capped.reshape(len(cs), len(ms)).T
     overlays = []
     for label, fn in (
         ("m*", lambda c: m_star(c)),

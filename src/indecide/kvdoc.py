@@ -104,12 +104,23 @@ def _column_cells(chunk: np.ndarray) -> tuple[str, list]:
     return "%s", texts[inverse].tolist()
 
 
-def write_columns(path, columns: dict) -> None:
-    """CSV of equal-length 1-d arrays: the keys as header, then one row per index."""
-    n = len(next(iter(columns.values())))
+def write_columns(path, blocks) -> None:
+    """CSV of column blocks under one header, the first block's keys.
+
+    Each block is a dict of equal-length 1-d arrays with the same keys in the
+    same order, written one row per index; each block is formatted and
+    dropped before the next is drawn from the iterable.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, n, _WRITE_ROWS):
-            formats, cells = zip(*(_column_cells(c[start : start + _WRITE_ROWS]) for c in columns.values()))
-            row_format = ",".join(formats) + "\n"
-            fh.write("".join(map(row_format.__mod__, zip(*cells))))
+        header = None
+        for columns in blocks:
+            if header is None:
+                header = list(columns)
+                fh.write(",".join(header) + "\n")
+            elif list(columns) != header:
+                raise ValueError(f"block columns {list(columns)} differ from the header {header}")
+            n = len(next(iter(columns.values())))
+            for start in range(0, n, _WRITE_ROWS):
+                formats, cells = zip(*(_column_cells(c[start : start + _WRITE_ROWS]) for c in columns.values()))
+                row_format = ",".join(formats) + "\n"
+                fh.write("".join(map(row_format.__mod__, zip(*cells))))

@@ -22,7 +22,6 @@ __all__ = [
     "fit_lda",
     "fit_logistic",
     "predict_eta",
-    "predict_scores",
 ]
 
 
@@ -128,35 +127,22 @@ def fit_lda(features, labels) -> LdaModel:
     )
 
 
-def _lda_softmax(model: LdaModel, feats: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The exponentials of the linear discriminant scores, shifted by their
-    row max, one column per class in class order, and their row sum: each
-    class posterior is its column over the sum."""
-    if feats.shape[1] != model.class_means.shape[1]:
-        raise ValueError("feature dimension does not match the model")
-    cols = [feats @ w + b for w, b in zip(model.weights, model.biases)]
-    top = functools.reduce(np.maximum, cols)
-    probs = [np.exp(col - top) for col in cols]
-    return probs, sum(probs[1:], probs[0])
-
-
 def predict_eta(model, x) -> np.ndarray:
     """Estimated class-1 posterior in [0, 1] for each feature row."""
     feats = _as_features(x)
     if isinstance(model, LdaModel):
-        probs, total = _lda_softmax(model, feats)
-        return probs[0] / total
+        if feats.shape[1] != model.class_means.shape[1]:
+            raise ValueError("feature dimension does not match the model")
+        # the softmax of the linear discriminant scores, shifted by their row max
+        cols = [feats @ w + b for w, b in zip(model.weights, model.biases)]
+        top = functools.reduce(np.maximum, cols)
+        probs = [np.exp(col - top) for col in cols]
+        return probs[0] / sum(probs[1:], probs[0])
     if isinstance(model, LogisticModel):
         if feats.shape[1] != len(model.weights):
             raise ValueError("feature dimension does not match the model")
         return sigmoid(feats @ model.weights + model.bias)
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def predict_scores(model: LdaModel, x) -> np.ndarray:
-    """Full posterior matrix (n x K) from a fitted discriminant model."""
-    probs, total = _lda_softmax(model, _as_features(x))
-    return np.column_stack(probs) / total[:, None]
 
 
 def fit_logistic(features, labels, tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:

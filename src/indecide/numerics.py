@@ -26,10 +26,11 @@ _SQRT2 = math.sqrt(2.0)
 def normal_tail(t: float) -> float:
     """Upper tail P(xi >= t) of the standard normal.
 
-    Absolute error <= 1e-14 everywhere; relative accuracy ~1e-15 while the
-    tail is a normal double (t below about 37.5).  Beyond that it loses
-    digits as a subnormal and is 0.0 from t ~ 38.5.  It is 1.0 for t below
-    about -8.3, and NaN for NaN.
+    Absolute error <= 1e-14 everywhere.  Relative error against 40-digit
+    mpmath: within 3.1e-15 for t < 5, up to 6.1e-14 for t in [5, 20) and
+    up to 2.1e-13 for t in [20, 37).  Above t of about 37.5 the tail is
+    subnormal and loses digits, and it is 0.0 from t ~ 38.5.  It is 1.0
+    for t below about -8.3, and NaN for NaN.
     """
     return 0.5 * math.erfc(float(t) / _SQRT2)
 

@@ -72,17 +72,16 @@ def _document(body: list[str], bounds, px, py, title: str, xlabel: str, ylabel: 
     return "\n".join(parts)
 
 
-def _fills(values: np.ndarray, vmin: float, vmax: float) -> tuple[np.ndarray, list[str]]:
+def _fills(values: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
     """Cell colors on a blue (0) -> white (0.5) -> red (1) diverging ramp, as
-    (codes, names): the cell values[j, i] is drawn in names[codes[j, i]].
+    0xRRGGBB ints, with -1 for _MISSING.
 
     v = (value - vmin) / (vmax - vmin) is clipped to [0, 1] and each channel
-    truncated to an int; NaN cells, or every cell when vmax <= vmin, get
-    _MISSING.  Two cells share a code exactly when they share a ramp color
-    or are both missing.
+    truncated to an int; NaN cells, or every cell when vmax <= vmin, are
+    missing.
     """
     if not vmax > vmin:
-        return np.zeros(values.shape, dtype=np.intp), [_MISSING]
+        return np.full(values.shape, -1)
     nan = np.isnan(values)
     v = np.minimum(1.0, np.maximum(0.0, (np.where(nan, vmin, values) - vmin) / (vmax - vmin)))
     low = v < 0.5
@@ -90,8 +89,7 @@ def _fills(values: np.ndarray, vmin: float, vmax: float) -> tuple[np.ndarray, li
     r = np.where(low, 60 + 195 * s, 255).astype(int)
     g = np.where(low, 80 + 175 * s, 255 - 175 * s).astype(int)
     b = np.where(low, 255, 255 - 195 * s).astype(int)
-    rgb, codes = np.unique(np.where(nan, -1, (r << 16) | (g << 8) | b).ravel(), return_inverse=True)
-    return codes.reshape(values.shape), [_MISSING if c < 0 else "#%06x" % c for c in rgb.tolist()]
+    return np.where(nan, -1, (r << 16) | (g << 8) | b)
 
 
 def heatmap_svg(
@@ -126,26 +124,26 @@ def heatmap_svg(
         bounds += (lo - half, hi + half)
     px, py = _scales(*bounds)
     cw, ch = (_W - 2 * _MARGIN) / len(xs), (_H - 2 * _MARGIN) / len(ys)
-    codes, names = _fills(values, vmin, vmax)
-    # one rect per maximal run of equal codes in a row, flattened row-major:
-    # a run starts at column 0 or where the code changes, and ends where the next run starts
-    change = np.ones(codes.shape, dtype=bool)
-    change[:, 1:] = codes[:, 1:] != codes[:, :-1]
-    start = np.flatnonzero(change)
-    row, first = np.divmod(start, len(xs))
-    last = np.append(start[1:], codes.size) - 1 - row * len(xs)
     # right edges are the rounded left edge plus the rounded cell width, so a run of
     # one cell has the cell's width string and a longer run ends within half a
     # sixth digit of where its last cell's rect would
     lefts = [_fmt(px(x) - cw / 2) for x in xs]
     left_px = np.array(lefts, dtype=float)
-    widths = (left_px[last] + float(_fmt(cw + 0.5)) - left_px[first]).tolist()
-    rect_ys = [f'" y="{_fmt(py(y) - ch / 2)}" width="' for y in ys]
+    width_px = float(_fmt(cw + 0.5))
     height = f'" height="{_fmt(ch + 0.5)}" fill="'
-    body = [
-        f'<rect x="{lefts[i]}{rect_ys[j]}{_fmt(w)}{height}{names[c]}"/>'
-        for i, j, w, c in zip(first.tolist(), row.tolist(), widths, codes.ravel()[start].tolist())
-    ]
+    body = []
+    for y, row in zip(ys, values):  # one row at a time, so no grid-sized temporaries
+        # one rect per maximal run of equal colors: a run starts at column 0 or
+        # where the color changes, and ends where the next run starts
+        rgb = _fills(row, vmin, vmax)
+        first = np.flatnonzero(np.append(True, rgb[1:] != rgb[:-1]))
+        last = np.append(first[1:], rgb.size) - 1
+        widths = (left_px[last] + width_px - left_px[first]).tolist()
+        rect_y = f'" y="{_fmt(py(y) - ch / 2)}" width="'
+        body += [
+            f'<rect x="{lefts[i]}{rect_y}{_fmt(w)}{height}{_MISSING if c < 0 else "#%06x" % c}"/>'
+            for i, w, c in zip(first.tolist(), widths, rgb[first].tolist())
+        ]
     for label, pts in overlays or []:
         body.append(f'<path d="{_path(pts, px, py)}" fill="none" stroke="black" stroke-width="1.5"/>')
         if pts:
@@ -155,7 +153,7 @@ def heatmap_svg(
                 f'font-family="sans-serif">{label}</text>'
             )
     row_format = ",".join(["%.6g"] * len(xs))  # _fmt per value, nan for NaN
-    data = "; ".join(row_format % tuple(row) for row in values.tolist())
+    data = "; ".join(row_format % tuple(row.tolist()) for row in values)  # one row's floats at a time
     return _document(body, bounds, px, py, title, xlabel, ylabel, data)
 
 

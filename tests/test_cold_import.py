@@ -1,10 +1,13 @@
-"""scipy is loaded only where it is called, each check in a fresh interpreter."""
+"""What a fresh interpreter loads and sets at startup: scipy only where it is
+called, and one OpenBLAS thread unless the caller chose a count."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,3 +76,21 @@ def test_chunked_solver_imports_scipy_on_first_use(tmp_path):
     assert out["scipy_before"] is False
     assert out["t_equal"] and out["steps_equal"]
     assert out["capped"] > 0
+
+
+OPENBLAS_SCRIPT = """
+import json, os, sys
+assert "numpy" not in sys.modules
+import indecide.cli
+print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_cli_sets_one_openblas_thread_unless_preset(tmp_path, monkeypatch, preset, expected):
+    # numpy reads the variable when it is first imported, which the CLI module does
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert run_fresh(OPENBLAS_SCRIPT, tmp_path) == expected

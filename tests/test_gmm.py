@@ -223,7 +223,7 @@ class TestCriticalExponent:
         with pytest.raises(ValueError):
             gmm.m_star(c)
 
-    def test_m_lower_below_m_star_for_upper_branch(self):
+    def test_m_lower_above_m_star_for_upper_branch(self):
         # c > 1/2: the finite-sample curve sits above the asymptote, so the
         # published lower envelope uses the +eps branch
         val = gmm.m_lower(0.75, 1e-8)

@@ -123,13 +123,17 @@ def column_sets(draw):
 
 class TestWriteColumns:
     @settings(max_examples=25, deadline=None)
-    @given(column_sets())
-    def test_same_bytes_as_the_row_format_writer(self, tmp_path_factory, columns):
+    @given(column_sets(), st.lists(st.integers(0, max(LENGTHS)), max_size=3))
+    def test_same_bytes_as_the_row_format_writer(self, tmp_path_factory, columns, cuts):
+        # the new writer gets the columns cut into blocks, some of them empty;
+        # the oracle gets them whole
         out = tmp_path_factory.mktemp("columns")
+        edges = [0, *sorted(cuts), max(LENGTHS)]
+        blocks = [{name: c[a:b] for name, c in columns.items()} for a, b in zip(edges, edges[1:])]
         outcomes = []
-        for path, write in [(out / "new.csv", write_columns), (out / "oracle.csv", row_format_write_columns)]:
+        for path, write, arg in [(out / "new.csv", write_columns, blocks), (out / "oracle.csv", row_format_write_columns, columns)]:
             try:
-                write(path, columns)
+                write(path, arg)
                 outcomes.append(path.read_bytes())
             except UnicodeEncodeError:  # lone surrogates have no UTF-8 bytes: both writers must refuse them
                 outcomes.append(UnicodeEncodeError)
@@ -137,7 +141,7 @@ class TestWriteColumns:
 
     def test_signed_zero_and_nan_payloads(self, tmp_path):
         x = np.array([0.0, -0.0, 0.0, math.nan, _nan_with(1, 7), -0.0, math.inf, 5e-324, 5e-324])
-        write_columns(tmp_path / "x.csv", {"x": x, "k": np.arange(9) % 2, "b": x == 0.0})
+        write_columns(tmp_path / "x.csv", [{"x": x, "k": np.arange(9) % 2, "b": x == 0.0}])
         rows = (tmp_path / "x.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == [
             "0", "-0", "0", "nan", "nan", "-0", "inf", "4.9406564584124654e-324", "4.9406564584124654e-324"
@@ -147,6 +151,10 @@ class TestWriteColumns:
 
     def test_non_contiguous_columns(self, tmp_path):
         x = np.repeat(np.arange(5.0), 3)[::2]
-        write_columns(tmp_path / "x.csv", {"x": x})
+        write_columns(tmp_path / "x.csv", [{"x": x}])
         row_format_write_columns(tmp_path / "oracle.csv", {"x": x})
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_blocks_must_share_the_header(self, tmp_path):
+        with pytest.raises(ValueError, match="differ from the header"):
+            write_columns(tmp_path / "x.csv", [{"a": np.arange(2), "b": np.arange(2)}, {"b": np.arange(2), "a": np.arange(2)}])

@@ -15,7 +15,6 @@ from indecide.models import (
     fit_lda,
     fit_logistic,
     predict_eta,
-    predict_scores,
 )
 from indecide.numerics import seeded_stream
 
@@ -213,27 +212,6 @@ class TestLda:
         model = fit_lda(x, y)
         vals = predict_eta(model, np.linspace(-5, 5, 100))
         assert (np.diff(vals) >= -1e-12).all()
-
-    def test_predict_scores_rows_sum_to_one(self):
-        rng = seeded_stream(41, 3)
-        x = np.concatenate(
-            [rng.normal(-2, 1, 100), rng.normal(0, 1, 100), rng.normal(2, 1, 100)]
-        )
-        y = np.repeat([1, 2, 3], 100)
-        model = fit_lda(x, y)
-        scores = predict_scores(model, np.linspace(-3, 3, 50))
-        assert scores.shape == (50, 3)
-        assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-12)
-        assert (scores >= 0).all()
-
-    @pytest.mark.parametrize("classes", [2, 3])
-    def test_predict_scores_first_column_is_predict_eta(self, classes):
-        # both come from one softmax, so they agree bit for bit
-        rng = seeded_stream(41, 4 + classes)
-        x = rng.normal(size=(60 * classes, 2)) + np.repeat(np.arange(classes), 60)[:, None]
-        model = fit_lda(x, np.repeat(np.arange(1, classes + 1), 60))
-        grid = rng.normal(scale=4.0, size=(200, 2))
-        assert predict_scores(model, grid)[:, 0].tobytes() == predict_eta(model, grid).tobytes()
 
     def test_label_preconditions(self):
         x = np.arange(10.0)
