@@ -283,17 +283,17 @@ _RULE_TYPES = {
 class CalibrationReport:
     """Selected rule plus the estimates that justified the selection.
 
-    gamma_hat and achieved are what rule.apply does on the calibration data
-    (holdout_* keys: on the holdout sample); feasible records whether the
-    stated targets were met.
+    gamma_hat and achieved are what rule.apply does on the calibration data;
+    feasible records whether the stated targets were met.
 
     trace holds per-candidate diagnostics when the calibrator was asked for
     them (want_trace=True), else it is empty.  It is a dict of columns: each
     value is a 1-d numpy array with one entry per candidate, in selection
     order, and all arrays have the same length.  The key order is the column
-    order of the trace CSV.  Accuracy modes give tau, decided, error and
-    running_min; the two-threshold modes give k, gamma, k_tilde,
-    type1_count, type2 (NaN where the candidate is not valid) and valid.
+    order of the trace CSV.  The Chow-rule modes give tau, decided, error
+    and running_min (tau and decided only, for an unlabelled sample); the
+    two-threshold modes give k, gamma, k_tilde, type1_count, type2 (NaN
+    where the candidate is not valid) and valid.
     """
 
     rule: Rule
@@ -338,48 +338,71 @@ def _selective_errors(decisions: np.ndarray, labels: Optional[np.ndarray]) -> di
     return out
 
 
-def _report(rule: Rule, cal: CalibrationSample, keys: tuple, feasible: bool = True, trace=None, holdout=None):
-    """rule's CalibrationReport: gamma_hat and the achieved keys from
-    rule.apply on cal, and holdout_type1/2 from rule.apply on holdout."""
+def _report(rule: Rule, cal: CalibrationSample, keys: tuple, feasible: bool = True, trace=None):
+    """rule's CalibrationReport: gamma_hat and the achieved keys from rule.apply on cal."""
     stats = _selective_errors(rule.apply(cal.column(rule.column)), cal.labels)
     achieved = {key: stats[key] for key in keys if key in stats}
-    if holdout is not None:
-        held = _selective_errors(rule.apply(holdout.column(rule.column)), holdout.labels)
-        achieved.update(holdout_type1=held["type1"], holdout_type2=held["type2"])
     return CalibrationReport(rule, stats["gamma"], achieved, feasible, trace or {})
 
 
+def _tie_table(values: np.ndarray, mark: Optional[np.ndarray]):
+    """values sorted once; is_edge[r] for r in 0..n, true where ranks 1..r
+    and r+1..n share no value; edge_floor[r], the largest tie edge at or
+    below r; and cum[r], the marked points among ranks 1..r (None without a
+    mark).  Only the sorted values show how the sort ordered ties."""
+    order = np.argsort(values)
+    v_sorted = values[order]
+    is_edge = np.concatenate(([True], v_sorted[:-1] < v_sorted[1:], [True]))
+    edge_floor = np.maximum.accumulate(np.where(is_edge, np.arange(len(values) + 1), 0))
+    cum = None if mark is None else np.concatenate(([0], np.cumsum(mark[order])))
+    return v_sorted, is_edge, edge_floor, cum
+
+
 # ---------------------------------------------------------------------------
-# accuracy control: one confidence threshold
+# Chow's reject rule: one confidence threshold
+
+
+def _calibrate_chow(rule_type: type, cal: CalibrationSample, want_trace: bool, cut) -> CalibrationReport:
+    """Both Chow-rule selectors, on one tie table of the confidences.
+
+    Candidate i decides the points whose confidence is at least the i-th
+    smallest: the ranks from start[i], the tie edge at or below i.
+    cut(start, err), with err each candidate's error over its decided points
+    (None without labels), gives the candidate the rule decides from (a tie
+    edge, or n for none) and whether it is feasible.
+    """
+    conf, predicted = rule_type.statistic(cal.column(rule_type.column))
+    conf_sorted, _, edge_floor, cum = _tie_table(conf, None if cal.labels is None else predicted != cal.labels)
+    n = len(conf_sorted)
+    start = edge_floor[:n]
+    decided = n - start
+    err = None if cum is None else (cum[n] - cum[start]) / decided
+    i, feasible = cut(start, err)
+    # tau: the largest abstained confidence where the rule abstains at tau, else the smallest decided one
+    if rule_type.abstain_at_tau:
+        tau = float(conf_sorted[i - 1]) if i else -np.inf
+    else:
+        tau = float(conf_sorted[i]) if i < n else np.inf
+    trace = {}
+    if want_trace:
+        trace = {"tau": conf_sorted, "decided": decided}
+        if err is not None:
+            trace.update(error=err, running_min=np.minimum.accumulate(err))
+    return _report(rule_type(tau=tau), cal, ("conditional_error",), feasible, trace)
 
 
 def _calibrate_accuracy(rule_type: type, cal: CalibrationSample, alpha: float, want_trace: bool):
-    """The accuracy selector of both Chow rules on their calibration values.
-
-    Candidate thresholds are the sorted confidences; candidate i decides
-    every point with confidence >= the i-th one.  The first candidate whose
-    error over those points is at most alpha is the rule, else tau = inf.
-    """
+    """The accuracy selector of both Chow rules: the first candidate whose
+    error is at most alpha, else none (tau = inf) and infeasible."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    values, labels = _binary_sample(cal, rule_type.column)
-    conf, predicted = rule_type.statistic(values)
-    n = len(conf)
-    order = np.argsort(conf)
-    conf_sorted = conf[order]
-    mis_sorted = (predicted != labels)[order]
-    # decided set at candidate i is every point with confidence >= the i-th
-    # sorted confidence: a suffix starting at the first occurrence of a tie
-    mis_suffix = np.concatenate((np.cumsum(mis_sorted[::-1])[::-1], [0]))
-    start = np.searchsorted(conf_sorted, conf_sorted, side="left")
-    decided = n - start
-    err = mis_suffix[start] / decided
-    hits = np.flatnonzero(err <= alpha)
-    trace = {}
-    if want_trace:
-        trace = {"tau": conf_sorted, "decided": decided, "error": err, "running_min": np.minimum.accumulate(err)}
-    tau = float(conf_sorted[hits[0]]) if len(hits) else np.inf
-    return _report(rule_type(tau=tau), cal, ("conditional_error",), len(hits) > 0, trace)
+    _binary_sample(cal, rule_type.column)
+
+    def first_within(start, err):
+        hits = np.flatnonzero(err <= alpha)
+        return (int(hits[0]), True) if len(hits) else (len(start), False)
+
+    return _calibrate_chow(rule_type, cal, want_trace, first_within)
 
 
 def calibrate_accuracy(
@@ -406,48 +429,36 @@ def calibrate_accuracy_mlr(
     return _calibrate_accuracy(MlrSymmetricRule, cal, alpha, want_trace)
 
 
-# ---------------------------------------------------------------------------
-# fixed abstention mass
-
-
-def _calibrate_fixed_gamma(rule_type: type, cal: CalibrationSample, gamma: float) -> CalibrationReport:
-    """The cut of both fixed-gamma calibrators: the ceil(gamma * n) lowest
-    confidences abstain, and so does every one tied with the last of them.
-    tau is the largest abstained confidence for a rule that abstains at tau,
-    else the smallest decided one (-inf or inf where there is none)."""
+def _calibrate_fixed_gamma(rule_type: type, cal: CalibrationSample, gamma: float, want_trace: bool):
+    """The cut of both fixed-gamma calibrators: the first candidate whose
+    decided set starts at or past ceil(gamma * n), so the ceil(gamma * n)
+    lowest confidences abstain, and so does every one tied with the last."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    conf_sorted = np.sort(rule_type.statistic(cal.column(rule_type.column))[0])
-    n = len(conf_sorted)
-    m = int(np.ceil(gamma * n))
-    if m:
-        m = int(np.searchsorted(conf_sorted, conf_sorted[m - 1], side="right"))
-    if rule_type.abstain_at_tau:
-        tau = float(conf_sorted[m - 1]) if m else -np.inf
-    else:
-        tau = float(conf_sorted[m]) if m < n else np.inf
-    return _report(rule_type(tau=tau), cal, ("conditional_error",))
+    m = int(np.ceil(gamma * cal.n))
+    return _calibrate_chow(rule_type, cal, want_trace, lambda start, _: (int(np.searchsorted(start, m)), True))
 
 
 def calibrate_accuracy_fixed_gamma(
-    cal: CalibrationSample, gamma: float
+    cal: CalibrationSample, gamma: float, *, want_trace: bool = False
 ) -> CalibrationReport:
     """Abstain on the ceil(gamma * n) lowest-confidence points and on every
     point tied with the last of them."""
     _binary_sample(cal, "score")
-    return _calibrate_fixed_gamma(SelectiveBinaryRule, cal, gamma)
+    return _calibrate_fixed_gamma(SelectiveBinaryRule, cal, gamma, want_trace)
 
 
 def calibrate_multiclass_fixed_gamma(
-    cal: CalibrationSample, gamma: float
+    cal: CalibrationSample, gamma: float, *, want_trace: bool = False
 ) -> CalibrationReport:
     """Abstain on the ceil(gamma * n) smallest max-score points and on every
     point tied with the last of them.
 
     Unsupervised: labels, when present, are used only to report the
-    conditional error of the resulting argmax rule.
+    conditional error of the resulting argmax rule, and its trace's error
+    column.
     """
-    return _calibrate_fixed_gamma(MaxScoreRule, cal, gamma)
+    return _calibrate_fixed_gamma(MaxScoreRule, cal, gamma, want_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -495,26 +506,18 @@ def _np_grid_select(
     n1 = int(is_class1.sum())
     if n1 in (0, n):
         raise ValueError("both classes must be present")
-    order = np.argsort(values)
-    v_sorted = values[order]
+    v_sorted, is_edge, edge_floor, cum1 = _tie_table(values, is_class1)  # cum1[r]: class-1 count among ranks 1..r
     ranks = np.arange(0, n + 1)
-    cum1 = np.cumsum(is_class1[order])  # class-1 count among ranks 1..r
-    cum1_ext = np.concatenate(([0], cum1))
-    # rank r is a tie edge when ranks 1..r and r+1..n share no value;
-    # edge_floor[r] is the largest tie edge <= r
-    is_edge = np.concatenate(([True], v_sorted[:-1] < v_sorted[1:], [True]))
-    edge_floor = np.maximum.accumulate(np.where(is_edge, ranks, 0))
-
     gammas = ranks / n
     budget_counts = _type1_count_budget(n1, (1.0 - gammas) * alpha1, high_prob_delta)
     # largest tie edge k_tilde with cum1[k_tilde] <= budget (0 = empty block); budgets are whole counts
-    k_tilde = edge_floor[np.searchsorted(cum1, budget_counts, side="right")]
+    k_tilde = edge_floor[np.searchsorted(cum1[1:], budget_counts, side="right")]
     top_start = k_tilde + ranks  # first class-1 rank is top_start + 1
     ts = np.minimum(top_start, n)
     valid = (top_start <= n) & is_edge[ts]
     # class-2 points decided as class 1, over those in either decided block
-    top2 = (n - n1) - (ts - cum1_ext[ts])
-    type2 = np.where(valid, top2 / np.maximum(top2 + k_tilde - cum1_ext[k_tilde], 1), np.inf)
+    top2 = (n - n1) - (ts - cum1[ts])
+    type2 = np.where(valid, top2 / np.maximum(top2 + k_tilde - cum1[k_tilde], 1), np.inf)
 
     # full abstention always meets alpha2 vacuously (empty decided set); it
     # is excluded so feasible=False flags data where no substantive rule works
@@ -525,7 +528,7 @@ def _np_grid_select(
             "k": ranks,
             "gamma": gammas,
             "k_tilde": k_tilde,
-            "type1_count": cum1_ext[k_tilde],
+            "type1_count": cum1[k_tilde],
             "type2": np.where(valid, type2, np.nan),
             "valid": valid,
         }
@@ -541,7 +544,7 @@ def _np_grid_select(
     tau2 = tau1 if k == 0 else below(kt + k + 1) if kt + k < n else np.inf
     kt0 = k_tilde[0]  # gamma = 0: the level is alpha1
     if high_prob_delta is not None:
-        kt0 = edge_floor[np.searchsorted(cum1, _type1_count_budget(n1, np.array([alpha1]), None)[0], side="right")]
+        kt0 = edge_floor[np.searchsorted(cum1[1:], _type1_count_budget(n1, np.array([alpha1]), None)[0], side="right")]
     return _GridChoice(k, tau1, tau2, feasible, trace, below(int(kt0)))
 
 
@@ -602,7 +605,6 @@ def calibrate_np(
     alpha1: float,
     alpha2: float,
     *,
-    holdout: Optional[CalibrationSample] = None,
     high_prob_delta: Optional[float] = None,
     want_trace: bool = False,
 ) -> CalibrationReport:
@@ -612,21 +614,18 @@ def calibrate_np(
     prefix keeping the class-1 fraction within (1 - gamma) * alpha1, the
     next k order statistics abstain, and the first gamma whose estimated
     type II error reaches alpha2 wins.  Both block edges fall between
-    distinct scores (see _np_grid_select).  By default type II is estimated
-    on the calibration sample itself; pass holdout for a post-selection
-    estimate on fresh data.  high_prob_delta, in (0, 1), switches the
-    type-I budget to the conservative binomial order-statistic rank (see
+    distinct scores (see _np_grid_select).  The errors are estimated on the
+    calibration sample itself; apply the rule to fresh data for estimates
+    after selection.  high_prob_delta, in (0, 1), switches the type-I budget
+    to the conservative binomial order-statistic rank (see
     _type1_count_budget); that budget imports scipy.stats (binom) and
     scipy.special (bdtri) on first use.
     """
     scores, labels = _binary_sample(cal, "score")
-    if holdout is not None:
-        _binary_sample(holdout, "score")
     choice = _np_grid_select(
         scores, labels == 1, alpha1, alpha2, high_prob_delta=high_prob_delta, want_trace=want_trace
     )
-    rule = NpRule(tau1=choice.tau1, tau2=choice.tau2)
-    return _report(rule, cal, _NP_KEYS, choice.feasible, choice.trace, holdout if choice.feasible else None)
+    return _report(NpRule(tau1=choice.tau1, tau2=choice.tau2), cal, _NP_KEYS, choice.feasible, choice.trace)
 
 
 def calibrate_np_mlr(

@@ -71,17 +71,22 @@ _EXPERIMENTS = {
     "consistency-trend": ({"reps": 100}, {"reps": 1000}, "risk_gap"),
 }
 
-# --mode -> (rule class, whose column the input holds; flags it needs; calibration of (sample, args)),
-# "accuracy --gamma" being accuracy with --gamma set; calibrators are module globals looked up per call
+# --mode -> (rule class, whose column the input holds; its target flags, all required and no others allowed;
+# calibration of (sample, args)), "accuracy --gamma" being accuracy with --gamma set; calibrators are module
+# globals looked up per call
 _MODES = {
     "accuracy": (SelectiveBinaryRule, ("alpha",), lambda s, a: calibrate_accuracy(s, a.alpha, want_trace=a.trace)),
     "np": (NpRule, ("alpha1", "alpha2"), lambda s, a: calibrate_np(s, a.alpha1, a.alpha2, want_trace=a.trace)),
-    "multiclass": (MaxScoreRule, ("gamma",), lambda s, a: calibrate_multiclass_fixed_gamma(s, a.gamma)),
+    "multiclass": (
+        MaxScoreRule, ("gamma",), lambda s, a: calibrate_multiclass_fixed_gamma(s, a.gamma, want_trace=a.trace)
+    ),
     "mlr-np": (
         MlrNpRule, ("alpha1", "alpha2"), lambda s, a: calibrate_np_mlr(s, a.alpha1, a.alpha2, want_trace=a.trace)
     ),
     "mlr-accuracy": (MlrSymmetricRule, ("alpha",), lambda s, a: calibrate_accuracy_mlr(s, a.alpha, want_trace=a.trace)),
-    "accuracy --gamma": (SelectiveBinaryRule, ("gamma",), lambda s, a: calibrate_accuracy_fixed_gamma(s, a.gamma)),
+    "accuracy --gamma": (
+        SelectiveBinaryRule, ("gamma",), lambda s, a: calibrate_accuracy_fixed_gamma(s, a.gamma, want_trace=a.trace)
+    ),
 }
 
 
@@ -297,10 +302,11 @@ def _write_manifest(out_dir: Path, subcommand: str, inputs: list[str], outputs: 
 
 def cmd_calibrate(args) -> int:
     mode = args.mode
-    _, flags, calibrate = _MODES[f"{mode} --gamma" if mode == "accuracy" and args.gamma is not None else mode]
-    for flag in flags:  # before the input is read, so a missing flag fails at once
-        if getattr(args, flag) is None:
-            raise SchemaError(f"mode {mode} requires --{flag}")
+    key = f"{mode} --gamma" if mode == "accuracy" and args.gamma is not None else mode
+    _, flags, calibrate = _MODES[key]
+    for flag in ("alpha", "alpha1", "alpha2", "gamma"):  # before the input is read, so a bad flag fails at once
+        if (getattr(args, flag) is None) == (flag in flags):
+            raise SchemaError(f"mode {key} {'requires' if flag in flags else 'does not read'} --{flag}")
     report = calibrate(_load_sample(args.input, mode), args)
 
     out_dir = Path(args.out_dir)

@@ -310,20 +310,6 @@ _MONOTONE_ULPS = 16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool):
-    """_solve_t_cells over fixed-size chunks of the pairs, in turn.
-
-    Each cell's bisection depends only on its own pair, so t and the step
-    counts are bit-identical at any chunking.
-    """
-    t = np.empty_like(delta)
-    steps = np.empty(delta.size, dtype=int)
-    for start in range(0, delta.size, _SOLVE_CHUNK):
-        stop = start + _SOLVE_CHUNK
-        t[start:stop], steps[start:stop] = _solve_t_cells(delta[start:stop], target[start:stop], increasing)
-    return t, steps
-
-
 def _normal_density(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
@@ -390,7 +376,7 @@ def _below_or_proven(t, d, tg, true_to, false_from, increasing: bool) -> np.ndar
     return below
 
 
-def _solve_t_cells(delta: np.ndarray, target: np.ndarray, increasing: bool):
+def _solve_t_grid(delta: np.ndarray, target: np.ndarray, increasing: bool):
     """numerics.bisect in t for every (delta, target) pair, from the bracket [0, delta + 2].
 
     The predicate takes its proven value outside each cell's window from

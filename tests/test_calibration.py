@@ -113,12 +113,6 @@ class TestCalibrationSample:
         with pytest.raises(ValueError, match="labels in"):
             calibrate(cal)
 
-    def test_holdout_labels_checked(self):
-        cal = CalibrationSample(scores=np.array([0.9, 0.2]), labels=np.array([1, 2]))
-        hold = CalibrationSample(scores=np.array([0.9, 0.2]), labels=np.array([1, 3]))
-        with pytest.raises(ValueError, match="labels in"):
-            calibrate_np(cal, 0.1, 0.1, holdout=hold)
-
 
 class TestRules:
     def test_selective_binary(self):
@@ -391,17 +385,6 @@ class TestCalibrateNp:
             earlier = (trace["k"] < k_sel) & trace["valid"]
             assert (trace["type2"][earlier] > 0.3).all()
 
-    def test_holdout_estimates_reported(self):
-        rng = seeded_stream(26, 0)
-        x, y = _draw_mixture(rng, 400, 1.0)
-        xh, yh = _draw_mixture(rng, 400, 1.0)
-        cal = CalibrationSample(scores=oracle_eta(x, 1.0), labels=y)
-        hold = CalibrationSample(scores=oracle_eta(xh, 1.0), labels=yh)
-        report = calibrate_np(cal, 0.1, 0.3, holdout=hold)
-        if report.feasible:
-            assert "holdout_type1" in report.achieved
-            assert "holdout_type2" in report.achieved
-
     def test_high_prob_budget_is_more_conservative(self):
         rng = seeded_stream(27, 0)
         x, y = _draw_mixture(rng, 500, 1.0)
@@ -482,6 +465,14 @@ class TestCalibrateMulticlass:
         report = calibrate_multiclass_fixed_gamma(cal, 0.34)
         assert report.gamma_hat == pytest.approx(2 / 3, abs=1e-12)
         assert "conditional_error" not in report.achieved
+
+    def test_unsupervised_trace(self):
+        # no labels, so no error column: each candidate's confidence and decided count
+        sv = np.array([[0.5, 0.5], [0.75, 0.25], [0.25, 0.75], [1.0, 0.0]])
+        report = calibrate_multiclass_fixed_gamma(CalibrationSample(score_vectors=sv), 0.3, want_trace=True)
+        assert list(report.trace) == ["tau", "decided"]
+        assert report.trace["tau"].tolist() == [0.5, 0.75, 0.75, 1.0]
+        assert report.trace["decided"].tolist() == [4, 3, 3, 1]  # the rule decides the last row's 1
 
     def test_gamma_zero(self):
         sv = np.array([[0.9, 0.1], [0.3, 0.7]])
@@ -701,7 +692,7 @@ def recomputed_power_at_gamma0(xs, labels, alpha1) -> float:
     return 1.0 - recomputed_np(rule, xs, labels)["type2"]
 
 
-def assert_report_is_apply(report, values, labels, holdout=None):
+def assert_report_is_apply(report, values, labels):
     """gamma_hat and every achieved key rule.apply can recompute, exactly
     (the mlr-np power keys describe another rule and are checked apart)."""
     wrong1 = int(((labels == 1) & (report.rule.apply(values) == 2)).sum())
@@ -710,9 +701,6 @@ def assert_report_is_apply(report, values, labels, holdout=None):
         **recomputed_np(report.rule, values, labels),
         "type1_marginal": wrong1 / int((labels == 1).sum()),
     }
-    if holdout is not None:
-        held = recomputed_np(report.rule, *holdout)
-        expected.update(holdout_type1=held["type1"], holdout_type2=held["type2"])
     assert report.gamma_hat == expected["gamma"]
     for key, value in report.achieved.items():
         if key not in ("power_at_gamma0", "power_criterion_positive_gamma"):
@@ -749,8 +737,27 @@ def assert_accuracy_row_is_the_rule(report, alpha):
     assert report.feasible == (len(hits) > 0)
     if report.feasible:
         assert trace["tau"][hits[0]] == report.rule.tau
-        assert trace["error"][hits[0]] == report.achieved["conditional_error"]
-        assert trace["decided"][hits[0]] == round((1.0 - report.gamma_hat) * len(trace["tau"]))
+        assert_chow_row_is_the_rule(report, hits[0])
+
+
+def assert_chow_row_is_the_rule(report, i):
+    """Trace row i decides what the rule decides, with the error it reports."""
+    trace = report.trace
+    assert trace["decided"][i] == round((1.0 - report.gamma_hat) * len(trace["tau"]))
+    assert trace["error"][i] == report.achieved["conditional_error"]
+
+
+def assert_cut_row_is_the_rule(report):
+    """The fixed-gamma cut scored the rule it ships: the first row deciding
+    no more than the rule, unless the rule decides nothing."""
+    trace = report.trace
+    assert report.feasible and list(trace) == ["tau", "decided", "error", "running_min"]
+    n = len(trace["tau"])
+    rows = np.flatnonzero(trace["decided"] <= round((1.0 - report.gamma_hat) * n))
+    if report.gamma_hat < 1.0:
+        assert_chow_row_is_the_rule(report, rows[0])
+    else:
+        assert len(rows) == 0 and report.achieved["conditional_error"] == 0.0
 
 
 def piled(draw, n):
@@ -784,20 +791,17 @@ def labelled_scores(draw, kind):
 @pytest.mark.parametrize("kind", sorted(SCORE_KINDS))
 def test_every_report_is_what_its_rule_does(kind, data, alpha1, alpha2, gamma):
     """All six calibrators, feasible or not: the report is rule.apply on the
-    calibration sample (and, for holdout_*, on the holdout sample)."""
+    calibration sample, and the trace row of the selected rule agrees."""
     scores, labels = data.draw(labelled_scores(kind))
-    held_scores, held_labels = data.draw(labelled_scores(kind))
     xs = 2.0 - 4.0 * scores  # class 2 to the right; s = 1/2 lands on x = 0
     cal, cal_x = CalibrationSample(scores=scores, labels=labels), CalibrationSample(xs=xs, labels=labels)
     vectors = np.stack([scores, 1.0 - scores], axis=1)
 
-    holdout = CalibrationSample(scores=held_scores, labels=held_labels)
     power = recomputed_power_at_gamma0(xs, labels, alpha1)
     for delta in (None, 0.05):
-        report = calibrate_np(cal, alpha1, alpha2, holdout=holdout, high_prob_delta=delta, want_trace=True)
-        assert_report_is_apply(report, scores, labels, (held_scores, held_labels))
+        report = calibrate_np(cal, alpha1, alpha2, high_prob_delta=delta, want_trace=True)
+        assert_report_is_apply(report, scores, labels)
         assert_grid_row_is_the_rule(report, labels, alpha2)
-        assert ("holdout_type1" in report.achieved) == report.feasible
         assert_within_high_prob_budget(report, scores, labels, alpha1, delta)
         report = calibrate_np_mlr(cal_x, alpha1, alpha2, high_prob_delta=delta, want_trace=True)
         assert_report_is_apply(report, xs, labels)
@@ -808,13 +812,18 @@ def test_every_report_is_what_its_rule_does(kind, data, alpha1, alpha2, gamma):
     for report, values in (
         (calibrate_accuracy(cal, alpha1, want_trace=True), scores),
         (calibrate_accuracy_mlr(cal_x, alpha1, want_trace=True), xs),
-        (calibrate_accuracy_fixed_gamma(cal, gamma), scores),
-        (calibrate_multiclass_fixed_gamma(CalibrationSample(score_vectors=vectors, labels=labels), gamma), vectors),
     ):
         assert_report_is_apply(report, values, labels)
         assert report.achieved.keys() == {"conditional_error"}
-        if report.trace:
-            assert_accuracy_row_is_the_rule(report, alpha1)
+        assert_accuracy_row_is_the_rule(report, alpha1)
+    cal_v = CalibrationSample(score_vectors=vectors, labels=labels)
+    for report, values in (
+        (calibrate_accuracy_fixed_gamma(cal, gamma, want_trace=True), scores),
+        (calibrate_multiclass_fixed_gamma(cal_v, gamma, want_trace=True), vectors),
+    ):
+        assert_report_is_apply(report, values, labels)
+        assert report.achieved.keys() == {"conditional_error"}
+        assert_cut_row_is_the_rule(report)
 
 
 class TieOrder:
@@ -846,7 +855,7 @@ def report_bytes(report) -> tuple:
     alpha2=ALPHAS,
 )
 def test_selectors_do_not_depend_on_the_order_of_ties(scores, data, alpha1, alpha2):
-    """All four selectors return the same bytes whatever order the sort puts
+    """All six selectors return the same bytes whatever order the sort puts
     tied values in: in input order (a stable sort), in reverse, at random,
     and as numpy's default argsort does."""
     n = len(scores)
@@ -854,7 +863,9 @@ def test_selectors_do_not_depend_on_the_order_of_ties(scores, data, alpha1, alph
     xs = np.array(data.draw(st.lists(st.sampled_from([2.0, -2.0, 1.0, -1.0, 0.0, -0.0]), min_size=n, max_size=n)))
     labels = np.array(data.draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n)))
     assume(len(set(labels.tolist())) == 2)
+    gamma = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]))
     cal, cal_x = CalibrationSample(scores=scores, labels=labels), CalibrationSample(xs=xs, labels=labels)
+    cal_v = CalibrationSample(score_vectors=np.stack([scores, 1.0 - scores], axis=1), labels=labels)
 
     def run():
         return [
@@ -862,6 +873,8 @@ def test_selectors_do_not_depend_on_the_order_of_ties(scores, data, alpha1, alph
             report_bytes(calibrate_accuracy_mlr(cal_x, alpha1, want_trace=True)),
             report_bytes(calibrate_np(cal, alpha1, alpha2, want_trace=True)),
             report_bytes(calibrate_np_mlr(cal_x, alpha1, alpha2, want_trace=True)),
+            report_bytes(calibrate_accuracy_fixed_gamma(cal, gamma, want_trace=True)),
+            report_bytes(calibrate_multiclass_fixed_gamma(cal_v, gamma, want_trace=True)),
         ]
 
     default = run()

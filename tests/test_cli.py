@@ -129,6 +129,40 @@ class TestCalibrateCommand:
             assert code == EXIT_USAGE
             assert capsys.readouterr().err == "error: mode np requires --alpha2\n"
 
+    @pytest.mark.parametrize(
+        "mode, flags, message",
+        [
+            ("np", ["--alpha1", "0.1", "--alpha2", "0.1", "--gamma", "0.2"], "mode np does not read --gamma"),
+            ("accuracy", ["--alpha", "0.1", "--gamma", "0.2"], "mode accuracy --gamma does not read --alpha"),
+            ("mlr-np", ["--alpha", "0.1", "--alpha1", "0.1", "--alpha2", "0.1"], "mode mlr-np does not read --alpha"),
+        ],
+    )
+    def test_unread_target_flag(self, tmp_path, capsys, mode, flags, message):
+        # such a flag used to be dropped without a word; it fails before the input is read
+        out = tmp_path / "o"
+        argv = ["calibrate", "--mode", mode, "--input", str(tmp_path / "missing.csv"), *flags]
+        code = main([*argv, "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [
+            ("multiclass", "s_1,s_2,label\n0.8,0.2,1\n0.3,0.7,1\n0.5,0.5,2\n0.1,0.9,2\n"),
+            ("accuracy", "score,label\n0.9,1\n0.3,1\n0.5,2\n0.1,2\n"),
+        ],
+    )
+    def test_fixed_gamma_modes_write_a_trace(self, tmp_path, mode, text):
+        # --trace used to write no trace.csv in these modes, and exit 0
+        out = tmp_path / "out"
+        argv = ["calibrate", "--mode", mode, "--input", write_csv(tmp_path / "cal.csv", text), "--gamma", "0.2"]
+        assert main([*argv, "--out-dir", str(out), "--trace"]) == EXIT_OK
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "tau,decided,error,running_min"
+        assert len(trace) == 1 + 4  # one row per candidate
+        assert "trace.csv" in read_kv(out / "manifest.kv")["outputs"]
+
     def test_multiclass_fixed_gamma(self, tmp_path):
         inp = write_csv(
             tmp_path / "cal.csv",

@@ -50,17 +50,10 @@ from indecide import gmm
 
 scipy_before = "scipy" in sys.modules
 rng = np.random.default_rng(5)
-n = 2 * gmm._SOLVE_CHUNK + gmm._SOLVE_CHUNK // 2
-delta = 10.0 ** rng.uniform(-4.0, 1.0, n)
-target = 10.0 ** rng.uniform(-300.0, -1e-4, n)
-t, steps = gmm._solve_t_grid(delta, target, True)
-t_ref, steps_ref = gmm._solve_t_cells(delta, target, True)
-print(json.dumps({
-    "scipy_before": scipy_before,
-    "t_equal": t.tobytes() == t_ref.tobytes(),
-    "steps_equal": bool(np.array_equal(steps, steps_ref)),
-    "capped": int((steps == 110).sum()),
-}))
+delta = 10.0 ** rng.uniform(-4.0, 1.0, gmm._SOLVE_CHUNK)
+target = 10.0 ** rng.uniform(-300.0, -1e-4, gmm._SOLVE_CHUNK)
+_, steps = gmm._solve_t_grid(delta, target, True)
+print(json.dumps({"scipy_before": scipy_before, "capped": int((steps == 110).sum())}))
 """
 
 
@@ -71,10 +64,9 @@ def test_cli_commands_run_without_scipy(tmp_path):
     assert out["scipy"] == []
 
 
-def test_chunked_solver_imports_scipy_on_first_use(tmp_path):
+def test_solver_imports_scipy_on_first_use(tmp_path):
     out = run_fresh(SOLVER_SCRIPT, tmp_path)
     assert out["scipy_before"] is False
-    assert out["t_equal"] and out["steps_equal"]
     assert out["capped"] > 0
 
 

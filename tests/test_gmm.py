@@ -1,7 +1,6 @@
 """Tests for the closed-form Gaussian-mixture abstention oracle."""
 
 import csv
-import functools
 import math
 
 import numpy as np
@@ -297,9 +296,14 @@ class TestSolveTGrid:
     def _pairs(seed):
         rng = np.random.default_rng(seed)
         # wide random pairs: tiny deltas with tiny targets run into the
-        # 110-step cap, targets near 1 need the bracket to grow
-        delta = 10.0 ** rng.uniform(-4.0, 1.0, 3000)
-        target = 10.0 ** rng.uniform(-300.0, -1e-4, 3000)
+        # 110-step cap, targets near 1 need the bracket to grow; then targets
+        # 1 - gamma at a threshold below 1e-20, where the decreasing side
+        # runs into the cap
+        delta = 10.0 ** rng.uniform(-4.0, 1.0, 4000)
+        tiny, d = 10.0 ** rng.uniform(-300.0, -20.0, 1000), delta[3000:]
+        target = np.concatenate(
+            [10.0 ** rng.uniform(-300.0, -1e-4, 3000), normal_tail_vec(tiny - d) + normal_tail_vec(d + tiny)]
+        )
         # upper-panel cells near c = 0.55 at delta_target = 1e-15, where t is
         # near 1e-10 and the fixed point takes about 90 steps
         dt = 1e-15
@@ -328,53 +332,6 @@ class TestSolveTGrid:
     def test_empty_side(self):
         t, steps = gmm._solve_t_grid(np.array([]), np.array([]), True)
         assert t.size == 0 and steps.size == 0
-
-    @staticmethod
-    @functools.cache
-    def _chunked_case(increasing):
-        """Pairs over three and a half solver chunks, and the oracle's answer.
-
-        Half are wide random pairs, half take the target 1 - gamma at a
-        threshold below 1e-20, where the decreasing side runs into the cap.
-        """
-        rng = np.random.default_rng(7)
-        n = 3 * gmm._SOLVE_CHUNK + gmm._SOLVE_CHUNK // 2
-        delta = 10.0 ** rng.uniform(-4.0, 1.0, n)
-        tiny = 10.0 ** rng.uniform(-300.0, -20.0, n)
-        target = np.where(
-            rng.random(n) < 0.5,
-            10.0 ** rng.uniform(-300.0, -1e-4, n),
-            normal_tail_vec(tiny - delta) + normal_tail_vec(delta + tiny),
-        )
-        return delta, target, lockstep_solve_t_grid(delta, target, increasing)
-
-    @pytest.mark.parametrize("increasing", [True, False])
-    def test_chunks_in_turn_match_the_oracle(self, monkeypatch, increasing):
-        # the solver runs its chunks in turn and in order
-        delta, target, (t_ref, last_move) = self._chunked_case(increasing)
-        chunks, solve_cells = [], gmm._solve_t_cells
-
-        def spy(d, tg, inc):
-            chunks.append(d.size)
-            return solve_cells(d, tg, inc)
-
-        monkeypatch.setattr(gmm, "_solve_t_cells", spy)
-        t, steps = gmm._solve_t_grid(delta, target, increasing)
-        assert chunks == [gmm._SOLVE_CHUNK] * 3 + [gmm._SOLVE_CHUNK // 2]
-        assert np.array_equal(t, t_ref)
-        assert np.array_equal(steps, last_move)
-        # cells at the 110-step cap sit in every chunk
-        capped = np.flatnonzero(steps == 110) // gmm._SOLVE_CHUNK
-        assert set(capped.tolist()) == {0, 1, 2, 3}
-
-    def test_many_small_chunks_match_the_oracle(self, monkeypatch):
-        # disjoint slices of the output arrays: a misplaced write shows as a
-        # difference from the oracle
-        delta, target, (t_ref, last_move) = self._chunked_case(True)
-        monkeypatch.setattr(gmm, "_SOLVE_CHUNK", 257)
-        t, steps = gmm._solve_t_grid(delta, target, True)
-        assert np.array_equal(t, t_ref)
-        assert np.array_equal(steps, last_move)
 
     @pytest.mark.parametrize("increasing", [True, False])
     def test_bisect_evaluating_every_step_matches_the_oracle(self, increasing):
@@ -447,7 +404,7 @@ class TestWindowedBisection:
 
     def test_cells_where_a_narrow_window_moved_t(self):
         delta, target = self._cells_777()
-        t, steps = gmm._solve_t_cells(delta, target, False)
+        t, steps = gmm._solve_t_grid(delta, target, False)
         t_ref, last_move = lockstep_solve_t_grid(delta, target, False)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(steps, last_move)
@@ -457,7 +414,7 @@ class TestWindowedBisection:
         delta, target = self._cells_777()
         true_to, false_from = gmm._t_window(delta, target, False)
         assert np.isfinite(true_to).all() and np.isfinite(false_from).all()
-        t, steps = gmm._solve_t_cells(delta, target, False)
+        t, steps = gmm._solve_t_grid(delta, target, False)
         t_ref, last_move = lockstep_solve_t_grid(delta, target, False)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(steps, last_move)
@@ -483,7 +440,7 @@ class TestWindowedBisection:
         plain = plain_bisection_tail_evals(delta, target, increasing, last_move)
         evals, tail = [], gmm.normal_tail_vec
         monkeypatch.setattr(gmm, "normal_tail_vec", lambda x: evals.append(np.size(x)) or tail(x))
-        t, steps = gmm._solve_t_cells(delta, target, increasing)
+        t, steps = gmm._solve_t_grid(delta, target, increasing)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(steps, last_move)
         assert sum(evals) < plain / 2
@@ -605,7 +562,7 @@ class TestPhaseGrid:
         steps, residuals = [], []
         for side, increasing in ((grid.c > 0.5, True), (grid.c <= 0.5, False)):
             assert side.sum() > 2 * gmm._SOLVE_CHUNK
-            t, side_steps = gmm._solve_t_cells(delta[side], target[side], increasing)
+            t, side_steps = gmm._solve_t_grid(delta[side], target[side], increasing)
             shown = grid.resolved[side]
             assert np.array_equal(grid.t[side][shown], t[shown])
             steps.append(side_steps)
