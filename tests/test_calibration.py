@@ -411,8 +411,11 @@ class TestCalibrateNp:
 
 class TestType1Budget:
     @pytest.mark.parametrize("delta", [1e-6, 0.05, 0.5])
-    def test_matches_per_level_loop(self, delta):
+    def test_matches_per_level_loop(self, delta, monkeypatch):
+        from scipy.stats import binom
+
         rng = np.random.default_rng(41)
+        cases = []
         for n1 in [*range(1, 61), 257, 1000, 3001]:
             step = max(1, n1 // 10)
             levels = np.concatenate(
@@ -423,8 +426,16 @@ class TestType1Budget:
                     [1e-300, 1e-12, 1e-6, 0.5 / n1],  # tiny levels
                 ]
             )
+            cases.append((n1, levels, loop_type1_count_budget(n1, levels, delta)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("binom.cdf called")
+
+        # the budget probes binom's CDF hook; binom.cdf stays the oracle's
+        monkeypatch.setattr(binom, "cdf", refuse)
+        for n1, levels, expected in cases:
             got = _type1_count_budget(n1, levels, delta)
-            np.testing.assert_array_equal(got, loop_type1_count_budget(n1, levels, delta), err_msg=f"n1={n1}")
+            np.testing.assert_array_equal(got, expected, err_msg=f"n1={n1}")
 
     @pytest.mark.parametrize("delta", [1e-6, 0.05, 0.5])
     @pytest.mark.parametrize("alpha1", [0.05, 0.1, 0.3])
@@ -883,3 +894,27 @@ def test_selectors_do_not_depend_on_the_order_of_ties(scores, data, alpha1, alph
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(calibration, "np", TieOrder(keys))
             assert run() == default
+
+
+def test_untraced_fixed_gamma_counts_no_errors(monkeypatch):
+    """The fixed-gamma cut reads no errors, so an untraced call hands the tie
+    table no mistake mark; the traced call needs one for its error column.
+    Both give the same rule and report."""
+    marks = []
+    tie_table = calibration._tie_table
+
+    def spy(values, mark):
+        marks.append(mark)
+        return tie_table(values, mark)
+
+    monkeypatch.setattr(calibration, "_tie_table", spy)
+    scores = np.array([0.9, 0.2, 0.8, 0.8, 0.2, 0.5, 0.35, 0.6])
+    labels = np.array([1, 2, 1, 2, 1, 1, 2, 2])
+    cal = CalibrationSample(scores=scores, labels=labels)
+    cal_v = CalibrationSample(score_vectors=np.stack([scores, 1.0 - scores], axis=1), labels=labels)
+    for calibrate, sample in ((calibrate_accuracy_fixed_gamma, cal), (calibrate_multiclass_fixed_gamma, cal_v)):
+        marks.clear()
+        plain, traced = calibrate(sample, 0.3), calibrate(sample, 0.3, want_trace=True)
+        assert marks[0] is None and marks[1] is not None
+        assert report_bytes(plain)[:4] == report_bytes(traced)[:4]
+        assert plain.trace == {} and list(traced.trace) == ["tau", "decided", "error", "running_min"]

@@ -70,6 +70,30 @@ def test_solver_imports_scipy_on_first_use(tmp_path):
     assert out["capped"] > 0
 
 
+HIGH_PROB_SCRIPT = """
+import json, sys
+import numpy as np
+import indecide.calibration as calibration
+
+at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+rng = np.random.default_rng(9)
+scores = rng.random(400)
+cal = calibration.CalibrationSample(scores=scores, labels=np.where(rng.random(400) < scores, 1, 2))
+first = calibration.calibrate_np(cal, 0.1, 0.3, high_prob_delta=0.05)
+stats_loaded = "scipy.stats" in sys.modules
+second = calibration.calibrate_np(cal, 0.1, 0.3, high_prob_delta=0.05)
+print(json.dumps({"at_import": at_import, "stats_loaded": stats_loaded, "reports": [repr(first), repr(second)]}))
+"""
+
+
+def test_high_prob_budget_imports_scipy_stats_on_first_use(tmp_path):
+    out = run_fresh(HIGH_PROB_SCRIPT, tmp_path)
+    assert out["at_import"] == []
+    assert out["stats_loaded"] is True
+    first, second = out["reports"]
+    assert first == second
+
+
 OPENBLAS_SCRIPT = """
 import json, os, sys
 assert "numpy" not in sys.modules
