@@ -476,11 +476,9 @@ def calibrate_multiclass_fixed_gamma(
 class _GridChoice(NamedTuple):
     """What _np_grid_select picked, in the search's value order: class 2 for
     values <= tau1, class 1 for values >= tau2 (class 2 where both hold),
-    the abstention count k, and the trace.  tau0 is the threshold of the
-    gamma = 0 rule under the plain type-I budget (class 2 for values <=
-    tau0, class 1 above)."""
+    and the trace.  tau0 is the threshold of the gamma = 0 rule under the
+    plain type-I budget (class 2 for values <= tau0, class 1 above)."""
 
-    k: int
     tau1: float
     tau2: float
     feasible: bool
@@ -550,10 +548,9 @@ def _np_grid_select(
     kt = int(k_tilde[k])
     tau1 = below(kt)
     tau2 = tau1 if k == 0 else below(kt + k + 1) if kt + k < n else np.inf
-    kt0 = k_tilde[0]  # gamma = 0: the level is alpha1
-    if high_prob_delta is not None:
-        kt0 = edge_floor[np.searchsorted(cum1[1:], _type1_count_budget(n1, np.array([alpha1]), None)[0], side="right")]
-    return _GridChoice(k, tau1, tau2, feasible, trace, below(int(kt0)))
+    # gamma = 0 under the plain budget, whichever budget selected: the level is alpha1
+    kt0 = edge_floor[np.searchsorted(cum1[1:], _type1_count_budget(n1, np.array([alpha1]), None)[0], side="right")]
+    return _GridChoice(tau1, tau2, feasible, trace, below(int(kt0)))
 
 
 def _type1_count_budget(n1: int, levels: np.ndarray, high_prob_delta: Optional[float]):

@@ -324,16 +324,10 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _read_rule_input(path: str, rule: Rule) -> np.ndarray:
-    """What rule.apply takes from the input CSV: the rule's column, or the
-    leading s_1, ..., s_K columns as score vectors for a rule on s_1."""
-    _, table = _read_table(path, rule.column)
-    return _values(table, rule.column)
-
-
 def cmd_apply(args) -> int:
     rule = Rule.from_kv(read_kv(args.rule))
-    decisions = rule.apply(_read_rule_input(args.input, rule))
+    _, table = _read_table(args.input, rule.column)
+    decisions = rule.apply(_values(table, rule.column))
     # decision d is written as words[d]: "abstain" for 0, else the class index
     words = np.array(["abstain", *map(str, range(1, int(decisions.max(initial=0)) + 1))])
     with open(args.output, "w", newline="", encoding="utf-8") as fh:

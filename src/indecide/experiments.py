@@ -23,7 +23,7 @@ from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _as_sta
 from .calibration import calibrate_accuracy, calibrate_np
 from .kvdoc import write_columns
 from .models import fit_lda, fit_logistic, predict_eta
-from .numerics import bisect, normal_tail, seeded_stream, sigmoid
+from .numerics import normal_tail, seeded_stream, sigmoid
 from .svgchart import line_chart_svg
 
 __all__ = [
@@ -280,17 +280,9 @@ def plugin_population_risk(center: float, predict1_right: bool, delta: float, ga
     The rule abstains on the interval [center - h, center + h] whose mixture
     mass is exactly gamma, and predicts by side of the interval.  This is
     the infinite-calibration-set risk of a monotone plug-in score whose 0.5
-    crossing sits at `center`.
+    crossing sits at `center`.  The band is gmm.band_for_gamma's.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    spec = gmm.GmmSpec(delta)
-
-    def errors(h: float) -> dict:
-        return gmm.interval_errors(spec, center - h, center + h, predict1_right)
-
-    (h,), _ = bisect(lambda hs: np.array([errors(h)["gamma"] < gamma for h in hs.tolist()]), [1.0])
-    return errors(h)["conditional_error"]
+    return gmm.band_for_gamma(gmm.GmmSpec(delta), gamma, center, predict1_right)[1]["conditional_error"]
 
 
 # the consistency trend's mixture, abstention mass and training sizes

@@ -35,12 +35,12 @@ __all__ = [
     "InfeasibleTargetError",
     "interval_errors",
     "operating_point_at_t",
+    "band_for_gamma",
     "threshold_for_gamma",
     "gamma_for_target_risk",
     "empirical_exponent",
     "phase_envelope",
     "m_star",
-    "m_lower",
     "phase_grid",
     "phase_grid_to_csv",
     "phase_grid_to_svg",
@@ -172,16 +172,28 @@ def operating_point_at_t(spec: GmmSpec, t: float) -> OracleOperatingPoint:
     return OracleOperatingPoint(float(t), point["gamma"], point["conditional_error"], point["gamma_complement"])
 
 
-def threshold_for_gamma(spec: GmmSpec, gamma: float) -> OracleOperatingPoint:
-    """Unique t >= 0 whose abstention mass equals gamma, to the bisection's fixed point."""
+def band_for_gamma(spec: GmmSpec, gamma: float, center: float = 0.0, predict1_right: bool = True) -> tuple[float, dict]:
+    """Half-width h >= 0 of the band [center - h, center + h] whose mixture
+    mass is gamma, and interval_errors of the rule abstaining on that band.
+
+    h is the bisection's fixed point from the bracket [0, delta + 2], and 0
+    at gamma = 0.
+    """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    if gamma == 0.0:
-        return operating_point_at_t(spec, 0.0)
-    (t,), _ = bisect(
-        lambda ts: np.array([operating_point_at_t(spec, t).gamma < gamma for t in ts.tolist()]), [spec.delta + 2.0]
-    )
-    return operating_point_at_t(spec, t)
+
+    def errors(h: float) -> dict:
+        return interval_errors(spec, center - h, center + h, predict1_right)
+
+    h = 0.0
+    if gamma > 0.0:
+        (h,), _ = bisect(lambda hs: np.array([errors(h)["gamma"] < gamma for h in hs.tolist()]), [spec.delta + 2.0])
+    return h, errors(h)
+
+
+def threshold_for_gamma(spec: GmmSpec, gamma: float) -> OracleOperatingPoint:
+    """Unique t >= 0 whose abstention mass equals gamma: the half-width of the centred band_for_gamma."""
+    return operating_point_at_t(spec, band_for_gamma(spec, gamma)[0])
 
 
 def gamma_for_target_risk(spec: GmmSpec, target_risk: float) -> OracleOperatingPoint:
@@ -268,25 +280,6 @@ def m_star(c: float) -> float:
     if c < 0.5:
         return (c - 1.0 / (4.0 * c)) ** 2
     return (2.0 * c - 1.0) ** 2
-
-
-def m_lower(c: float, gamma_delta: float) -> float:
-    """Finite-delta lower envelope of the critical exponent.
-
-    gamma_delta is the small abstention quantity (the mass itself for
-    c > 1/2, its complement for c < 1/2).
-    """
-    if not 0.0 < c < 1.0 or c == 0.5:
-        raise ValueError(f"c must lie in (0, 1) excluding 1/2, got {c!r}")
-    if not 0.0 < gamma_delta < 1.0:
-        raise ValueError("gamma_delta must lie in (0, 1)")
-    log_inv = math.log(1.0 / gamma_delta)
-    if log_inv <= 1.0:
-        raise ValueError("gamma_delta too large: log(1/gamma_delta) must exceed 1")
-    eps = 0.5 * math.log(4.0 * math.pi * log_inv) / log_inv
-    if c < 0.5:
-        return (c - (1.0 - eps) / (4.0 * c)) ** 2
-    return (2.0 * c - 1.0 + eps) ** 2
 
 
 def _t_map(delta: np.ndarray, t: np.ndarray, increasing: bool) -> np.ndarray:
@@ -459,7 +452,8 @@ def phase_grid_to_csv(grid: PhaseGrid, path) -> None:
 
 
 def phase_grid_to_svg(grid: PhaseGrid, cfg: PhaseGridConfig, path) -> None:
-    """Render the capped risk-ratio grid as a heatmap with envelope curves."""
+    """Render the capped risk-ratio grid as a heatmap, with m_star and both
+    ends of phase_envelope drawn over it as curves in c."""
     _capped_to_svg(grid.risk_ratio_capped, cfg, path)
 
 
@@ -467,23 +461,13 @@ def _capped_to_svg(capped: np.ndarray, cfg: PhaseGridConfig, path) -> None:
     """phase_grid_to_svg from the grid's risk_ratio_capped column alone."""
     cs, ms = np.asarray(cfg.c_grid).tolist(), np.asarray(cfg.m_grid).tolist()
     values = capped.reshape(len(cs), len(ms)).T
-    overlays = []
-    for label, fn in (
-        ("m*", lambda c: m_star(c)),
-        ("m_lower", lambda c: m_lower(c, cfg.delta_target ** max(m_star(c), 1e-3))),
-    ):
-        pts = []
-        for c in cs:
-            if abs(c - 0.5) <= _DEAD_BAND:
-                continue
-            try:
-                y = fn(c)
-            except ValueError:
-                continue
+    overlays = {"m*": [], "envelope low": [], "envelope high": []}
+    for c in cs:
+        if abs(c - 0.5) <= _DEAD_BAND:
+            continue
+        for label, y in zip(overlays, (m_star(c), *phase_envelope(c, cfg.delta_target))):
             if ms[0] <= y <= ms[-1]:
-                pts.append((c, y))
-        if pts:
-            overlays.append((label, pts))
+                overlays[label].append((c, y))
     svg = heatmap_svg(
         cs,
         ms,
@@ -493,7 +477,7 @@ def _capped_to_svg(capped: np.ndarray, cfg: PhaseGridConfig, path) -> None:
         title=f"risk ratio at delta_target={cfg.delta_target:g}",
         xlabel="c (relative separation)",
         ylabel="m (abstention exponent)",
-        overlays=overlays,
+        overlays=[(label, pts) for label, pts in overlays.items() if pts],
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -533,8 +533,10 @@ class TestCalibrateMlr:
             assert strict.achieved["power_at_gamma0"] == report.achieved["power_at_gamma0"]
             # what the former second grid search (alpha2 just below 1) reported
             old = _np_grid_select(-xs, labels == 1, 0.1, 1.0 - 1e-12, want_trace=True)
-            branches.add(old.k == 0)
-            if old.k == 0:  # its type II at k = 0, now read from its trace
+            # it chose k = 0 exactly when its thresholds coincide: for k > 0 a tie edge lies between them
+            chose_gamma0 = old.tau1 == old.tau2
+            branches.add(chose_gamma0)
+            if chose_gamma0:  # its type II at k = 0, now read from its trace
                 assert report.achieved["power_at_gamma0"] == 1.0 - old.trace["type2"][0]
             else:  # it skipped gamma = 0, which here has type II error 1
                 assert report.trace["type2"][0] == 1.0

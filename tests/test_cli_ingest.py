@@ -90,6 +90,11 @@ def reference_load_sample(path, mode):
     return CalibrationSample(xs=np.array(xs), labels=np.array(labels))
 
 
+def read_rule_input(path, rule):
+    """What cmd_apply hands rule.apply from the input CSV."""
+    return cli._values(cli._read_table(path, rule.column)[1], rule.column)
+
+
 def reference_rule_input(path, expected):
     header, rows = reference_read_table(path)
     if not header or header[0] != expected:
@@ -211,7 +216,7 @@ RULE_CASES = {
 def test_apply_reader_matches_per_row_parser(scratch, expected, data):
     rule, headers, pools = RULE_CASES[expected]
     path = write(scratch, data.draw(csv_text(headers, pools)))
-    got, want = outcome(cli._read_rule_input, path, rule), outcome(reference_rule_input, path, expected)
+    got, want = outcome(read_rule_input, path, rule), outcome(reference_rule_input, path, expected)
     assert got[0] == want[0], (got, want)
     if want[0] == "error":
         assert got[1] == want[1]
@@ -241,7 +246,7 @@ def test_clean_input_takes_fast_path(tmp_path, monkeypatch, ending):
     sample = cli._load_sample(path, "np")
     assert sample.scores.tolist() == scores.tolist()
     assert sample.labels.tolist() == labels.tolist()
-    values = cli._read_rule_input(path, NpRule(tau1=0.2, tau2=0.6))
+    values = read_rule_input(path, NpRule(tau1=0.2, tau2=0.6))
     assert values.tolist() == scores.tolist()
 
 
@@ -267,7 +272,7 @@ def test_compression_suffix_does_not_change_reading(tmp_path, monkeypatch, suffi
     sample = cli._load_sample(path, "np")
     assert sample.scores.tolist() == [0.9, 0.2]
     assert sample.labels.tolist() == [1, 2]
-    assert cli._read_rule_input(path, NpRule(tau1=0.2, tau2=0.6)).tolist() == [0.9, 0.2]
+    assert read_rule_input(path, NpRule(tau1=0.2, tau2=0.6)).tolist() == [0.9, 0.2]
 
 
 def test_bad_label_reaches_per_row_parser(tmp_path, monkeypatch):

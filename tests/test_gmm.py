@@ -2,15 +2,17 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indecide import gmm
+from band_oracles import plugin_band_oracle, threshold_for_gamma_oracle
+from indecide import cli, gmm, svgchart
 from indecide.calibration import _selective_errors
-from indecide.experiments import _draw_mixture
+from indecide.experiments import _draw_mixture, plugin_population_risk
 from indecide.numerics import bisect, normal_tail, normal_tail_vec, seeded_stream
 
 
@@ -145,6 +147,8 @@ class TestInversion:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 gmm.threshold_for_gamma(spec, bad)
+            with pytest.raises(ValueError):  # the same band solve, off centre
+                plugin_population_risk(0.3, False, 1.0, bad)
 
     def test_target_risk_round_trip(self):
         spec = gmm.GmmSpec(1.0)
@@ -212,6 +216,31 @@ class TestInversion:
         assert check.risk == pytest.approx(point.risk, rel=1e-12, abs=1e-300)
 
 
+class TestBandForGamma:
+    """The one band solve against the two bisections it replaced (tests/band_oracles.py)."""
+
+    def test_matches_the_bisections_it_replaced(self):
+        rng = np.random.default_rng(25)
+        for case in range(2000):
+            delta = float(10.0 ** rng.uniform(-3.0, 1.0))
+            gamma = 0.0 if case % 10 == 0 else float(rng.uniform(0.0, 0.999))
+            center = 0.0 if case % 5 == 0 else float(rng.normal(0.0, 0.5 + delta))
+            predict1_right = bool(rng.integers(2))
+            spec = gmm.GmmSpec(delta)
+            h, errors = gmm.band_for_gamma(spec, gamma, center, predict1_right)
+            oracle_h, oracle_errors = plugin_band_oracle(center, predict1_right, delta, gamma)
+            assert errors == oracle_errors, (delta, gamma, center, predict1_right)
+            if gamma:
+                assert h == oracle_h
+            else:
+                # the old plug-in bisection halved down to 2**-111 instead of
+                # returning the empty band; at delta >= 1e-3 that moves no
+                # tail argument of interval_errors
+                assert (h, oracle_h) == (0.0, 2.0**-111)
+            if center == 0.0:
+                assert gmm.threshold_for_gamma(spec, gamma) == threshold_for_gamma_oracle(spec, gamma)
+
+
 class TestCriticalExponent:
     def test_known_values(self):
         assert gmm.m_star(0.75) == pytest.approx(0.25, abs=1e-15)
@@ -221,16 +250,6 @@ class TestCriticalExponent:
     def test_m_star_domain(self, c):
         with pytest.raises(ValueError):
             gmm.m_star(c)
-
-    def test_m_lower_above_m_star_for_upper_branch(self):
-        # c > 1/2: the finite-sample curve sits above the asymptote, so the
-        # published lower envelope uses the +eps branch
-        val = gmm.m_lower(0.75, 1e-8)
-        assert val > gmm.m_star(0.75)
-
-    def test_m_lower_domain(self):
-        with pytest.raises(ValueError):
-            gmm.m_lower(0.75, 0.9)  # log(1/gamma_delta) <= 1
 
     def test_empirical_exponent_limits(self):
         # the observed exponent approaches the asymptotic curve as the
@@ -577,3 +596,58 @@ class TestPhaseGrid:
             self._cfg(c_grid=())
         with pytest.raises(ValueError):
             self._cfg(m_grid=(0.5, 0.4))
+
+
+class TestPhaseOverlays:
+    """The curves drawn over the phase heatmaps: m* and both ends of phase_envelope."""
+
+    LABELS = ["m*", "envelope low", "envelope high"]
+
+    @staticmethod
+    def overlays(svg: str) -> dict:
+        """{label: [(x, y) pixel strings]} of the heatmap's overlay paths, in file order."""
+        lines = svg.splitlines()
+        out = {}
+        for line, text in zip(lines, lines[1:]):
+            if line.startswith('<path d="M'):
+                (label,) = re.findall(r">([^<]*)</text>$", text)
+                d = re.match(r'<path d="([^"]*)"', line).group(1)
+                out[label] = [tuple(v.lstrip("ML").split(",")) for v in d.split()]
+        return out
+
+    @staticmethod
+    def negative_low_base(c: float, dt: float) -> bool:
+        """phase_envelope's low end squares a negative base here, (1 - eps)/(4c) < c, and clamps it to 0."""
+        log_inv = gmm.m_star(c) * math.log(1.0 / dt)
+        eps = 0.5 * math.log(4.0 * math.pi * log_inv) / log_inv
+        return c < 0.5 and (1.0 - eps) / (4.0 * c) < c
+
+    @pytest.mark.parametrize("panel", ["lower", "upper"])
+    def test_vertices_are_m_star_or_an_envelope_end(self, tmp_path, panel):
+        cfg = dict(cli._phase_configs(200))[panel]
+        cli._write_phase_panel(tmp_path, (panel, cfg))
+        svg = (tmp_path / f"phase_{panel}.svg").read_text()
+        cs, ms, dt = list(cfg.c_grid), list(cfg.m_grid), cfg.delta_target
+        half_c, half_m = (cs[-1] - cs[0]) / (len(cs) - 1) / 2, (ms[-1] - ms[0]) / (len(ms) - 1) / 2
+        px, py = svgchart._scales(cs[0] - half_c, cs[-1] + half_c, ms[0] - half_m, ms[-1] + half_m)
+        at_x = {svgchart._fmt(px(c)): c for c in cs}
+        assert len(at_x) == len(cs)
+
+        def curves(c: float) -> dict:
+            return dict(zip(self.LABELS, (gmm.m_star(c), *gmm.phase_envelope(c, dt))))
+
+        overlays = self.overlays(svg)
+        # no vertex comes from the low end's negative base, whatever its label
+        for x, y in (v for pts in overlays.values() for v in pts):
+            c = at_x[x]
+            if self.negative_low_base(c, dt):
+                assert y in {svgchart._fmt(py(curves(c)[label])) for label in ("m*", "envelope high")}
+        assert "m_lower" not in svg
+        assert list(overlays) == self.LABELS
+        for label, pts in overlays.items():
+            # one vertex at each c outside the dead band whose curve value lies on the m axis
+            want = [c for c in cs if abs(c - 0.5) > gmm._DEAD_BAND and ms[0] <= curves(c)[label] <= ms[-1]]
+            assert [at_x[x] for x, _ in pts] == want, label
+            assert [y for _, y in pts] == [svgchart._fmt(py(curves(c)[label])) for c in want], label
+        if panel == "lower":
+            assert any(self.negative_low_base(c, dt) for c in cs)
