@@ -567,11 +567,13 @@ def _type1_count_budget(n1: int, levels: np.ndarray, high_prob_delta: Optional[f
     m and falls in p.  So for each count m below the largest cap, the
     levels with F(m; level) <= delta are those at or above one edge, and
     the edges rise with m; each level's count is the number of edges at or
-    below it.  An edge starts at the guess scipy.special.bdtri gives and is
-    settled by the binomial CDF: two probes around the guess, then bisection
-    over the sorted levels where the guess was off (bdtri can be far off: at
-    n1 = 20000 and delta = 1e-6 it gives 0.041 for m = 4, whose edge is near
-    0.0012).  The cost is one sort of the levels and about
+    below it.  An edge starts at the closed-form Camp-Paulson guess (the
+    normal quantile ndtri(delta), then one quadratic per count) and is
+    settled by the binomial CDF: a probe at the guess, one at its neighbour
+    on the side still open, so a guess one level off settles in two probes,
+    then bisection over the sorted levels where the guess was further off.
+    Only the probes decide a count, so a worse guess costs probes, never a
+    different count.  The cost is one sort of the levels and about
     2 * floor(max level * n1) CDF evaluations.
 
     The probes call binom._cdf, the hook binom.cdf calls after checking its
@@ -583,7 +585,7 @@ def _type1_count_budget(n1: int, levels: np.ndarray, high_prob_delta: Optional[f
     """
     if high_prob_delta is None:
         return np.floor(levels * n1 + 1e-12)
-    from scipy.special import bdtri
+    from scipy.special import ndtri
     from scipy.stats import binom
 
     cap = np.floor(levels * n1)
@@ -601,9 +603,16 @@ def _type1_count_budget(n1: int, levels: np.ndarray, high_prob_delta: Optional[f
         hi[rows[ok]] = at[rows[ok]]
         lo[rows[~ok]] = at[rows[~ok]] + 1
 
-    guess = np.searchsorted(ascending, bdtri(ms, n1, high_prob_delta))  # NaN guesses land past the end
+    # Camp-Paulson: F(m; p) = P(F(2a, 2b) >= x) for a = m + 1, b = n1 - m and x = b p / (a (1 - p)), and
+    # Paulson's normal approximation of the F law makes F(m; p) = delta a quadratic in y = x^(1/3)
+    a, b = ms + 1.0, n1 - ms
+    c, va, vb = -ndtri(high_prob_delta), 1 / (9 * a), 1 / (9 * b)
+    qa, qb, qc = (1 - vb) ** 2 - c * c * vb, (1 - vb) * (1 - va), (1 - va) ** 2 - c * c * va
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = ((qb + np.sign(c) * np.sqrt(qb * qb - qa * qc)) / qa) ** 3
+    guess = np.searchsorted(ascending, a * x / (b + a * x))  # NaN guesses land past the end
     probe(guess, guess < len(levels))
-    probe(guess - 1, (hi == guess) & (lo < hi))
+    probe(np.where(hi == guess, guess - 1, guess + 1), lo < hi)  # the neighbour on the open side
     while (open_ := lo < hi).any():
         probe((lo + hi) // 2, open_)
     counts = np.empty(len(levels))
@@ -633,7 +642,7 @@ def calibrate_np(
     after selection.  high_prob_delta, in (0, 1), switches the type-I budget
     to the conservative binomial order-statistic rank (see
     _type1_count_budget); that budget imports scipy.stats (binom, whose CDF
-    hook it calls) and scipy.special (bdtri) on first use.
+    hook it calls) and scipy.special (ndtri) on first use.
     """
     scores, labels = _binary_sample(cal, "score")
     choice = _np_grid_select(

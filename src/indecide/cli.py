@@ -46,7 +46,6 @@ from .calibration import (
 from .experiments import (
     SimConfig,
     _parallel_map,
-    _usable_cpus,
     run_accuracy_sweep,
     run_consistency_trend,
     run_intro_tradeoff,
@@ -54,20 +53,22 @@ from .experiments import (
     sim_result_to_csv,
     sim_result_to_svg,
 )
-from .kvdoc import read_kv, write_columns, write_kv
+from .kvdoc import _in_two, _usable_cpus, read_kv, write_columns, write_kv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 
-# experiment -> (its --config keys with their defaults, what --full sets, its chart metric); --seed is the only seed
-_SIM_KEYS = {f.name: f.default for f in fields(SimConfig) if f.name != "seed"}
+# experiment -> (its --config keys, the ones it reads, with their defaults; what --full sets; its chart
+# metric); --seed is the only seed
+_SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig)}
+_SWEEP_KEYS = ("reps", "n_train", "n_cal", "n_test", "delta_grid", "scorer")  # what both sweeps read
 _EXPERIMENTS = {
     "phase": ({"grid_points": 200}, {"grid_points": 1000}, None),
-    "accuracy-sweep": (_SIM_KEYS, {"reps": 1000}, "conditional_error"),
-    "np-sweep": (_SIM_KEYS, {"reps": 1000}, "type2"),
-    "intro-tradeoff": (_SIM_KEYS, {"reps": 1000}, "gamma_star"),
+    "accuracy-sweep": ({k: _SIM_DEFAULTS[k] for k in (*_SWEEP_KEYS, "alpha")}, {"reps": 1000}, "conditional_error"),
+    "np-sweep": ({k: _SIM_DEFAULTS[k] for k in (*_SWEEP_KEYS, "alpha1", "alpha2")}, {"reps": 1000}, "type2"),
+    "intro-tradeoff": ({k: _SIM_DEFAULTS[k] for k in ("reps", "n_test", "delta_grid")}, {"reps": 1000}, "gamma_star"),
     "consistency-trend": ({"reps": 100}, {"reps": 1000}, "risk_gap"),
 }
 
@@ -161,10 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_table(path: str, column: str, *, labelled: bool = False) -> tuple[list[str], np.ndarray]:
     """The header row and the body's leading columns as n x m floats: a rule's input column, then labels.
 
-    The file is read once, and one np.loadtxt call parses the body of that
-    text.  Input where loadtxt could disagree with the per-row parser
-    (quotes, blank lines, a cell loadtxt rejects, a non-integer label) goes
-    to _read_rows instead, which returns the same table or raises the
+    The file is read once, and np.loadtxt parses the body of that text: in
+    one call, or, from _SPLIT_READ_CHARS characters on, in two calls on the
+    halves either side of the middle line end, the second in a forked helper
+    (kvdoc._in_two).  Input where loadtxt could disagree with the per-row
+    parser (quotes, blank lines, a cell loadtxt rejects, a non-integer label)
+    goes to _read_rows instead, which returns the same table or raises the
     line-numbered SchemaError.
     """
     try:
@@ -178,30 +181,42 @@ def _read_table(path: str, column: str, *, labelled: bool = False) -> tuple[list
         raise SchemaError(f"{path}: empty file, header row required")
     # line ends as the csv module sees them
     text = raw.replace("\r\n", "\n").replace("\r", "\n") if "\r" in raw else raw
+    body = text.find("\n") + 1  # where the body starts, or 0 for a header alone
+    header = next(csv.reader([text[: body - 1] if body else text]))
+    names, exact = _header_names(path, header, column, labelled)
+    if not body or body == len(text):
+        return header, np.empty((0, len(names)))
+    parse = partial(_parse_lines, width=len(names), exact=exact, labelled=labelled)
+    # the second half starts after the first line end from the middle of the body on, if there is one
+    mid = text.find("\n", (body + len(text)) // 2) + 1 if len(text) - body >= _SPLIT_READ_CHARS else 0
+    try:
+        if not 0 < mid < len(text):
+            return header, parse(text[body:])
+        second = io.BytesIO()  # the second half's table, as bytes
+        first = _in_two(lambda: parse(text[body:mid]), lambda out: out.write(parse(text[mid:])), second)
+        return header, np.concatenate([first, np.frombuffer(second.getbuffer()).reshape(-1, len(names))])
+    except ValueError:
+        return _read_rows(path, raw, column, labelled)
+
+
+# body text from this many characters on is parsed in two halves, in two processes: over twice the
+# break-even (about 850 000 characters, 40 000 score,label rows)
+_SPLIT_READ_CHARS = 1 << 21
+
+
+def _parse_lines(text: str, width: int, exact: bool, labelled: bool) -> np.ndarray:
+    """Lines of text, each ended by a line end but the last maybe not, as len x width floats
+    by one np.loadtxt call; ValueError where the per-row parser could read them otherwise."""
     lines = text.split("\n")
     if lines[-1] == "":  # the last line's end
         lines.pop()
-    header = next(csv.reader(lines[:1]))
-    names, exact = _header_names(path, header, column, labelled)
-    if len(lines) == 1:
-        return header, np.empty((0, len(names)))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an all-blank body reads as no data
-            table = np.loadtxt(
-                lines,
-                delimiter=",",
-                comments=None,
-                skiprows=1,
-                ndmin=2,
-                usecols=None if exact else range(len(names)),
-            )
-    except ValueError:
-        return _read_rows(path, raw, column, labelled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an all-blank text reads as no data
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=None if exact else range(width))
     # loadtxt skips blank lines, which the per-row parser rejects
-    if table.shape != (len(lines) - 1, len(names)) or (labelled and not _is_label(table[:, -1]).all()):
-        return _read_rows(path, raw, column, labelled)
-    return header, table
+    if table.shape != (len(lines), width) or (labelled and not _is_label(table[:, -1]).all()):
+        raise ValueError("the fast path cannot read these lines as the per-row parser does")
+    return table
 
 
 def _read_rows(path: str, raw: str, column: str, labelled: bool) -> tuple[list[str], np.ndarray]:

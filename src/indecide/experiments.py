@@ -10,9 +10,6 @@ seeded_stream(s, r), so results are byte-identical at any worker count.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,7 +18,7 @@ import numpy as np
 from . import gmm
 from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _as_stable_sort, _selective_errors
 from .calibration import calibrate_accuracy, calibrate_np
-from .kvdoc import write_columns
+from .kvdoc import _start_method, _usable_cpus, write_columns
 from .models import fit_lda, fit_logistic, predict_eta
 from .numerics import normal_tail, seeded_stream, sigmoid
 from .svgchart import line_chart_svg
@@ -378,23 +375,6 @@ def _aggregate(rows: dict, keys: tuple, metrics: tuple) -> dict:
         out[f"{m}_p5"] = np.array([_percentile(v, 5.0) for v in clean])
         out[f"{m}_p95"] = np.array([_percentile(v, 95.0) for v in clean])
     return out
-
-
-def _start_method() -> str:
-    """fork on Linux while this process runs one thread, else spawn.
-
-    A forked worker inherits the parent's imports instead of repeating them;
-    forking a process with a second thread alive can copy a lock that thread
-    holds, so then, and off Linux, workers start from a fresh interpreter.
-    """
-    return "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _parallel_map(fn, items, workers: int) -> list:

@@ -9,6 +9,13 @@ parsed back as int, float, bool, or string in that order of preference.
 
 from __future__ import annotations
 
+import os
+import pickle
+import shutil
+import sys
+import tempfile
+import threading
+
 import numpy as np
 
 FORMAT_VERSION = "1"
@@ -84,6 +91,9 @@ def read_kv(path) -> dict:
 # strings (dtype kind U) are written as they are, through %s
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
 _WRITE_ROWS = 1 << 16  # rows formatted per write, which bounds the text held at once
+# a block from this many rows on is written in two halves, in two processes: 8 times the break-even (about
+# 8192 rows of a 6-column trace), which keeps phase's 16384-row blocks and the study files on one process
+_SPLIT_WRITE_ROWS = 1 << 16
 
 
 def _column_cells(chunk: np.ndarray) -> tuple[str, list]:
@@ -109,18 +119,117 @@ def write_columns(path, blocks) -> None:
 
     Each block is a dict of equal-length 1-d arrays with the same keys in the
     same order, written one row per index; each block is formatted and
-    dropped before the next is drawn from the iterable.
+    dropped before the next is drawn from the iterable.  A block of at least
+    _SPLIT_WRITE_ROWS rows is written in two halves by _in_two, the second
+    formatted by a forked helper; the bytes do not depend on the split.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         header = None
         for columns in blocks:
             if header is None:
                 header = list(columns)
-                fh.write(",".join(header) + "\n")
+                fh.write((",".join(header) + "\n").encode())
             elif list(columns) != header:
                 raise ValueError(f"block columns {list(columns)} differ from the header {header}")
             n = len(next(iter(columns.values())))
-            for start in range(0, n, _WRITE_ROWS):
-                formats, cells = zip(*(_column_cells(c[start : start + _WRITE_ROWS]) for c in columns.values()))
-                row_format = ",".join(formats) + "\n"
-                fh.write("".join(map(row_format.__mod__, zip(*cells))))
+            if n < _SPLIT_WRITE_ROWS:
+                _write_rows(fh, columns, 0, n)
+            else:
+                half = n // 2
+                _in_two(lambda: _write_rows(fh, columns, 0, half), lambda out: _write_rows(out, columns, half, n), fh)
+
+
+def _write_rows(out, columns: dict, start: int, stop: int) -> None:
+    """Rows start..stop-1 of columns as UTF-8 CSV lines to the binary file out, _WRITE_ROWS at a time."""
+    for lo in range(start, stop, _WRITE_ROWS):
+        hi = min(lo + _WRITE_ROWS, stop)
+        formats, cells = zip(*(_column_cells(c[lo:hi]) for c in columns.values()))
+        row_format = ",".join(formats) + "\n"
+        out.write("".join(map(row_format.__mod__, zip(*cells))).encode())
+
+
+# ---------------------------------------------------------------------------
+# a second process for the second half of a big job
+
+
+def _start_method() -> str:
+    """fork on Linux while this process runs one thread, else spawn.
+
+    A forked worker inherits the parent's imports instead of repeating them;
+    forking a process with a second thread alive can copy a lock that thread
+    holds, so then, and off Linux, workers start from a fresh interpreter.
+    """
+    return "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_two(first, second, sink):
+    """first()'s result, after second(out) has written its bytes to the binary file sink.
+
+    Where this process may fork (_start_method) and has a second usable CPU,
+    second runs in a forked child while first runs here: the child writes
+    to an unlinked temporary file, which is copied to sink once first has
+    returned.  Elsewhere both run here, first then second(sink).  The child
+    is always reaped, and killed first when first raises or this process is
+    interrupted.  A ValueError in the child is raised here, as it was raised
+    there; any other failure of the child, its death included, as an
+    OSError.
+    """
+    if _start_method() != "fork" or _usable_cpus() < 2:
+        result = first()
+        second(sink)
+        return result
+    with tempfile.TemporaryFile() as spool:
+        pid = os.fork()
+        if pid == 0:  # the child: its bytes, or its ValueError pickled, go to the spool; it never returns
+            code = 2
+            try:
+                try:
+                    second(spool)
+                    code = 0
+                except ValueError as exc:
+                    spool.seek(0)
+                    spool.truncate()
+                    try:
+                        pickle.dump(exc, spool)
+                    except Exception:  # arguments that do not pickle: the message will do
+                        spool.seek(0)
+                        spool.truncate()
+                        pickle.dump(ValueError(str(exc)), spool)
+                    code = 1
+                spool.flush()
+            finally:
+                os._exit(code)
+        try:
+            result = first()
+        except BaseException:
+            _reap(pid, kill=True)
+            raise
+        code = os.waitstatus_to_exitcode(_reap(pid, kill=False))
+        spool.seek(0)
+        if code == 1:
+            raise pickle.load(spool)
+        if code != 0:
+            raise OSError(f"the helper process for the second half failed with exit status {code}")
+        shutil.copyfileobj(spool, sink, 1 << 20)
+    return result
+
+
+def _reap(pid: int, kill: bool) -> int:
+    """The wait status of child pid, killed first when kill is set, or when the wait is interrupted."""
+    import signal
+
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    try:
+        return os.waitpid(pid, 0)[1]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise

@@ -450,6 +450,22 @@ class TestType1Budget:
                 )
 
 
+    @pytest.mark.parametrize("mlr", [False, True], ids=["np", "mlr-np"])
+    def test_reports_what_its_rule_does_at_scale(self, mlr):
+        # the CI step "High-probability NP calibration reports what its rule does", at 10^5 points
+        x, y = _draw_mixture(seeded_stream(20, 0), 10**5, 1.0)
+        scores, n1 = oracle_eta(x, 1.0), int((y == 1).sum())
+        calibrate, sample, values = (
+            (calibrate_np_mlr, CalibrationSample(xs=-x, labels=y), -x)  # class 2 to the right
+            if mlr
+            else (calibrate_np, CalibrationSample(scores=scores, labels=y), scores)
+        )
+        report = calibrate(sample, 0.1, 0.2, high_prob_delta=0.05)
+        decisions = report.rule.apply(values)
+        assert report.gamma_hat == (decisions == 0).mean(), report
+        assert report.achieved["type1_marginal"] == ((y == 1) & (decisions == 2)).sum() / n1, report
+
+
 class TestCalibrateMulticlass:
     def test_fixed_gamma_counts(self):
         sv = np.array(

@@ -464,6 +464,24 @@ class TestExperimentCommand:
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "study, key",
+        [
+            *[("intro-tradeoff", key) for key in ("n_train", "n_cal", "alpha", "alpha1", "alpha2", "scorer")],
+            ("accuracy-sweep", "alpha1"),
+            ("accuracy-sweep", "alpha2"),
+            ("np-sweep", "alpha"),
+        ],
+    )
+    def test_a_study_rejects_the_keys_it_does_not_read(self, tmp_path, capsys, study, key):
+        # these used to be checked, then ignored
+        cfg = tmp_path / "cfg.kv"
+        cfg.write_text(f"format_version = 1\nreps = 1\n{key} = 0.2\n")
+        out = tmp_path / "out"
+        assert main(["experiment", study, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "study, text, message",
         [
             ("np-sweep", "reps = 3\n", "format_version"),
@@ -657,11 +675,13 @@ class TestExperimentCommand:
         # (csv-module writer, dict aggregator) that the columnar ones replaced
         from indecide.kvdoc import write_kv
 
-        sim_cfg, reps_cfg = tmp_path / "sim.kv", tmp_path / "reps.kv"
+        sim_cfg, intro_cfg, reps_cfg = tmp_path / "sim.kv", tmp_path / "intro.kv", tmp_path / "reps.kv"
         write_kv({"reps": 4, "n_train": 200, "n_cal": 200, "n_test": 200, "delta_grid": "0.5;1.5"}, sim_cfg)
+        write_kv({"reps": 4, "n_test": 200, "delta_grid": "0.5;1.5"}, intro_cfg)  # only the keys it reads
         write_kv({"reps": 4}, reps_cfg)
+        configs = {"intro-tradeoff": intro_cfg, "consistency-trend": reps_cfg}
         for study in ("accuracy-sweep", "np-sweep", "intro-tradeoff", "consistency-trend"):
-            cfg = reps_cfg if study == "consistency-trend" else sim_cfg
+            cfg = configs.get(study, sim_cfg)
             out = tmp_path / study
             argv = ["experiment", study, "--config", str(cfg), "--seed", "11", "--workers", "1", "--out-dir", str(out)]
             assert main(argv) == EXIT_OK

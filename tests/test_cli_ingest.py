@@ -6,11 +6,15 @@ or raise the same error with the same message, on any input text.
 
 import csv
 import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from indecide import cli
@@ -21,6 +25,8 @@ from indecide.calibration import (
     NpRule,
 )
 from indecide.cli import EXIT_USAGE, SchemaError, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +199,10 @@ SAMPLE_CASES = {
 @pytest.mark.parametrize("mode", sorted(SAMPLE_CASES))
 def test_load_sample_matches_per_row_parser(scratch, mode, data):
     headers, pools = SAMPLE_CASES[mode]
-    path = write(scratch, data.draw(csv_text(headers, pools)))
+    assert_load_sample_matches(write(scratch, data.draw(csv_text(headers, pools))), mode)
+
+
+def assert_load_sample_matches(path, mode):
     got, want = outcome(cli._load_sample, path, mode), outcome(reference_load_sample, path, mode)
     assert got[0] == want[0], (got, want)
     if want[0] == "error":
@@ -322,3 +331,161 @@ def test_blank_line_in_apply_input_reports_line(tmp_path, capsys):
     code = main(["apply", "--rule", str(rule), "--input", path, "--output", str(tmp_path / "d.csv")])
     assert code == EXIT_USAGE
     assert "line 3: expected 1 column" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the body parsed in two halves, the second in a forked child (the forced_splits fixture)
+
+
+def second_half_case(case: str, header: str, rows: list[str]) -> str:
+    """header and rows as a CSV text, with case's fault in the second half or case's line ends."""
+    rows = list(rows)
+    fault = {"bad-cell": "abc,1", "label": "0.5,1.7", "quote": '"0.5",1', "ragged": "0.5"}.get(case)
+    if fault is not None:
+        rows[-5] = fault if header == "score,label" else fault.split(",")[0]
+    if case == "blank-line":
+        rows.insert(len(rows) - 5, "")
+    if case == "no-last-end":
+        return "\n".join([header, *rows])
+    ending = {"cr": "\r", "crlf": "\r\n", "crlf-middle": "\r\n"}.get(case, "\n")
+    text = ending.join([header, *rows]) + ending
+    if case == "crlf-middle":  # pad the first row until the middle of the raw text falls inside a CRLF
+        while text[len(text) // 2 - 1 : len(text) // 2 + 1] != "\r\n":
+            rows[0] = " " + rows[0]
+            text = ending.join([header, *rows]) + ending
+    return text
+
+
+READ_CASES = ["clean", "no-last-end", "cr", "crlf", "crlf-middle", "quote"]  # a quoted number reads as the number
+FAULT_CASES = ["bad-cell", "blank-line", "label", "ragged"]
+
+
+@pytest.mark.parametrize("case", READ_CASES + FAULT_CASES)
+def test_split_reader_matches_per_row_parser(tmp_path, forced_splits, case):
+    rng = np.random.default_rng(8)
+    scores, labels = np.round(rng.random(40), 2).tolist(), rng.integers(1, 3, 40).tolist()
+    rows = [f"{s!r},{y}" for s, y in zip(scores, labels)]
+    cal = write(tmp_path / "cal.csv", second_half_case(case, "score,label", rows))
+    assert (outcome(reference_load_sample, cal, "np")[0] == "ok") == (case in READ_CASES)
+    assert_load_sample_matches(cal, "np")
+    new = write(tmp_path / "new.csv", second_half_case(case, "score", [repr(s) for s in scores]))
+    got, want = outcome(read_rule_input, new, NpRule(tau1=0.2, tau2=0.6)), outcome(reference_rule_input, new, "score")
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert_same_array(got[1], want[1])
+    assert len(forced_splits) == (0 if case == "quote" else 2)  # a quote goes to the per-row parser at once
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("mode", sorted(SAMPLE_CASES))
+def test_split_load_sample_matches_per_row_parser(scratch, forced_splits, mode, data):
+    headers, pools = SAMPLE_CASES[mode]
+    assert_load_sample_matches(write(scratch, data.draw(csv_text(headers, pools))), mode)
+
+
+def in_child_only(fn, failure):
+    """fn, except that in a forked child it fails as failure says."""
+    parent = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() != parent:
+            if failure == "dies":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise {"raises": RuntimeError, "raises-ValueError": ValueError}[failure]("in the child")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def calibrate_traced(tmp_path, rows: int = 40):
+    rng = np.random.default_rng(9)
+    lines = [f"{s!r},{y}" for s, y in zip(rng.random(rows).tolist(), rng.integers(1, 3, rows).tolist())]
+    path = write(tmp_path / "cal.csv", "\n".join(["score,label", *lines]) + "\n")
+    return main(["calibrate", "--mode", "np", "--input", path, "--alpha1", "0.3", "--alpha2", "0.3",
+                 "--out-dir", str(tmp_path / "out"), "--trace"])
+
+
+@pytest.mark.parametrize(
+    "where, failure, code",
+    [
+        ("read", "dies", EXIT_USAGE),
+        ("read", "raises", EXIT_USAGE),
+        ("read", "raises-ValueError", 0),  # the per-row parser reads the file instead
+        ("trace", "dies", EXIT_USAGE),
+        ("trace", "raises", EXIT_USAGE),
+        ("trace", "raises-ValueError", EXIT_USAGE),
+    ],
+)
+def test_a_failing_child_fails_the_command_and_is_reaped(
+    tmp_path, forced_splits, monkeypatch, capsys, assert_no_child_left, where, failure, code
+):
+    from indecide import kvdoc
+
+    if where == "read":
+        monkeypatch.setattr(cli, "_parse_lines", in_child_only(cli._parse_lines, failure))
+    else:
+        monkeypatch.setattr(kvdoc, "_write_rows", in_child_only(kvdoc._write_rows, failure))
+    assert calibrate_traced(tmp_path) == code
+    assert forced_splits
+    if code == EXIT_USAGE:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("in the child" in err) == (failure == "raises-ValueError")
+    assert_no_child_left()  # every child was reaped
+
+
+# the indecide console script with os.fork counted: the count goes to stderr
+COUNTED_CLI = """
+import os, sys
+from indecide.cli import main
+real_fork, forks = os.fork, []
+def fork():
+    forks.append(real_fork())
+    return forks[-1]
+os.fork = fork
+code = main(sys.argv[1:])
+print(len(forks), file=sys.stderr)
+sys.exit(code)
+"""
+
+# a small launcher: runs argv[2:] on one CPU ("one") or on all of its own ("all"), both through a
+# preexec_fn, and prints the exit code and wait4's peak RSS in KiB, which covers the command's children
+LAUNCHER = """
+import os, subprocess, sys
+cpus = {min(os.sched_getaffinity(0))} if sys.argv[1] == "one" else os.sched_getaffinity(0)
+proc = subprocess.Popen(sys.argv[2:], preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_writes_the_same_bytes(tmp_path):
+    # a body past _SPLIT_READ_CHARS and a trace past _SPLIT_WRITE_ROWS
+    from indecide import kvdoc
+
+    rows = 300_000
+    rng = np.random.default_rng(10)
+    lines = [f"{s!r},{y}" for s, y in zip(rng.random(rows).tolist(), rng.integers(1, 3, rows).tolist())]
+    path = write(tmp_path / "cal.csv", "\n".join(["score,label", *lines]) + "\n")
+    assert os.path.getsize(path) > 1.2 * cli._SPLIT_READ_CHARS and rows + 1 >= kvdoc._SPLIT_WRITE_ROWS
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    runs = {}
+    for cpus in ("one", "all"):
+        out = tmp_path / cpus
+        argv = ["calibrate", "--mode", "np", "--input", path, "--alpha1", "0.1", "--alpha2", "0.1",
+                "--out-dir", str(out), "--trace"]
+        proc = subprocess.run([sys.executable, "-c", LAUNCHER, cpus, sys.executable, "-c", COUNTED_CLI, *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code, peak = map(int, proc.stdout.split())
+        assert code in (0, 2), proc.stderr  # feasible or not, the outputs are written
+        files = {name: (out / name).read_bytes() for name in ("rule.kv", "report.kv", "trace.csv")}
+        runs[cpus] = ((code, files), peak, int(proc.stderr.split()[-1]))
+    assert runs["one"][0] == runs["all"][0]
+    assert runs["one"][2] == 0
+    if len(os.sched_getaffinity(0)) > 1 and sys.platform == "linux":
+        assert runs["all"][2] == 2  # the parse and the trace
+    assert runs["all"][1] <= 1.05 * runs["one"][1]  # wait4's peak: the largest of the command and its child

@@ -3,6 +3,7 @@
 import csv
 import math
 import multiprocessing
+import os
 import threading
 from functools import partial
 
@@ -293,10 +294,10 @@ class TestParallelMap:
         assert process_pools == []
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert experiments._usable_cpus() == 1
-        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity")
         assert experiments._usable_cpus() == 64
 
     def test_no_fork_while_a_second_thread_runs(self, process_pools):

@@ -1,12 +1,16 @@
 """Tests for the flat key-value document format and the column writer."""
 
+import io
 import math
+import os
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from indecide import kvdoc
 from indecide.kvdoc import FORMAT_VERSION, dump_kv, load_kv, read_kv, write_columns, write_kv
 
 
@@ -88,9 +92,9 @@ LENGTHS = [0, 1, 2, 7, 65535, 65536, 65537]
 
 
 @st.composite
-def column_sets(draw):
+def column_sets(draw, lengths=LENGTHS):
     """1-4 equal-length columns of float64, int64, uint64, bool or str."""
-    n = draw(st.sampled_from(LENGTHS))
+    n = draw(st.sampled_from(lengths))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
@@ -121,6 +125,18 @@ def column_sets(draw):
     return columns
 
 
+def assert_same_bytes(out, blocks, columns):
+    """write_columns of blocks writes what the oracle writes of the whole columns, or both refuse."""
+    outcomes = []
+    for path, write, arg in [(out / "new.csv", write_columns, blocks), (out / "oracle.csv", row_format_write_columns, columns)]:
+        try:
+            write(path, arg)
+            outcomes.append(path.read_bytes())
+        except UnicodeEncodeError:  # lone surrogates have no UTF-8 bytes: both writers must refuse them
+            outcomes.append(UnicodeEncodeError)
+    assert outcomes[0] == outcomes[1]
+
+
 class TestWriteColumns:
     @settings(max_examples=25, deadline=None)
     @given(column_sets(), st.lists(st.integers(0, max(LENGTHS)), max_size=3))
@@ -130,14 +146,7 @@ class TestWriteColumns:
         out = tmp_path_factory.mktemp("columns")
         edges = [0, *sorted(cuts), max(LENGTHS)]
         blocks = [{name: c[a:b] for name, c in columns.items()} for a, b in zip(edges, edges[1:])]
-        outcomes = []
-        for path, write, arg in [(out / "new.csv", write_columns, blocks), (out / "oracle.csv", row_format_write_columns, columns)]:
-            try:
-                write(path, arg)
-                outcomes.append(path.read_bytes())
-            except UnicodeEncodeError:  # lone surrogates have no UTF-8 bytes: both writers must refuse them
-                outcomes.append(UnicodeEncodeError)
-        assert outcomes[0] == outcomes[1]
+        assert_same_bytes(out, blocks, columns)
 
     def test_signed_zero_and_nan_payloads(self, tmp_path):
         x = np.array([0.0, -0.0, 0.0, math.nan, _nan_with(1, 7), -0.0, math.inf, 5e-324, 5e-324])
@@ -158,3 +167,81 @@ class TestWriteColumns:
     def test_blocks_must_share_the_header(self, tmp_path):
         with pytest.raises(ValueError, match="differ from the header"):
             write_columns(tmp_path / "x.csv", [{"a": np.arange(2), "b": np.arange(2)}, {"b": np.arange(2), "a": np.arange(2)}])
+
+
+class TestSplitWrite:
+    """write_columns with the second half of each block formatted in a forked child
+    (the forced_splits fixture)."""
+
+    @staticmethod
+    def table(n: int) -> dict:
+        i = np.arange(n)
+        return {
+            "x": np.array([0.0, -0.0, math.nan, _nan_with(1, 7), math.inf, 1.0 / 3.0, 5e-324])[i % 7],
+            "distinct": np.sqrt(i + 0.5),
+            "same": np.full(n, 0.1),  # one value on both sides of the split
+            "tens": i // 10 - 3,  # runs of ten that straddle the middle row
+            "u": np.uint64(2**64 - 1) - i.astype(np.uint64),
+            "b": i % 3 == 0,
+            "s": np.array(["a", "", "\u00e9t\u00e9", "x y"])[i % 4],
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 101])
+    def test_same_bytes_as_the_one_process_writer(self, tmp_path, forced_splits, n):
+        blocks = [self.table(n), self.table(n + 1)]
+        write_columns(tmp_path / "split.csv", blocks)
+        assert len(forced_splits) == 2  # one child per block
+        whole = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+        row_format_write_columns(tmp_path / "oracle.csv", whole)
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(column_sets(lengths=[0, 1, 2, 3, 7, 8, 65]))
+    def test_same_bytes_as_the_row_format_writer(self, tmp_path_factory, forced_splits, columns):
+        assert_same_bytes(tmp_path_factory.mktemp("split"), [columns], columns)
+
+    def test_a_failing_child_is_raised_here_and_reaped(
+        self, tmp_path, forced_splits, monkeypatch, assert_no_child_left
+    ):
+        parent = os.getpid()
+        real = kvdoc._write_rows
+
+        def second_half_fails(out, columns, start, stop):
+            if os.getpid() != parent:
+                raise ValueError(f"rows {start}..{stop - 1}")
+            real(out, columns, start, stop)
+
+        monkeypatch.setattr(kvdoc, "_write_rows", second_half_fails)
+        with pytest.raises(ValueError, match=r"^rows 4\.\.7$"):
+            write_columns(tmp_path / "x.csv", [self.table(8)])
+        assert_no_child_left()
+
+
+class TestInTwo:
+    def test_an_interrupted_parent_kills_and_reaps_the_child(self, forced_splits, assert_no_child_left):
+        def first():
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            kvdoc._in_two(first, lambda out: time.sleep(60), io.BytesIO())
+        assert time.monotonic() - start < 30  # the child was not waited out
+        assert len(forced_splits) == 1
+        assert_no_child_left()
+
+    def test_one_cpu_runs_both_halves_here_in_turn(self, forced_splits, monkeypatch):
+        monkeypatch.setattr(kvdoc, "_usable_cpus", lambda: 1)
+        calls, sink = [], io.BytesIO()
+
+        def first():
+            calls.append(("first", os.getpid()))
+            return 7
+
+        def second(out):
+            calls.append(("second", os.getpid()))
+            out.write(b"second half")
+
+        assert kvdoc._in_two(first, second, sink) == 7
+        assert calls == [("first", os.getpid()), ("second", os.getpid())]
+        assert sink.getvalue() == b"second half"
+        assert forced_splits == []
