@@ -24,7 +24,7 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from .numerics import class_labels
+from .numerics import as_stable_sort, class_labels
 
 __all__ = [
     "CalibrationSample",
@@ -303,14 +303,6 @@ class CalibrationReport:
     trace: dict = field(default_factory=dict)
 
 
-def _as_stable_sort(values: np.ndarray, rank: int, value: float) -> float:
-    """value, the rank-th (0-based) of the NaN-free values in sorted order; when
-    it is a zero, the one a stable sort puts there, the zeros in input order."""
-    if value == 0.0:
-        value = values[values == 0.0][rank - np.count_nonzero(values < 0.0)]
-    return float(value)
-
-
 def _selective_errors(decisions: np.ndarray, labels: Optional[np.ndarray]) -> dict:
     """The abstained fraction gamma of decisions and, given labels, their errors.
 
@@ -540,7 +532,7 @@ def _np_grid_select(
         }
 
     def below(rank: int) -> float:
-        return _as_stable_sort(values, rank - 1, v_sorted[rank - 1]) if rank >= 1 else -np.inf
+        return as_stable_sort(values, rank - 1, v_sorted[rank - 1]) if rank >= 1 else -np.inf
 
     feasible = len(feasible_ks) > 0
     k = int(feasible_ks[0]) if feasible else int(np.argmin(np.where(ranks < n, type2, np.inf)))

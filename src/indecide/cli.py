@@ -393,27 +393,10 @@ def _phase_configs(points: int) -> list[tuple[str, gmm.PhaseGridConfig]]:
 
 
 def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConfig]) -> list[str]:
-    """Solve one (name, config) phase panel and write its CSV and SVG; returns
-    the file names.
-
-    The bytes are those of phase_grid_to_csv and phase_grid_to_svg of
-    phase_grid(cfg), but the grid is solved and written one block of cells at
-    a time: each block's rows go to the CSV as soon as it is built, and only
-    its capped ratios, the heatmap's column, outlive it.
-    """
-    panel, cfg = panel_config
-    csv_path = out_dir / f"phase_{panel}.csv"
-    svg_path = out_dir / f"phase_{panel}.svg"
-    capped = []
-
-    def csv_blocks():
-        for block in gmm._phase_blocks(cfg):
-            capped.append(block.risk_ratio_capped)
-            yield gmm._csv_columns(block)
-
-    write_columns(csv_path, csv_blocks())
-    gmm._capped_to_svg(np.concatenate(capped), cfg, svg_path)
-    return [csv_path.name, svg_path.name]
+    """Write one (name, config) phase panel's CSV and SVG by gmm.write_phase_panel; returns the file names."""
+    names = [f"phase_{panel_config[0]}.{ext}" for ext in ("csv", "svg")]
+    gmm.write_phase_panel(panel_config[1], out_dir / names[0], out_dir / names[1])
+    return names
 
 
 def cmd_experiment(args) -> int:

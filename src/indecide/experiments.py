@@ -16,11 +16,11 @@ from functools import partial
 import numpy as np
 
 from . import gmm
-from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _as_stable_sort, _selective_errors
+from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _selective_errors
 from .calibration import calibrate_accuracy, calibrate_np
 from .kvdoc import _start_method, _usable_cpus, write_columns
 from .models import fit_lda, fit_logistic, predict_eta
-from .numerics import normal_tail, seeded_stream, sigmoid
+from .numerics import as_stable_sort, normal_tail, seeded_stream, sigmoid
 from .svgchart import line_chart_svg
 
 __all__ = [
@@ -343,7 +343,7 @@ def _percentile(values, q: float) -> float:
     if not vals.size:
         return math.nan
     rank = min(vals.size - 1, max(0, math.ceil(q / 100.0 * vals.size) - 1))
-    return _as_stable_sort(vals, rank, np.partition(vals, rank)[rank])
+    return as_stable_sort(vals, rank, np.partition(vals, rank)[rank])
 
 
 def _median(values: np.ndarray) -> float:

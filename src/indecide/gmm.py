@@ -12,6 +12,8 @@ All maps between t, gamma, and risk are monotone, so inversion is done by
 numerics.bisect.  The phase-transition machinery parameterizes separation as
 delta = c * sqrt(2 log(1/delta_target)) and abstention mass as a power of
 delta_target, and computes where risk / delta_target crosses 1.
+write_phase_panel writes such a (c, m) panel, its CSV and its SVG heatmap,
+one block of cells at a time, so its memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "phase_grid",
     "phase_grid_to_csv",
     "phase_grid_to_svg",
+    "write_phase_panel",
 ]
 
 
@@ -441,14 +444,9 @@ def phase_grid(cfg: PhaseGridConfig) -> PhaseGrid:
     )
 
 
-def _csv_columns(grid: PhaseGrid) -> dict:
-    """The grid's CSV columns, in file order."""
-    return {name: getattr(grid, name) for name in _CSV_COLUMNS}
-
-
 def phase_grid_to_csv(grid: PhaseGrid, path) -> None:
     """Write the grid as CSV: c, m, gamma, t, risk_ratio_raw, risk_ratio_capped."""
-    write_columns(path, [_csv_columns(grid)])
+    write_columns(path, [{name: getattr(grid, name) for name in _CSV_COLUMNS}])
 
 
 def phase_grid_to_svg(grid: PhaseGrid, cfg: PhaseGridConfig, path) -> None:
@@ -481,3 +479,19 @@ def _capped_to_svg(capped: np.ndarray, cfg: PhaseGridConfig, path) -> None:
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
+
+
+def write_phase_panel(cfg: PhaseGridConfig, csv_path, svg_path) -> None:
+    """Solve cfg's panel and write its CSV and SVG: the bytes of phase_grid_to_csv
+    and phase_grid_to_svg of phase_grid(cfg), but solved and written one block
+    of cells at a time.  Each block's rows go to the CSV as soon as it is
+    built, and only its capped ratios, the heatmap's column, outlive it."""
+    capped = []
+
+    def csv_blocks():
+        for block in _phase_blocks(cfg):
+            capped.append(block.risk_ratio_capped)
+            yield {name: getattr(block, name) for name in _CSV_COLUMNS}
+
+    write_columns(csv_path, csv_blocks())
+    _capped_to_svg(np.concatenate(capped), cfg, svg_path)

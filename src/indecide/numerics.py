@@ -1,8 +1,8 @@
 """Numerical kernels shared by every other module.
 
 Standard normal tail, the logistic function, the bisection that inverts
-every monotone oracle map, the class-label check, and the deterministic
-seeded random-stream contract used by the simulation harness.
+every monotone oracle map, the class-label check, stable-sort order
+statistics, and the seeded random-stream contract of the simulation harness.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "as_stable_sort",
     "bisect",
     "class_labels",
     "normal_tail",
@@ -104,6 +105,14 @@ def class_labels(values) -> np.ndarray:
         if (labels != np.trunc(labels)).any():
             raise ValueError("labels must be integer class indices")
     return labels.astype(int, copy=False)
+
+
+def as_stable_sort(values: np.ndarray, rank: int, value: float) -> float:
+    """value, the rank-th (0-based) of the NaN-free values in sorted order; when
+    it is a zero, the one a stable sort puts there, the zeros in input order."""
+    if value == 0.0:
+        value = values[values == 0.0][rank - np.count_nonzero(values < 0.0)]
+    return float(value)
 
 
 _MASK64 = (1 << 64) - 1

@@ -3,14 +3,12 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from indecide import cli, gmm
+from indecide import cli
 from indecide.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from indecide.kvdoc import read_kv
 
@@ -637,38 +635,6 @@ class TestExperimentCommand:
         assert names == sorted(p.name for p in (tmp_path / "cpus2").iterdir())
         for name in names:
             assert (tmp_path / "cpus1" / name).read_bytes() == (tmp_path / "cpus2" / name).read_bytes(), name
-
-    def test_streamed_panel_matches_the_whole_grid_writers(self, tmp_path, monkeypatch):
-        # 23 x 37 cells: one block at the default size, nine of 100 cells when
-        # streamed, the last one partial and c crossing 1/2 inside the fifth
-        cfg = gmm.PhaseGridConfig(
-            delta_target=1e-7,
-            c_grid=tuple(np.linspace(0.3, 0.7, 23)),
-            m_grid=tuple(np.linspace(0.005, 0.995, 37)),
-        )
-        grid = gmm.phase_grid(cfg)
-        assert len(grid) < gmm._SOLVE_CHUNK
-        gmm.phase_grid_to_csv(grid, tmp_path / "whole.csv")
-        gmm.phase_grid_to_svg(grid, cfg, tmp_path / "whole.svg")
-        monkeypatch.setattr(gmm, "_SOLVE_CHUNK", 100)
-        assert len(grid) % 100 and int(np.argmax(grid.c > 0.5)) // 100 == 4
-        assert cli._write_phase_panel(tmp_path, ("streamed", cfg)) == ["phase_streamed.csv", "phase_streamed.svg"]
-        for ext in ("csv", "svg"):
-            assert (tmp_path / f"phase_streamed.{ext}").read_bytes() == (tmp_path / f"whole.{ext}").read_bytes()
-
-    def test_panel_memory_stays_within_a_block(self, tmp_path):
-        # numpy reports its buffers to tracemalloc; at 300 points the panels
-        # peaked at 26.7 and 29.9 MB when each was written from its whole
-        # grid, and at 8.3 and 8.6 MB streamed in blocks
-        panels = cli._phase_configs(300)
-        cli._write_phase_panel(tmp_path, cli._phase_configs(4)[1])  # first-call imports stay out of the peak
-        tracemalloc.start()
-        try:
-            cli._write_phase_panel(tmp_path, panels[1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 14 * 2**20
 
     def test_study_outputs_match_golden_files(self, tmp_path):
         # tests/data/<study>*_golden.* were written by the row-dict studies

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from band_oracles import plugin_band_oracle, threshold_for_gamma_oracle
-from indecide import cli, gmm, svgchart
+from indecide import cli, gmm, kvdoc, svgchart
 from indecide.calibration import _selective_errors
 from indecide.experiments import _draw_mixture, plugin_population_risk
 from indecide.numerics import bisect, normal_tail, normal_tail_vec, seeded_stream
@@ -598,6 +601,75 @@ class TestPhaseGrid:
             self._cfg(m_grid=(0.5, 0.4))
 
 
+class TestWritePhasePanel:
+    """gmm.write_phase_panel: the phase panels solved and written one block of cells at a time."""
+
+    def test_streamed_panel_matches_the_whole_grid_writers(self, tmp_path, monkeypatch):
+        # 23 x 37 cells: one block at the default size, nine of 100 cells when
+        # streamed, the last one partial and c crossing 1/2 inside the fifth
+        cfg = gmm.PhaseGridConfig(
+            delta_target=1e-7,
+            c_grid=tuple(np.linspace(0.3, 0.7, 23)),
+            m_grid=tuple(np.linspace(0.005, 0.995, 37)),
+        )
+        grid = gmm.phase_grid(cfg)
+        assert len(grid) < gmm._SOLVE_CHUNK
+        gmm.phase_grid_to_csv(grid, tmp_path / "whole.csv")
+        gmm.phase_grid_to_svg(grid, cfg, tmp_path / "whole.svg")
+        monkeypatch.setattr(gmm, "_SOLVE_CHUNK", 100)
+        assert len(grid) % 100 and int(np.argmax(grid.c > 0.5)) // 100 == 4
+        gmm.write_phase_panel(cfg, tmp_path / "streamed.csv", tmp_path / "streamed.svg")
+        for ext in ("csv", "svg"):
+            assert (tmp_path / f"streamed.{ext}").read_bytes() == (tmp_path / f"whole.{ext}").read_bytes()
+
+    def test_panel_memory_stays_within_a_block(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; at 300 points the panels
+        # peaked at 26.7 and 29.9 MB when each was written from its whole
+        # grid, and at 8.3 and 8.6 MB streamed in blocks
+        panels = cli._phase_configs(300)
+        # first-call imports stay out of the peak
+        gmm.write_phase_panel(cli._phase_configs(4)[1][1], tmp_path / "warm.csv", tmp_path / "warm.svg")
+        tracemalloc.start()
+        try:
+            gmm.write_phase_panel(panels[1][1], tmp_path / "phase_upper.csv", tmp_path / "phase_upper.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
+
+    def test_panel_starts_no_helper_process(self, tmp_path, monkeypatch):
+        # write_columns forks a helper for a block of _SPLIT_WRITE_ROWS rows or
+        # more when a second CPU is free; the phase panels already keep both
+        # CPUs busy, so their blocks stay below it.  The fork rule says yes
+        # here, and both thresholds are the real ones.
+        assert gmm._SOLVE_CHUNK < kvdoc._SPLIT_WRITE_ROWS
+        monkeypatch.setattr(kvdoc, "_start_method", lambda: "fork")
+        monkeypatch.setattr(kvdoc, "_usable_cpus", lambda: 2)
+        forks = []
+
+        def fork():
+            forks.append(os.getpid())
+            raise AssertionError("a phase panel forked a helper")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        cfg = cli._phase_configs(200)[0][1]
+        assert len(cfg.c_grid) * len(cfg.m_grid) > 2 * gmm._SOLVE_CHUNK  # three blocks
+        gmm.write_phase_panel(cfg, tmp_path / "phase_lower.csv", tmp_path / "phase_lower.svg")
+        assert forks == []
+
+    def test_svgs_parse_as_xml_and_draw_m_star_and_both_envelope_ends(self, tmp_path):
+        # the tier-1 copy of a CI step, which runs the same checks on the
+        # installed package's `experiment phase` at grid_points = 40
+        for panel, cfg in cli._phase_configs(40):
+            svg = tmp_path / f"phase_{panel}.svg"
+            gmm.write_phase_panel(cfg, tmp_path / f"phase_{panel}.csv", svg)
+            ET.parse(svg)
+            text = svg.read_text()
+            for label in ("m*", "envelope low", "envelope high"):
+                assert f">{label}</text>" in text, (panel, label)
+            assert "m_lower" not in text, panel
+
+
 class TestPhaseOverlays:
     """The curves drawn over the phase heatmaps: m* and both ends of phase_envelope."""
 
@@ -625,7 +697,7 @@ class TestPhaseOverlays:
     @pytest.mark.parametrize("panel", ["lower", "upper"])
     def test_vertices_are_m_star_or_an_envelope_end(self, tmp_path, panel):
         cfg = dict(cli._phase_configs(200))[panel]
-        cli._write_phase_panel(tmp_path, (panel, cfg))
+        assert cli._write_phase_panel(tmp_path, (panel, cfg)) == [f"phase_{panel}.csv", f"phase_{panel}.svg"]
         svg = (tmp_path / f"phase_{panel}.svg").read_text()
         cs, ms, dt = list(cfg.c_grid), list(cfg.m_grid), cfg.delta_target
         half_c, half_m = (cs[-1] - cs[0]) / (len(cs) - 1) / 2, (ms[-1] - ms[0]) / (len(ms) - 1) / 2
