@@ -53,7 +53,7 @@ from .experiments import (
     sim_result_to_csv,
     sim_result_to_svg,
 )
-from .kvdoc import _in_two, _usable_cpus, read_kv, write_columns, write_kv
+from .kvdoc import _in_two, _usable_cpus, load_kv, write_columns, write_kv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,27 +156,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# input files: CSV ingestion, and the manifest of what was read
 
 
-def _read_table(path: str, column: str, *, labelled: bool = False) -> tuple[list[str], np.ndarray]:
-    """The header row and the body's leading columns as n x m floats: a rule's input column, then labels.
+def _read_input(path: str) -> tuple[str, str]:
+    """The file's UTF-8 text, line ends as written, and the sha256 of the bytes that one read returned."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data.decode("utf-8"), _sha256(data)
 
-    The file is read once, and np.loadtxt parses the body of that text: in
-    one call, or, from _SPLIT_READ_CHARS characters on, in two calls on the
-    halves either side of the middle line end, the second in a forked helper
-    (kvdoc._in_two).  Input where loadtxt could disagree with the per-row
-    parser (quotes, blank lines, a cell loadtxt rejects, a non-integer label)
-    goes to _read_rows instead, which returns the same table or raises the
-    line-numbered SchemaError.
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_table(path: str, column: str, *, labelled: bool = False) -> tuple[str, np.ndarray]:
+    """The file's sha256 and its body's leading columns as n x m floats: a rule's input column, then labels.
+
+    The file is read once, by _read_input, and np.loadtxt parses the body of that text: in one call,
+    or, from _SPLIT_READ_CHARS characters on, in two calls on the halves either side of the middle
+    line end, the second in a forked helper (kvdoc._in_two).  Input where loadtxt could disagree with
+    the per-row parser (quotes, blank lines, a cell loadtxt rejects, a non-integer label) goes to
+    _read_rows instead, which returns the same table or raises the line-numbered SchemaError.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            raw = fh.read()
+        raw, digest = _read_input(path)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     if '"' in raw:  # a quoted field may hold a delimiter or a line break
-        return _read_rows(path, raw, column, labelled)
+        return digest, _read_rows(path, raw, column, labelled)
     if not raw:
         raise SchemaError(f"{path}: empty file, header row required")
     # line ends as the csv module sees them
@@ -185,18 +193,18 @@ def _read_table(path: str, column: str, *, labelled: bool = False) -> tuple[list
     header = next(csv.reader([text[: body - 1] if body else text]))
     names, exact = _header_names(path, header, column, labelled)
     if not body or body == len(text):
-        return header, np.empty((0, len(names)))
+        return digest, np.empty((0, len(names)))
     parse = partial(_parse_lines, width=len(names), exact=exact, labelled=labelled)
     # the second half starts after the first line end from the middle of the body on, if there is one
     mid = text.find("\n", (body + len(text)) // 2) + 1 if len(text) - body >= _SPLIT_READ_CHARS else 0
     try:
         if not 0 < mid < len(text):
-            return header, parse(text[body:])
+            return digest, parse(text[body:])
         second = io.BytesIO()  # the second half's table, as bytes
         first = _in_two(lambda: parse(text[body:mid]), lambda out: out.write(parse(text[mid:])), second)
-        return header, np.concatenate([first, np.frombuffer(second.getbuffer()).reshape(-1, len(names))])
+        return digest, np.concatenate([first, np.frombuffer(second.getbuffer()).reshape(-1, len(names))])
     except ValueError:
-        return _read_rows(path, raw, column, labelled)
+        return digest, _read_rows(path, raw, column, labelled)
 
 
 # body text from this many characters on is parsed in two halves, in two processes: over twice the
@@ -219,8 +227,8 @@ def _parse_lines(text: str, width: int, exact: bool, labelled: bool) -> np.ndarr
     return table
 
 
-def _read_rows(path: str, raw: str, column: str, labelled: bool) -> tuple[list[str], np.ndarray]:
-    """_read_table on the file's text by csv.reader and float() per cell,
+def _read_rows(path: str, raw: str, column: str, labelled: bool) -> np.ndarray:
+    """_read_table's table from the file's text by csv.reader and float() per cell,
     with line-numbered errors."""
     reader = csv.reader(io.StringIO(raw, newline=""))
     try:
@@ -240,7 +248,7 @@ def _read_rows(path: str, raw: str, column: str, labelled: bool) -> tuple[list[s
             if labelled and j == width - 1 and not (value.is_integer() and abs(value) < _LABEL_LIMIT):
                 raise SchemaError(f"{path}: line {lineno}: column {name!r} is not an integer class index: {row[j]!r}")
             table[i, j] = value
-    return header, table
+    return table
 
 
 def _header_names(path: str, header: list[str], column: str, labelled: bool) -> tuple[list[str], bool]:
@@ -280,33 +288,22 @@ def _values(table: np.ndarray, column: str) -> np.ndarray:
     return table if column == "s_1" else table[:, 0].copy()
 
 
-def _load_sample(path: str, mode: str) -> CalibrationSample:
+def _load_sample(path: str, mode: str) -> tuple[str, CalibrationSample]:
     column = _MODES[mode][0].column
-    _, table = _read_table(path, column, labelled=True)
-    return CalibrationSample(**{_COLUMNS[column][0]: _values(table[:, :-1], column)}, labels=table[:, -1].astype(int))
+    digest, table = _read_table(path, column, labelled=True)
+    sample = CalibrationSample(**{_COLUMNS[column][0]: _values(table[:, :-1], column)}, labels=table[:, -1].astype(int))
+    return digest, sample
 
 
-# ---------------------------------------------------------------------------
-# outputs
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_manifest(out_dir: Path, subcommand: str, inputs: list[str], outputs: list[str], extra: dict) -> None:
+def _write_manifest(out_dir: Path, subcommand: str, digests: dict[str, str], outputs: list[str], extra: dict) -> None:
     entries = {
         "subcommand": subcommand,
         "toolkit_version": __version__,
-        "inputs": ";".join(inputs),
+        "inputs": ";".join(digests),  # digests: each input path -> the sha256 of the bytes its reader parsed
         "outputs": ";".join(sorted(outputs)),
     }
-    for path in inputs:
-        entries[f"sha256_{Path(path).name}"] = _sha256(path)
+    for path, digest in digests.items():
+        entries[f"sha256_{Path(path).name}"] = digest
     entries.update(extra)
     write_kv(entries, out_dir / "manifest.kv")
 
@@ -322,7 +319,8 @@ def cmd_calibrate(args) -> int:
     for flag in ("alpha", "alpha1", "alpha2", "gamma"):  # before the input is read, so a bad flag fails at once
         if (getattr(args, flag) is None) == (flag in flags):
             raise SchemaError(f"mode {key} {'requires' if flag in flags else 'does not read'} --{flag}")
-    report = calibrate(_load_sample(args.input, mode), args)
+    digest, sample = _load_sample(args.input, mode)
+    report = calibrate(sample, args)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,12 +333,12 @@ def cmd_calibrate(args) -> int:
     if report.trace:
         write_columns(out_dir / "trace.csv", [report.trace])
         outputs.append("trace.csv")
-    _write_manifest(out_dir, f"calibrate-{mode}", [args.input], outputs + ["manifest.kv"], {})
+    _write_manifest(out_dir, f"calibrate-{mode}", {args.input: digest}, outputs + ["manifest.kv"], {})
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def cmd_apply(args) -> int:
-    rule = Rule.from_kv(read_kv(args.rule))
+    rule = Rule.from_kv(load_kv(_read_input(args.rule)[0]))
     _, table = _read_table(args.input, rule.column)
     decisions = rule.apply(_values(table, rule.column))
     # decision d is written as words[d]: "abstain" for 0, else the class index
@@ -403,7 +401,8 @@ def cmd_experiment(args) -> int:
     if args.workers < 1:
         raise SchemaError(f"--workers must be at least 1, got {args.workers}")
     defaults, full, metric = _EXPERIMENTS[args.name]
-    settings = _read_config(read_kv(args.config) if args.config else {}, {**defaults, **(full if args.full else {})})
+    config = _read_input(args.config) if args.config else None  # (text, sha256)
+    settings = _read_config(load_kv(config[0]) if config else {}, {**defaults, **(full if args.full else {})})
     out_dir = Path(args.out_dir)
     # out_dir is made once the config is checked (and a study has run), so a rejected config leaves none
     if args.name == "phase":
@@ -422,7 +421,7 @@ def cmd_experiment(args) -> int:
         outputs = [f"{args.name}_rows.csv", f"{args.name}_aggregates.csv", f"{args.name}.svg"]
         sim_result_to_csv(result, out_dir / outputs[0], out_dir / outputs[1])
         sim_result_to_svg(result, metric, out_dir / outputs[2], title=args.name)
-    inputs = [args.config] if args.config else []
+    inputs = {args.config: config[1]} if config else {}
     extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": args.workers}
     _write_manifest(out_dir, f"experiment-{args.name}", inputs, outputs + ["manifest.kv"], extra)
     return EXIT_OK

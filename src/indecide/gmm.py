@@ -299,7 +299,7 @@ def _below(delta: np.ndarray, target: np.ndarray, t: np.ndarray, increasing: boo
 
 _SOLVE_CHUNK = 16384  # cells per phase block, solved at once; larger blocks let the solver's arrays spill out of cache
 _NEWTON_STEPS = 4
-_WINDOWS = (1e-13, 1e-9, 1e-6)  # relative half-widths tried around the estimate, tightest first
+_WINDOWS = (1e-15, 1e-13, 1e-9, 1e-6)  # relative half-widths tried around the estimate, tightest first
 # scipy's ndtr can step down between arguments a few ulps apart; sampled
 # over the solver's argument range it never does across this many
 _MONOTONE_ULPS = 16

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -38,6 +40,14 @@ if __name__ == "__main__":
 def write_csv(path, text):
     path.write_text(text)
     return str(path)
+
+
+def run_cli(argv, cwd, stdin=None):
+    """indecide argv in a new process, fed the bytes stdin on standard input; a hang fails at the timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "indecide.cli", *argv]
+    return subprocess.run(command, cwd=cwd, env=env, input=stdin, capture_output=True, timeout=60)
 
 
 class TestCalibrateCommand:
@@ -654,6 +664,43 @@ class TestExperimentCommand:
             for name in (f"{study}_rows.csv", f"{study}_aggregates.csv", f"{study}.svg"):
                 stem, ext = name.rsplit(".", 1)
                 assert (out / name).read_bytes() == (DATA / f"{stem}_golden.{ext}").read_bytes(), name
+
+
+class TestManifestHashes:
+    # sha256_<name> is the hash of the bytes the command parsed: a second read of
+    # the path would see an empty pipe, or wait for a FIFO writer that never comes
+    @pytest.mark.parametrize("source", ["file", "fifo", "stdin"])
+    def test_calibrate_records_the_input_it_read(self, tmp_path, source):
+        data = b"score,label\n0.9,1\n0.8,1\n0.3,2\n0.1,2\n"
+        path, stdin, writer = tmp_path / "cal.csv", None, None
+        if source == "file":
+            path.write_bytes(data)
+        elif source == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("needs named pipes")
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+            writer.start()
+        else:
+            if not os.path.exists("/dev/stdin"):
+                pytest.skip("needs /dev/stdin")
+            path, stdin = Path("/dev/stdin"), data
+        argv = ["calibrate", "--mode", "np", "--input", str(path), "--alpha1", "0.5", "--alpha2", "0.5"]
+        done = run_cli([*argv, "--out-dir", "out"], tmp_path, stdin)
+        assert done.returncode == EXIT_OK, done.stderr
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        manifest = read_kv(tmp_path / "out" / "manifest.kv")
+        assert manifest[f"sha256_{path.name}"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_experiment_records_the_config_it_read(self, tmp_path):
+        data = b"format_version = 1\nreps = 2\n"
+        argv = ["experiment", "intro-tradeoff", "--config", "/dev/stdin", "--out-dir", "out"]
+        done = run_cli(argv, tmp_path, data)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert read_kv(tmp_path / "out" / "manifest.kv")["sha256_stdin"] == hashlib.sha256(data).hexdigest()
 
 
 class TestUsage:

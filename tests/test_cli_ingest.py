@@ -203,7 +203,7 @@ def test_load_sample_matches_per_row_parser(scratch, mode, data):
 
 
 def assert_load_sample_matches(path, mode):
-    got, want = outcome(cli._load_sample, path, mode), outcome(reference_load_sample, path, mode)
+    got, want = outcome(lambda: cli._load_sample(path, mode)[1]), outcome(reference_load_sample, path, mode)
     assert got[0] == want[0], (got, want)
     if want[0] == "error":
         assert got[1] == want[1]
@@ -252,7 +252,7 @@ def test_clean_input_takes_fast_path(tmp_path, monkeypatch, ending):
     lines = ["score,label,note"] + [f"{s!r},{y},n" for s, y in zip(scores.tolist(), labels.tolist())]
     path = write(tmp_path / "cal.csv", ending.join(lines) + ending)
     refuse_per_row(monkeypatch)
-    sample = cli._load_sample(path, "np")
+    _, sample = cli._load_sample(path, "np")
     assert sample.scores.tolist() == scores.tolist()
     assert sample.labels.tolist() == labels.tolist()
     values = read_rule_input(path, NpRule(tau1=0.2, tau2=0.6))
@@ -266,7 +266,7 @@ def test_pipe_input_is_read_once(tmp_path, monkeypatch):
     writer = threading.Thread(target=fifo.write_text, args=("score,label\n0.9,1\n0.2,2\n",), daemon=True)
     writer.start()
     refuse_per_row(monkeypatch)
-    sample = cli._load_sample(str(fifo), "np")
+    _, sample = cli._load_sample(str(fifo), "np")
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert sample.scores.tolist() == [0.9, 0.2]
@@ -278,7 +278,7 @@ def test_compression_suffix_does_not_change_reading(tmp_path, monkeypatch, suffi
     # the file is plain text whatever its name says
     path = write(tmp_path / f"cal.csv{suffix}", "score,label\n0.9,1\n0.2,2\n")
     refuse_per_row(monkeypatch)
-    sample = cli._load_sample(path, "np")
+    _, sample = cli._load_sample(path, "np")
     assert sample.scores.tolist() == [0.9, 0.2]
     assert sample.labels.tolist() == [1, 2]
     assert read_rule_input(path, NpRule(tau1=0.2, tau2=0.6)).tolist() == [0.9, 0.2]

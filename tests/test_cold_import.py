@@ -1,5 +1,7 @@
 """What a fresh interpreter loads and sets at startup: scipy only where it is
-called, and one OpenBLAS thread unless the caller chose a count."""
+called, one OpenBLAS thread unless the caller chose a count, and for the CLI,
+beyond numpy, only the standard library and nine package modules of bounded
+size."""
 
 import json
 import os
@@ -110,3 +112,34 @@ def test_cli_sets_one_openblas_thread_unless_preset(tmp_path, monkeypatch, prese
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
     assert run_fresh(OPENBLAS_SCRIPT, tmp_path) == expected
+
+
+COLD_IMPORT_SCRIPT = """
+import json, sys
+import numpy
+
+before = set(sys.modules)
+import indecide.cli
+
+loaded = set(sys.modules) - before
+package = sorted(m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names)
+lines = 0
+for name in package:
+    with open(sys.modules[name].__file__, encoding="utf-8") as fh:
+        lines += len(fh.read().splitlines())
+print(json.dumps({"package": package, "lines": lines}))
+"""
+
+# every command compiles these modules from source where no bytecode cache is written
+# (PYTHONDONTWRITEBYTECODE), so each line is paid at every start; a change that raises
+# the bound says why
+COLD_IMPORT_LINES = 2821
+
+
+def test_cli_import_loads_only_the_stdlib_and_nine_package_modules(tmp_path):
+    out = run_fresh(COLD_IMPORT_SCRIPT, tmp_path)
+    assert out["package"] == [
+        "indecide", "indecide.calibration", "indecide.cli", "indecide.experiments", "indecide.gmm",
+        "indecide.kvdoc", "indecide.models", "indecide.numerics", "indecide.svgchart",
+    ]
+    assert out["lines"] <= COLD_IMPORT_LINES

@@ -63,3 +63,6 @@ def test_calibrate_reports_its_layers(tmp_path):
         tracer.uninstall()
     spans = {span[0] for span in tracer.spans}
     assert {"cli._load_sample", "calibration.CalibrationSample", "calibration.calibrate_np"} <= spans
+    # a tag that raises is only logged, and cli.rows_parsed reads this one's rows
+    assert tracer.tag_errors == {}
+    assert [span[4].get("rows") for span in tracer.spans if span[0] == "cli._read_table"] == [4]
