@@ -60,34 +60,34 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 
-# experiment -> (its --config keys, the ones it reads, with their defaults; what --full sets; its chart
-# metric); --seed is the only seed
-_SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig)}
+# experiment -> (the name of its runner in this module, None for phase; its --config keys, the ones it reads,
+# with their defaults; what --full sets; its chart metric); --seed is the only seed
+_DEFAULTS = {f.name: f.default for f in fields(SimConfig)}  # SimConfig's
 _SWEEP_KEYS = ("reps", "n_train", "n_cal", "n_test", "delta_grid", "scorer")  # what both sweeps read
 _EXPERIMENTS = {
-    "phase": ({"grid_points": 200}, {"grid_points": 1000}, None),
-    "accuracy-sweep": ({k: _SIM_DEFAULTS[k] for k in (*_SWEEP_KEYS, "alpha")}, {"reps": 1000}, "conditional_error"),
-    "np-sweep": ({k: _SIM_DEFAULTS[k] for k in (*_SWEEP_KEYS, "alpha1", "alpha2")}, {"reps": 1000}, "type2"),
-    "intro-tradeoff": ({k: _SIM_DEFAULTS[k] for k in ("reps", "n_test", "delta_grid")}, {"reps": 1000}, "gamma_star"),
-    "consistency-trend": ({"reps": 100}, {"reps": 1000}, "risk_gap"),
+    "phase": (None, {"grid_points": 200}, {"grid_points": 1000}, None),
+    "accuracy-sweep": (
+        "run_accuracy_sweep", {k: _DEFAULTS[k] for k in (*_SWEEP_KEYS, "alpha")}, {"reps": 1000}, "conditional_error"
+    ),
+    "np-sweep": (
+        "run_np_sweep", {k: _DEFAULTS[k] for k in (*_SWEEP_KEYS, "alpha1", "alpha2")}, {"reps": 1000}, "type2"
+    ),
+    "intro-tradeoff": (
+        "run_intro_tradeoff", {k: _DEFAULTS[k] for k in ("reps", "n_test", "delta_grid")}, {"reps": 1000}, "gamma_star"
+    ),
+    "consistency-trend": ("run_consistency_trend", {"reps": 100}, {"reps": 1000}, "risk_gap"),
 }
 
-# --mode -> (rule class, whose column the input holds; its target flags, all required and no others allowed;
-# calibration of (sample, args)), "accuracy --gamma" being accuracy with --gamma set; calibrators are module
-# globals looked up per call
+# --mode -> (rule class, whose column the input holds; its calibrator's name; its target flags in argument order,
+# all required and no others allowed), "accuracy --gamma" being accuracy with --gamma set.  Calibrators and runners
+# are module globals looked up by name per call, so a wrapper set on this module's name sees the call
 _MODES = {
-    "accuracy": (SelectiveBinaryRule, ("alpha",), lambda s, a: calibrate_accuracy(s, a.alpha, want_trace=a.trace)),
-    "np": (NpRule, ("alpha1", "alpha2"), lambda s, a: calibrate_np(s, a.alpha1, a.alpha2, want_trace=a.trace)),
-    "multiclass": (
-        MaxScoreRule, ("gamma",), lambda s, a: calibrate_multiclass_fixed_gamma(s, a.gamma, want_trace=a.trace)
-    ),
-    "mlr-np": (
-        MlrNpRule, ("alpha1", "alpha2"), lambda s, a: calibrate_np_mlr(s, a.alpha1, a.alpha2, want_trace=a.trace)
-    ),
-    "mlr-accuracy": (MlrSymmetricRule, ("alpha",), lambda s, a: calibrate_accuracy_mlr(s, a.alpha, want_trace=a.trace)),
-    "accuracy --gamma": (
-        SelectiveBinaryRule, ("gamma",), lambda s, a: calibrate_accuracy_fixed_gamma(s, a.gamma, want_trace=a.trace)
-    ),
+    "accuracy": (SelectiveBinaryRule, "calibrate_accuracy", ("alpha",)),
+    "np": (NpRule, "calibrate_np", ("alpha1", "alpha2")),
+    "multiclass": (MaxScoreRule, "calibrate_multiclass_fixed_gamma", ("gamma",)),
+    "mlr-np": (MlrNpRule, "calibrate_np_mlr", ("alpha1", "alpha2")),
+    "mlr-accuracy": (MlrSymmetricRule, "calibrate_accuracy_mlr", ("alpha",)),
+    "accuracy --gamma": (SelectiveBinaryRule, "calibrate_accuracy_fixed_gamma", ("gamma",)),
 }
 
 
@@ -315,12 +315,12 @@ def _write_manifest(out_dir: Path, subcommand: str, digests: dict[str, str], out
 def cmd_calibrate(args) -> int:
     mode = args.mode
     key = f"{mode} --gamma" if mode == "accuracy" and args.gamma is not None else mode
-    _, flags, calibrate = _MODES[key]
+    _, calibrator, flags = _MODES[key]
     for flag in ("alpha", "alpha1", "alpha2", "gamma"):  # before the input is read, so a bad flag fails at once
         if (getattr(args, flag) is None) == (flag in flags):
             raise SchemaError(f"mode {key} {'requires' if flag in flags else 'does not read'} --{flag}")
     digest, sample = _load_sample(args.input, mode)
-    report = calibrate(sample, args)
+    report = globals()[calibrator](sample, *(getattr(args, flag) for flag in flags), want_trace=args.trace)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -400,7 +400,7 @@ def _write_phase_panel(out_dir: Path, panel_config: tuple[str, gmm.PhaseGridConf
 def cmd_experiment(args) -> int:
     if args.workers < 1:
         raise SchemaError(f"--workers must be at least 1, got {args.workers}")
-    defaults, full, metric = _EXPERIMENTS[args.name]
+    runner, defaults, full, metric = _EXPERIMENTS[args.name]
     config = _read_input(args.config) if args.config else None  # (text, sha256)
     settings = _read_config(load_kv(config[0]) if config else {}, {**defaults, **(full if args.full else {})})
     out_dir = Path(args.out_dir)
@@ -412,11 +412,7 @@ def cmd_experiment(args) -> int:
         written = _parallel_map(partial(_write_phase_panel, out_dir), panels, _usable_cpus())
         outputs = [name for names in written for name in names]
     else:
-        if args.name == "consistency-trend":
-            result = run_consistency_trend(**settings, seed=args.seed, workers=args.workers)
-        else:
-            run = {"accuracy-sweep": run_accuracy_sweep, "np-sweep": run_np_sweep}.get(args.name, run_intro_tradeoff)
-            result = run(SimConfig(**settings, seed=args.seed), workers=args.workers)
+        result = globals()[runner](SimConfig(**settings, seed=args.seed), workers=args.workers)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = [f"{args.name}_rows.csv", f"{args.name}_aggregates.csv", f"{args.name}.svg"]
         sim_result_to_csv(result, out_dir / outputs[0], out_dir / outputs[1])

@@ -313,18 +313,19 @@ def _consistency_rep(oracle_risk: float, seed: int, rep: int) -> list[dict]:
     return rows
 
 
-def run_consistency_trend(reps: int = 100, seed: int = 0, workers: int = 1) -> SimResult:
+def run_consistency_trend(cfg: SimConfig, workers: int = 1) -> SimResult:
     """Risk gap of the fitted-score rule versus the exact rule as n grows.
 
     The mixture has delta = 1, both rules abstain on a mass of 0.3, and the
     scorer is fitted on 100, 1000 and 10000 points.  The fitted rule's risk
     is computed in closed form (equivalent to an infinite calibration set),
     so the gap isolates estimation error of the score itself.  Aggregates
-    report the median gap per training size.
+    report the median gap per training size.  Of cfg only reps and seed are
+    read.
     """
     oracle_risk = gmm.threshold_for_gamma(gmm.GmmSpec(_TREND_DELTA), _TREND_GAMMA).risk
-    rep_fn = partial(_consistency_rep, oracle_risk, seed)
-    return _run_study(rep_fn, reps, workers, ("n_train",), ("risk_gap",))
+    rep_fn = partial(_consistency_rep, oracle_risk, cfg.seed)
+    return _run_study(rep_fn, cfg.reps, workers, ("n_train",), ("risk_gap",))
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +405,17 @@ def _parallel_map(fn, items, workers: int) -> list:
 def _rep_columns(rep_fn, rep: int) -> dict:
     """rep_fn(rep)'s row dicts as one list per key, in the rows' key order."""
     rows = rep_fn(rep)
-    return {name: [row[name] for row in rows] for name in rows[0]} if rows else {}
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
 def _run_study(rep_fn, reps: int, workers: int, keys: tuple, metrics: tuple) -> SimResult:
     """Run rep_fn on replications 0..reps-1 and aggregate metrics by keys.
 
-    rep_fn returns one replication's rows as dicts with the same keys in
-    the same order; each worker hands them back as one list per key, and
-    the lists of all replications become one column per key, in that order.
+    rep_fn returns one replication's rows, at least one, as dicts with the
+    same keys in the same order; each worker hands them back as one list per
+    key, and the lists of all replications become one column per key.
     """
-    chunks = [chunk for chunk in _parallel_map(partial(_rep_columns, rep_fn), range(reps), workers) if chunk]
-    if not chunks:
-        raise ValueError("a study needs at least one replication and one grid point")
+    chunks = _parallel_map(partial(_rep_columns, rep_fn), range(reps), workers)
     columns = {name: np.array([value for chunk in chunks for value in chunk[name]]) for name in chunks[0]}
     return SimResult(rows=columns, aggregates=_aggregate(columns, keys, metrics))
 

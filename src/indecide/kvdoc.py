@@ -20,7 +20,7 @@ import numpy as np
 
 FORMAT_VERSION = "1"
 
-__all__ = ["FORMAT_VERSION", "dump_kv", "load_kv", "write_kv", "read_kv", "write_columns"]
+__all__ = ["FORMAT_VERSION", "dump_kv", "load_kv", "write_kv", "write_columns"]
 
 
 def _encode(value) -> str:
@@ -79,11 +79,6 @@ def load_kv(text: str) -> dict:
 def write_kv(entries: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_kv(entries))
-
-
-def read_kv(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return load_kv(fh.read())
 
 
 # printf-style cell format per dtype kind: floats with 17 significant digits

@@ -145,7 +145,10 @@ def predict_eta(model, x) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def fit_logistic(features, labels, tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:
+_LOGISTIC_TOL, _LOGISTIC_MAX_ITER = 1e-8, 100  # the logistic fit's gradient norm at convergence; its Newton steps
+
+
+def fit_logistic(features, labels) -> LogisticModel:
     """Ridge-regularized (1e-8) logistic fit by damped Newton iterations.
 
     Labels are {1, 2} with class 1 the positive outcome.  When the
@@ -163,10 +166,10 @@ def fit_logistic(features, labels, tol: float = 1e-8, max_iter: int = 100) -> Lo
     beta = np.zeros(d + 1)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _LOGISTIC_MAX_ITER + 1):
         p = sigmoid(design @ beta)
         grad = design.T @ (p - target) + ridge * beta
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= _LOGISTIC_TOL:
             converged = True
             break
         w = np.maximum(p * (1.0 - p), 1e-12)

@@ -196,7 +196,7 @@ class TestAcceptance:
 
     def test_criterion_7_plugin_consistency_trend(self):
         start = time.perf_counter()
-        result = run_consistency_trend(reps=100, seed=0, workers=2)
+        result = run_consistency_trend(SimConfig(reps=100, seed=0), workers=2)
         order = np.argsort(result.aggregates["n_train"])
         gaps = result.aggregates["risk_gap_median"][order].tolist()
         monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from indecide import cli
+from indecide.calibration import MaxScoreRule, MlrNpRule, MlrSymmetricRule, NpRule, SelectiveBinaryRule
 from indecide.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
-from indecide.kvdoc import read_kv
+from indecide.kvdoc import load_kv
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,14 +63,14 @@ class TestCalibrateCommand:
             ["calibrate", "--mode", "accuracy", "--input", inp, "--alpha", "0.1", "--out-dir", str(out)]
         )
         assert code == EXIT_OK
-        rule = read_kv(out / "rule.kv")
+        rule = load_kv((out / "rule.kv").read_text(encoding="utf-8"))
         assert rule["rule_type"] == "selective-binary"
         assert rule["tau"] == pytest.approx(0.8)
-        report = read_kv(out / "report.kv")
+        report = load_kv((out / "report.kv").read_text(encoding="utf-8"))
         assert report["gamma_hat"] == pytest.approx(0.4)
         assert report["feasible"] is True
         assert report["achieved_conditional_error"] == 0.0
-        manifest = read_kv(out / "manifest.kv")
+        manifest = load_kv((out / "manifest.kv").read_text(encoding="utf-8"))
         assert manifest["subcommand"] == "calibrate-accuracy"
         assert f"sha256_{Path(inp).name}" in manifest
 
@@ -86,7 +88,7 @@ class TestCalibrateCommand:
         got = (out / "trace.csv").read_bytes()
         want = (DATA / "np_trace_golden.csv").read_bytes()
         assert got == want
-        rule = read_kv(out / "rule.kv")
+        rule = load_kv((out / "rule.kv").read_text(encoding="utf-8"))
         assert rule["rule_type"] == "np"
         assert rule["tau1"] == pytest.approx(0.55)
 
@@ -154,6 +156,37 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # the CI step "Every calibrate mode writes a trace", row for row: (input CSV, flags, the cli._MODES row
+    # they reach, the rule class it saves, its trace header)
+    TRACE_CSVS = {
+        "score.csv": "score,label\n0.9,1\n0.7,1\n0.6,2\n0.4,1\n0.2,2\n0.1,2\n",
+        "x.csv": "x,label\n-2,1\n-1,1\n-0.5,2\n0.5,1\n1,2\n2,2\n",
+        "s.csv": "s_1,s_2,label\n0.9,0.1,1\n0.7,0.3,1\n0.6,0.4,2\n0.4,0.6,1\n0.2,0.8,2\n0.1,0.9,2\n",
+    }
+    CHOW_TRACE, NP_TRACE = "tau,decided,error,running_min", "k,gamma,k_tilde,type1_count,type2,valid"
+    TRACE_MODES = [
+        ("score.csv", "--mode accuracy --alpha 0.3", "accuracy", SelectiveBinaryRule, CHOW_TRACE),
+        ("score.csv", "--mode accuracy --gamma 0.3", "accuracy --gamma", SelectiveBinaryRule, CHOW_TRACE),
+        ("x.csv", "--mode mlr-accuracy --alpha 0.3", "mlr-accuracy", MlrSymmetricRule, CHOW_TRACE),
+        ("score.csv", "--mode np --alpha1 0.4 --alpha2 0.4", "np", NpRule, NP_TRACE),
+        ("x.csv", "--mode mlr-np --alpha1 0.4 --alpha2 0.4", "mlr-np", MlrNpRule, NP_TRACE),
+        ("s.csv", "--mode multiclass --gamma 0.3", "multiclass", MaxScoreRule, CHOW_TRACE),
+    ]
+
+    def test_trace_rows_cover_every_mode(self):
+        assert sorted(row[2] for row in self.TRACE_MODES) == sorted(cli._MODES)
+
+    @pytest.mark.parametrize("csv, flags, key, rule_class, header", TRACE_MODES, ids=[r[2] for r in TRACE_MODES])
+    def test_every_mode_writes_a_trace(self, tmp_path, csv, flags, key, rule_class, header):
+        inp = write_csv(tmp_path / csv, self.TRACE_CSVS[csv])
+        out = tmp_path / "out"
+        # exit 2 (targets not met) still writes every file
+        code = main(["calibrate", "--input", inp, *flags.split(), "--out-dir", str(out), "--trace"])
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        trace = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
+        assert trace[0] == header and len(trace) > 1
+        assert load_kv((out / "rule.kv").read_text(encoding="utf-8"))["rule_type"] == rule_class.rule_type
+
     @pytest.mark.parametrize(
         "mode, text",
         [
@@ -169,7 +202,7 @@ class TestCalibrateCommand:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "tau,decided,error,running_min"
         assert len(trace) == 1 + 4  # one row per candidate
-        assert "trace.csv" in read_kv(out / "manifest.kv")["outputs"]
+        assert "trace.csv" in load_kv((out / "manifest.kv").read_text(encoding="utf-8"))["outputs"]
 
     def test_multiclass_fixed_gamma(self, tmp_path):
         inp = write_csv(
@@ -181,7 +214,7 @@ class TestCalibrateCommand:
             ["calibrate", "--mode", "multiclass", "--input", inp, "--gamma", "0.25", "--out-dir", str(out)]
         )
         assert code == EXIT_OK
-        rule = read_kv(out / "rule.kv")
+        rule = load_kv((out / "rule.kv").read_text(encoding="utf-8"))
         assert rule["rule_type"] == "max-score"
 
     @pytest.mark.parametrize("header", ["s_2,s_1,label", "s_1,note,s_2,label", "s_1,s_3,label"])
@@ -207,7 +240,7 @@ class TestCalibrateCommand:
             ]
         )
         assert code == EXIT_OK
-        rule = read_kv(out / "rule.kv")
+        rule = load_kv((out / "rule.kv").read_text(encoding="utf-8"))
         assert rule["rule_type"] == "mlr-np"
         assert rule["tau2"] <= rule["tau1"]
         trace = (out / "trace.csv").read_text().splitlines()
@@ -393,7 +426,7 @@ class TestExperimentCommand:
         assert code == EXIT_OK
         for name in ("accuracy-sweep_rows.csv", "accuracy-sweep_aggregates.csv", "accuracy-sweep.svg", "manifest.kv"):
             assert (out / name).exists()
-        manifest = read_kv(out / "manifest.kv")
+        manifest = load_kv((out / "manifest.kv").read_text(encoding="utf-8"))
         assert manifest["seed"] == 9
         assert "sha256_cfg.kv" in manifest
 
@@ -411,7 +444,7 @@ class TestExperimentCommand:
         monkeypatch.setenv("INDECIDE_WORKERS", "lots")
         out = tmp_path / "o"
         assert main(["experiment", "accuracy-sweep", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
-        assert read_kv(out / "manifest.kv")["workers_requested"] == 1
+        assert load_kv((out / "manifest.kv").read_text(encoding="utf-8"))["workers_requested"] == 1
 
     @pytest.mark.parametrize("study", ["accuracy-sweep", "phase"])
     @pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers", "-3"]], ids=["flag-zero", "flag-negative"])
@@ -441,7 +474,7 @@ class TestExperimentCommand:
         out = tmp_path / "o"
         assert main(["experiment", study, "--config", cfg, "--out-dir", str(out), "--workers", str(workers)]) == EXIT_OK
         assert [size for size, _, _ in process_pools] == pools
-        assert read_kv(out / "manifest.kv")["workers_requested"] == workers
+        assert load_kv((out / "manifest.kv").read_text(encoding="utf-8"))["workers_requested"] == workers
 
     def test_unknown_config_key(self, tmp_path):
         from indecide.kvdoc import write_kv
@@ -494,7 +527,7 @@ class TestExperimentCommand:
         [
             ("np-sweep", "reps = 3\n", "format_version"),
             ("phase", "grid_points = 3\n", "format_version"),
-            ("consistency-trend", "format_version = 1\nreps = 0\n", "at least one replication"),
+            ("consistency-trend", "format_version = 1\nreps = 0\n", "reps must be at least 1"),
         ],
     )
     def test_rejected_config_leaves_no_output_directory(self, tmp_path, capsys, study, text, message):
@@ -558,17 +591,17 @@ class TestExperimentCommand:
 
         real, calls = cli.run_consistency_trend, []
 
-        def record(**kwargs):
-            calls.append(kwargs)
-            return real(**{**kwargs, "reps": 2})
+        def record(cfg, **kwargs):
+            calls.append(cfg)
+            return real(dataclasses.replace(cfg, reps=2), **kwargs)
 
         monkeypatch.setattr(cli, "run_consistency_trend", record)
         cfg = tmp_path / "cfg.kv"
         cfg.write_text(f"format_version = 1\n{text}")
         argv = ["experiment", "consistency-trend", "--config", str(cfg), "--full", "--out-dir", str(tmp_path / "o")]
         assert main(argv) == EXIT_OK
-        assert [call["reps"] for call in calls] == [reps]
-        assert read_kv(tmp_path / "o" / "manifest.kv")["full"] is True
+        assert [call.reps for call in calls] == [reps]
+        assert load_kv((tmp_path / "o" / "manifest.kv").read_text(encoding="utf-8"))["full"] is True
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs SIGKILL")
     def test_killed_worker_fails_the_command(self, tmp_path):
@@ -618,7 +651,7 @@ class TestExperimentCommand:
                 golden = DATA / f"phase_{panel}_golden.{ext}"
                 assert (out / f"phase_{panel}.{ext}").read_bytes() == golden.read_bytes()
         # the solver diagnostics stay out of the manifest
-        assert set(read_kv(out / "manifest.kv")) == {
+        assert set(load_kv((out / "manifest.kv").read_text(encoding="utf-8"))) == {
             "format_version",
             "full",
             "inputs",
@@ -691,7 +724,7 @@ class TestManifestHashes:
         if writer is not None:
             writer.join(timeout=10)
             assert not writer.is_alive()
-        manifest = read_kv(tmp_path / "out" / "manifest.kv")
+        manifest = load_kv((tmp_path / "out" / "manifest.kv").read_text(encoding="utf-8"))
         assert manifest[f"sha256_{path.name}"] == hashlib.sha256(data).hexdigest()
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -700,7 +733,8 @@ class TestManifestHashes:
         argv = ["experiment", "intro-tradeoff", "--config", "/dev/stdin", "--out-dir", "out"]
         done = run_cli(argv, tmp_path, data)
         assert done.returncode == EXIT_OK, done.stderr
-        assert read_kv(tmp_path / "out" / "manifest.kv")["sha256_stdin"] == hashlib.sha256(data).hexdigest()
+        manifest = load_kv((tmp_path / "out" / "manifest.kv").read_text(encoding="utf-8"))
+        assert manifest["sha256_stdin"] == hashlib.sha256(data).hexdigest()
 
 
 class TestUsage:

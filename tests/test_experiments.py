@@ -157,7 +157,7 @@ class TestIntroTradeoff:
 
 class TestConsistencyTrend:
     def test_gap_positive_and_shrinking(self):
-        result = run_consistency_trend(reps=20, seed=8)
+        result = run_consistency_trend(SimConfig(reps=20, seed=8))
         medians = dict(zip(result.aggregates["n_train"].tolist(), result.aggregates["risk_gap_median"]))
         assert medians[100] >= 0.0
         assert medians[1000] <= medians[100]
@@ -165,14 +165,14 @@ class TestConsistencyTrend:
     def test_oracle_solved_once_per_study(self, monkeypatch):
         calls, solve = [], gmm.threshold_for_gamma
         monkeypatch.setattr(gmm, "threshold_for_gamma", lambda *a: calls.append(a) or solve(*a))
-        rows = run_consistency_trend(reps=3, seed=8).rows
+        rows = run_consistency_trend(SimConfig(reps=3, seed=8)).rows
         assert len(calls) == 1
         assert (rows["oracle_risk"] == solve(gmm.GmmSpec(1.0), 0.3).risk).all()
 
     def test_empty_study_rejected(self):
         # reps = 0 used to write header-only CSVs, while the other studies rejected it
-        with pytest.raises(ValueError, match="at least one replication"):
-            run_consistency_trend(reps=0)
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            run_consistency_trend(SimConfig(reps=0))
 
     def test_population_risk_matches_oracle_at_true_center(self):
         for gamma in (0.0, 0.3, 0.7):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from indecide import kvdoc
-from indecide.kvdoc import FORMAT_VERSION, dump_kv, load_kv, read_kv, write_columns, write_kv
+from indecide.kvdoc import FORMAT_VERSION, dump_kv, load_kv, write_columns, write_kv
 
 
 class TestDump:
@@ -61,7 +61,7 @@ class TestFiles:
     def test_write_read(self, tmp_path):
         path = tmp_path / "doc.kv"
         write_kv({"tau": 0.75}, path)
-        assert read_kv(path)["tau"] == 0.75
+        assert load_kv(path.read_text(encoding="utf-8"))["tau"] == 0.75
         # LF endings regardless of platform
         assert b"\r" not in path.read_bytes()
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indecide import models
 from indecide.experiments import _draw_mixture, oracle_eta
 from indecide.models import (
     LdaModel,
@@ -263,10 +264,11 @@ class TestLogistic:
         eta = predict_eta(model, np.linspace(-100, 100, 50))
         assert ((eta >= 0) & (eta <= 1)).all()
 
-    def test_iteration_budget_returns_partial_model(self):
+    def test_iteration_budget_returns_partial_model(self, monkeypatch):
         rng = seeded_stream(42, 2)
         x, y = _draw_mixture(rng, 500, 1.0)
-        model = fit_logistic(x, y, max_iter=1)
+        monkeypatch.setattr(models, "_LOGISTIC_MAX_ITER", 1)
+        model = fit_logistic(x, y)
         assert not model.converged
         assert model.iterations == 1
 
