@@ -88,8 +88,9 @@ class CalibrationSample:
 
     Exactly one of scores (class-1 posterior estimates in [0, 1]),
     score_vectors (rows summing to 1, one column per class), or xs (raw
-    scalar observations) is set.  labels are 1-based class indices; they may
-    be omitted only for the unsupervised multiclass path.
+    scalar observations) is set.  labels are 1-based class indices, at most
+    K with score_vectors; they may be omitted only for the unsupervised
+    multiclass path.
     """
 
     labels: Optional[np.ndarray] = None
@@ -113,6 +114,9 @@ class CalibrationSample:
                 raise ValueError("labels must match the sample length")
             if (lab < 1).any():
                 raise ValueError("labels are 1-based class indices")
+            k = None if self.score_vectors is None else self.score_vectors.shape[1]
+            if k is not None and (lab > k).any():
+                raise ValueError(f"label {lab.max()} exceeds K = {k}, the number of score columns")
             object.__setattr__(self, "labels", lab)
         elif self.score_vectors is None:
             raise ValueError("labels are required for binary and MLR calibration")

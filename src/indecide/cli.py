@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (calibration feasible), 2 calibration ran but the
 targets are unattainable on the data, 1 usage or schema errors, or a worker
-process that died.  Every experiment output directory receives a manifest
-with input hashes so runs can be audited and reproduced.
+process that died.  Every command but oracle writes a manifest of its input
+hashes so runs can be audited and reproduced.
 """
 
 from __future__ import annotations
@@ -295,17 +295,18 @@ def _load_sample(path: str, mode: str) -> tuple[str, CalibrationSample]:
     return digest, sample
 
 
-def _write_manifest(out_dir: Path, subcommand: str, digests: dict[str, str], outputs: list[str], extra: dict) -> None:
+def _write_manifest(manifest: Path, subcommand: str, digests: dict[str, str], outputs: list[str], extra: dict) -> None:
     entries = {
         "subcommand": subcommand,
         "toolkit_version": __version__,
         "inputs": ";".join(digests),  # digests: each input path -> the sha256 of the bytes its reader parsed
-        "outputs": ";".join(sorted(outputs)),
+        "outputs": ";".join(sorted([*outputs, manifest.name])),
     }
-    for path, digest in digests.items():
-        entries[f"sha256_{Path(path).name}"] = digest
+    names = [Path(path).name for path in digests]  # each input's key, or its path as given where two share a name
+    for path, name, digest in zip(digests, names, digests.values()):
+        entries[f"sha256_{name if names.count(name) == 1 else path}"] = digest
     entries.update(extra)
-    write_kv(entries, out_dir / "manifest.kv")
+    write_kv(entries, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +334,29 @@ def cmd_calibrate(args) -> int:
     if report.trace:
         write_columns(out_dir / "trace.csv", [report.trace])
         outputs.append("trace.csv")
-    _write_manifest(out_dir, f"calibrate-{mode}", {args.input: digest}, outputs + ["manifest.kv"], {})
+    _write_manifest(out_dir / "manifest.kv", f"calibrate-{mode}", {args.input: digest}, outputs, {})
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def cmd_apply(args) -> int:
-    rule = Rule.from_kv(load_kv(_read_input(args.rule)[0]))
-    _, table = _read_table(args.input, rule.column)
+    rule_text, rule_digest = _read_input(args.rule)
+    rule = Rule.from_kv(load_kv(rule_text))
+    digest, table = _read_table(args.input, rule.column)
     decisions = rule.apply(_values(table, rule.column))
     # decision d is written as words[d]: "abstain" for 0, else the class index
     words = np.array(["abstain", *map(str, range(1, int(decisions.max(initial=0)) + 1))])
+    abstained = int((decisions == 0).sum())
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(["decision", *words[decisions].tolist()]) + "\n")
-        abstained = float((decisions == 0).mean()) if len(decisions) else 0.0
-        fh.write(f"# abstention_fraction = {abstained:.17g}; rows = {len(decisions)}\n")
+        fraction = abstained / len(decisions) if len(decisions) else 0.0
+        fh.write(f"# abstention_fraction = {fraction:.17g}; rows = {len(decisions)}\n")
+    # beside the file the decisions went to (/dev/stdout resolved), not in manifest.kv, which calibrate
+    # may have written to the same directory; a pipe or terminal gets none
+    output = Path(os.path.realpath(args.output))
+    if output.is_file():
+        manifest = output.with_name(f"{output.name}.manifest.kv")
+        extra = {"rule_type": rule.rule_type, "rows": len(decisions), "abstained": abstained}
+        _write_manifest(manifest, "apply", {args.rule: rule_digest, args.input: digest}, [output.name], extra)
     return EXIT_OK
 
 
@@ -419,7 +429,7 @@ def cmd_experiment(args) -> int:
         sim_result_to_svg(result, metric, out_dir / outputs[2], title=args.name)
     inputs = {args.config: config[1]} if config else {}
     extra = {"seed": args.seed, "full": bool(args.full), "workers_requested": args.workers}
-    _write_manifest(out_dir, f"experiment-{args.name}", inputs, outputs + ["manifest.kv"], extra)
+    _write_manifest(out_dir / "manifest.kv", f"experiment-{args.name}", inputs, outputs, extra)
     return EXIT_OK
 
 

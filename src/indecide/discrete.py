@@ -8,13 +8,10 @@ the type I / type II variant places two thresholds on the class-1 posterior.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kvdoc import write_columns
 
 __all__ = [
     "DegenerateAtomError",
@@ -71,31 +68,6 @@ class DiscreteJoint:
     def n_classes(self) -> int:
         return len(self.points[0])
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.points)
-
-    def to_csv(self, path) -> None:
-        """One row per atom: id, w_1..w_K."""
-        weights = np.array(self.points, dtype=float)
-        write_columns(path, [{"id": np.arange(self.n_atoms), **{f"w_{j + 1}": w for j, w in enumerate(weights.T)}}])
-
-    @classmethod
-    def from_csv(cls, path) -> "DiscreteJoint":
-        """Read to_csv's layout: header exactly id,w_1,...,w_K with K >= 2, then one
-        row of K + 1 fields per atom, the ids 0..n-1 each once, in any order."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, *rows = list(csv.reader(fh)) or [[]]
-        k = len(header) - 1
-        if k < 2 or header != ["id"] + [f"w_{j + 1}" for j in range(k)]:
-            raise ValueError(f"expected header id,w_1,...,w_K, got {header!r}")
-        if any(len(row) != k + 1 for row in rows):
-            raise ValueError(f"every row must have {k + 1} fields, as the header")
-        rows.sort(key=lambda r: int(r[0]))
-        if [int(r[0]) for r in rows] != list(range(len(rows))):
-            raise ValueError(f"atom ids must be 0..{len(rows) - 1}, each once")
-        return cls(tuple(tuple(float(v) for v in row[1:]) for row in rows))
-
 
 @dataclass(frozen=True)
 class IndecisionRule:
@@ -108,10 +80,6 @@ class IndecisionRule:
 
     action: tuple[str, ...]
     plateau_fraction: tuple[float, ...]
-
-    def abstained_mass(self, joint: DiscreteJoint) -> float:
-        share = np.where(np.array(self.action) == "abstain", 1.0, self.plateau_fraction)
-        return float(share @ _weights(joint)[1])
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,8 @@ def dump_kv(entries: dict) -> str:
 
 
 def load_kv(text: str) -> dict:
-    """Parse a key-value document; raises ValueError with the line number."""
+    """Parse a key-value document; raises ValueError with the line number, also for a
+    repeated key and a format_version other than FORMAT_VERSION, which dump_kv cannot write."""
     entries: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -70,7 +71,12 @@ def load_kv(text: str) -> dict:
         if " = " not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition(" = ")
-        entries[key.strip()] = _decode(value)
+        key = key.strip()
+        if key in entries:
+            raise ValueError(f"line {lineno}: key {key!r} given twice")
+        if key == "format_version" and value.strip() != FORMAT_VERSION:
+            raise ValueError(f"line {lineno}: format_version {value.strip()!r} is not {FORMAT_VERSION}")
+        entries[key] = _decode(value)
     if "format_version" not in entries:
         raise ValueError("missing format_version entry")
     return entries

@@ -3,7 +3,8 @@
 brute_force_min searches every subset of abstained atoms plus one fractional
 atom, or, under a type-I constraint, solves the exact linear program; the
 discrete tests and acceptance criterion 3 compare the three rule
-constructions against it.
+constructions against it.  abstained_mass sums the mass a minimax rule
+abstains on, to check it against the rule's gamma.
 """
 
 from __future__ import annotations
@@ -11,13 +12,21 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from indecide.discrete import _MASS_TOL, DiscreteJoint, InfeasibleConstraintError
+from indecide.discrete import _MASS_TOL, DiscreteJoint, IndecisionRule, InfeasibleConstraintError
 
 _BRUTE_FORCE_MAX_ATOMS = 12
 
 
 class SizeLimitError(ValueError):
     """Instance too large for exhaustive search."""
+
+
+def abstained_mass(rule: IndecisionRule, joint: DiscreteJoint) -> float:
+    """The mass rule abstains on: each abstained atom whole, and its plateau_fraction of every other atom."""
+    return sum(
+        (1.0 if action == "abstain" else fraction) * sum(weights)
+        for action, fraction, weights in zip(rule.action, rule.plateau_fraction, joint.points)
+    )
 
 
 def _np_linear_program(joint: DiscreteJoint, gamma: float, alpha1: float) -> float:
@@ -31,7 +40,7 @@ def _np_linear_program(joint: DiscreteJoint, gamma: float, alpha1: float) -> flo
     """
     from scipy.optimize import linprog
 
-    n = joint.n_atoms
+    n = len(joint.points)
     w1 = [p[0] for p in joint.points]
     w2 = [p[1] for p in joint.points]
     masses = [sum(p) for p in joint.points]
@@ -75,7 +84,7 @@ def brute_force_min(
     exactly, solved as an exact linear program since the second equality
     allows two fractional atoms.
     """
-    n = joint.n_atoms
+    n = len(joint.points)
     if n > _BRUTE_FORCE_MAX_ATOMS:
         raise SizeLimitError(f"{n} atoms exceeds the exhaustive-search limit")
     if not 0.0 <= gamma < 1.0:

@@ -227,6 +227,15 @@ class TestCalibrateCommand:
         assert f"expected header s_1,...,s_K,label, got {header.split(',')!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_above_the_score_columns(self, tmp_path, capsys):
+        # used to calibrate with exit 0, counting the row labelled 3 as a mistake
+        inp = write_csv(tmp_path / "cal.csv", "s_1,s_2,label\n0.8,0.2,1\n0.3,0.7,3\n0.4,0.6,2\n")
+        out = tmp_path / "out"
+        code = main(["calibrate", "--mode", "multiclass", "--input", inp, "--gamma", "0.25", "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert "label 3 exceeds K = 2, the number of score columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mlr_np_mode(self, tmp_path):
         lines = ["x,label"]
         lines += [f"{-3 + 0.1 * i:.2f},1" for i in range(20)]
@@ -351,6 +360,8 @@ class TestApplyCommand:
             ("rule_type = np\ntau1 = nan\ntau2 = 0.6\n", "tau1 must be a number"),
             ("rule_type = selective-binary\ntau = high\n", "tau must be a number"),
             ("rule_type = np\ntau1 = 0.7\ntau2 = 0.6\n", "tau1 must not exceed tau2"),
+            # used to be applied with tau = 0.6, a document dump_kv cannot write
+            ("rule_type = selective-binary\ntau = 0.8\ntau = 0.6\n", "line 4: key 'tau' given twice"),
         ],
     )
     def test_malformed_rule_file_fails_with_message(self, tmp_path, capsys, text, message):
@@ -358,6 +369,16 @@ class TestApplyCommand:
         inp = write_csv(tmp_path / "scores.csv", "score\n0.4\n")
         assert main(["apply", "--rule", rule, "--input", inp, "--output", str(tmp_path / "d.csv")]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    def test_rule_file_of_another_format_version(self, tmp_path, capsys):
+        # used to be applied: a document dump_kv cannot write
+        rule = tmp_path / "rule.kv"
+        rule.write_text("format_version = 2\nrule_type = selective-binary\ntau = 0.8\n")
+        inp = write_csv(tmp_path / "scores.csv", "score\n0.4\n")
+        out = tmp_path / "d.csv"
+        assert main(["apply", "--rule", str(rule), "--input", inp, "--output", str(out)]) == EXIT_USAGE
+        assert "line 1: format_version '2' is not 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_thresholds_load(self, tmp_path):
         # calibrators write them: an empty class-2 block and an all-abstaining rule
@@ -528,6 +549,9 @@ class TestExperimentCommand:
             ("np-sweep", "reps = 3\n", "format_version"),
             ("phase", "grid_points = 3\n", "format_version"),
             ("consistency-trend", "format_version = 1\nreps = 0\n", "reps must be at least 1"),
+            # these used to run 2 replications: documents dump_kv cannot write
+            ("intro-tradeoff", "format_version = 7\nreps = 2\n", "line 1: format_version '7' is not 1"),
+            ("intro-tradeoff", "format_version = 1\nreps = 50\nreps = 2\n", "line 3: key 'reps' given twice"),
         ],
     )
     def test_rejected_config_leaves_no_output_directory(self, tmp_path, capsys, study, text, message):
@@ -702,22 +726,28 @@ class TestExperimentCommand:
 class TestManifestHashes:
     # sha256_<name> is the hash of the bytes the command parsed: a second read of
     # the path would see an empty pipe, or wait for a FIFO writer that never comes
+    @staticmethod
+    def serve(path, data, source):
+        """data as a file at path, a FIFO at path fed by a thread, or standard input:
+        (the path to give the command, its standard input, the thread or None)."""
+        if source == "file":
+            path.write_bytes(data)
+            return path, None, None
+        if source == "stdin":
+            if not os.path.exists("/dev/stdin"):
+                pytest.skip("needs /dev/stdin")
+            return Path("/dev/stdin"), data, None
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        return path, None, writer
+
     @pytest.mark.parametrize("source", ["file", "fifo", "stdin"])
     def test_calibrate_records_the_input_it_read(self, tmp_path, source):
         data = b"score,label\n0.9,1\n0.8,1\n0.3,2\n0.1,2\n"
-        path, stdin, writer = tmp_path / "cal.csv", None, None
-        if source == "file":
-            path.write_bytes(data)
-        elif source == "fifo":
-            if not hasattr(os, "mkfifo"):
-                pytest.skip("needs named pipes")
-            os.mkfifo(path)
-            writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
-            writer.start()
-        else:
-            if not os.path.exists("/dev/stdin"):
-                pytest.skip("needs /dev/stdin")
-            path, stdin = Path("/dev/stdin"), data
+        path, stdin, writer = self.serve(tmp_path / "cal.csv", data, source)
         argv = ["calibrate", "--mode", "np", "--input", str(path), "--alpha1", "0.5", "--alpha2", "0.5"]
         done = run_cli([*argv, "--out-dir", "out"], tmp_path, stdin)
         assert done.returncode == EXIT_OK, done.stderr
@@ -726,6 +756,53 @@ class TestManifestHashes:
             assert not writer.is_alive()
         manifest = load_kv((tmp_path / "out" / "manifest.kv").read_text(encoding="utf-8"))
         assert manifest[f"sha256_{path.name}"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("source", ["file", "fifo", "stdin"])
+    def test_apply_records_the_rule_and_input_it_read(self, tmp_path, source):
+        cal = write_csv(tmp_path / "cal.csv", "score,label\n0.9,1\n0.8,1\n0.3,2\n0.1,2\n")
+        argv = ["calibrate", "--mode", "accuracy", "--input", cal, "--alpha", "0.1", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        calibrate_manifest = (tmp_path / "out" / "manifest.kv").read_bytes()
+        data = b"score\n0.9\n0.5\n0.1\n"
+        path, stdin, writer = self.serve(tmp_path / "scores.csv", data, source)
+        argv = ["apply", "--rule", "out/rule.kv", "--input", str(path), "--output", "out/d.csv"]
+        done = run_cli(argv, tmp_path, stdin)
+        assert done.returncode == EXIT_OK, done.stderr
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        # calibrate's manifest beside the decisions keeps its bytes
+        assert (tmp_path / "out" / "manifest.kv").read_bytes() == calibrate_manifest
+        manifest = load_kv((tmp_path / "out" / "d.csv.manifest.kv").read_text(encoding="utf-8"))
+        assert manifest["sha256_rule.kv"] == hashlib.sha256((tmp_path / "out" / "rule.kv").read_bytes()).hexdigest()
+        assert manifest[f"sha256_{path.name}"] == hashlib.sha256(data).hexdigest()
+        decisions = (tmp_path / "out" / "d.csv").read_text().splitlines()[1:-1]
+        assert (manifest["subcommand"], manifest["rule_type"]) == ("apply", "selective-binary")
+        assert (manifest["rows"], manifest["abstained"]) == (3, decisions.count("abstain"))
+        assert manifest["outputs"] == "d.csv;d.csv.manifest.kv"
+
+    def test_apply_inputs_of_one_name_are_keyed_by_path(self, tmp_path, monkeypatch):
+        # under one key, sha256_data, the input's hash would replace the rule's
+        monkeypatch.chdir(tmp_path)
+        rule, scores = Path("a/data"), Path("b/data")
+        rule_text = "format_version = 1\nrule_type = selective-binary\ntau = 0.8\n"
+        for path, text in ((rule, rule_text), (scores, "score\n0.9\n")):
+            path.parent.mkdir()
+            path.write_text(text)
+        assert main(["apply", "--rule", "a/data", "--input", "b/data", "--output", "d.csv"]) == EXIT_OK
+        manifest = load_kv(Path("d.csv.manifest.kv").read_text(encoding="utf-8"))
+        assert [key for key in manifest if key.startswith("sha256_")] == ["sha256_a/data", "sha256_b/data"]
+        for path in (rule, scores):
+            assert manifest[f"sha256_{path}"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_apply_to_a_pipe_writes_no_manifest(self, tmp_path):
+        (tmp_path / "rule.kv").write_text("format_version = 1\nrule_type = selective-binary\ntau = 0.8\n")
+        (tmp_path / "scores.csv").write_text("score\n0.9\n0.5\n")
+        done = run_cli(["apply", "--rule", "rule.kv", "--input", "scores.csv", "--output", "/dev/stdout"], tmp_path)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith(b"decision\n1\nabstain\n")
+        assert sorted(os.listdir(tmp_path)) == ["rule.kv", "scores.csv"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_experiment_records_the_config_it_read(self, tmp_path):

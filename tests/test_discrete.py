@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrete_oracles import SizeLimitError, brute_force_min
+from discrete_oracles import SizeLimitError, abstained_mass, brute_force_min
 from indecide.discrete import (
     DegenerateAtomError,
     DiscreteJoint,
@@ -52,29 +52,6 @@ class TestDiscreteJoint:
             with pytest.raises(ValueError, match="finite"):
                 DiscreteJoint(((bad, 0.5), (0.25, 0.25)))
 
-    def test_csv_round_trip(self, tmp_path):
-        joint = DiscreteJoint(((0.125, 0.0625), (0.25, 0.0625), (0.25, 0.25)))
-        path = tmp_path / "joint.csv"
-        joint.to_csv(path)
-        back = DiscreteJoint.from_csv(path)
-        assert back == joint
-
-    def test_csv_bad_header(self, tmp_path):
-        path = tmp_path / "joint.csv"
-        for text in (
-            "atom,w1,w2\n0,0.5,0.5\n",
-            "",
-            "id,w_1\n0,0.5\n1,0.5\n",  # one class
-            "id,foo,bar\n0,0.25,0.25\n1,0.25,0.25\n",
-            "id,w_2,w_1\n0,0.25,0.25\n1,0.25,0.25\n",
-            "id,w_1,w_2\n0,0.25,0.25\n0,0.25,0.25\n",  # duplicate id
-            "id,w_1,w_2\n0,0.25,0.25\n5,0.25,0.25\n",  # gapped ids
-            "id,w_1,w_2\n0,0.25,0.25,0\n1,0.25,0.25,0\n",  # rows wider than the header
-        ):
-            path.write_text(text)
-            with pytest.raises(ValueError):
-                DiscreteJoint.from_csv(path)
-
 
 class TestEta:
     def test_normalizes(self):
@@ -115,7 +92,7 @@ class TestOracleBinary:
         rule, risk = oracle_binary(joint, 0.25)
         fractional = [f for f in rule.plateau_fraction if 0.0 < f < 1.0]
         assert len(fractional) == 1
-        assert rule.abstained_mass(joint) == pytest.approx(0.25, abs=1e-12)
+        assert abstained_mass(rule, joint) == pytest.approx(0.25, abs=1e-12)
         assert risk == pytest.approx(brute_force_min(joint, 0.25), abs=1e-12)
 
     def test_risk_non_increasing_in_gamma(self):
@@ -131,7 +108,7 @@ class TestOracleBinary:
             joint = random_joint(rng, 7, 2)
             gamma = float(rng.random()) * 0.95
             rule, _ = oracle_binary(joint, gamma)
-            assert rule.abstained_mass(joint) == pytest.approx(gamma, abs=1e-10)
+            assert abstained_mass(rule, joint) == pytest.approx(gamma, abs=1e-10)
 
 
 class TestOracleMulticlass:

@@ -52,6 +52,20 @@ class TestLoad:
         with pytest.raises(ValueError, match="line 2"):
             load_kv("format_version = 1\nbroken-line\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("format_version = 1\na = 1\n\na = 2\n", "line 4: key 'a' given twice"),
+            ("format_version = 1\nformat_version = 1\n", "line 2: key 'format_version' given twice"),
+            ("a = 1\nformat_version = 2\n", "line 2: format_version '2' is not 1"),
+            ("format_version = 1.0\n", "line 1: format_version '1.0' is not 1"),
+            ("format_version = true\n", "line 1: format_version 'true' is not 1"),
+        ],
+    )
+    def test_refuses_what_dump_kv_cannot_write(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_kv(text)
+
     def test_missing_version(self):
         with pytest.raises(ValueError, match="format_version"):
             load_kv("a = 1\n")
