@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -240,6 +240,11 @@ class MaxScoreRule(_ChowRule):
         return sv.max(axis=1), sv.argmax(axis=1) + 1
 
 
+def _np_decide(s: np.ndarray, tau1, tau2) -> np.ndarray:
+    """NpRule's decisions, by thresholds that broadcast against s: a column of them decides a stack."""
+    return np.where(s <= tau1, 2, s >= tau2)  # True counts as class 1
+
+
 @dataclass(frozen=True)
 class NpRule(Rule):
     """Two thresholds on the class-1 posterior: 2 for s <= tau1, 1 for
@@ -252,7 +257,7 @@ class NpRule(Rule):
     tau2: float
 
     def _decide(self, s: np.ndarray) -> np.ndarray:
-        return np.where(s <= self.tau1, 2, s >= self.tau2)  # True counts as class 1
+        return _np_decide(s, self.tau1, self.tau2)
 
 
 @dataclass(frozen=True)
@@ -308,30 +313,34 @@ class CalibrationReport:
 
 
 def _selective_errors(decisions: np.ndarray, labels: Optional[np.ndarray]) -> dict:
-    """The abstained fraction gamma of decisions and, given labels, their errors.
+    """The abstained fraction gamma of decisions and, given labels, their errors: floats for
+    a 1-d array, arrays over the rows of a 2-d stack, from one count table per row.
 
     conditional_error: wrong over decided points; type1 and type2: wrong
     over the decided points of class 1 and of class 2; type1_marginal: the
     class-1 points decided wrongly over all class-1 points.  An empty
     denominator gives 0.
     """
-    decided = decisions != 0
-    n, n_dec = len(decisions), int(np.count_nonzero(decided))
-    out = {"gamma": (n - n_dec) / n}
-    if labels is None:
-        return out
-    # one count table: row 0 abstained, 1 decided rightly, 2 decided wrongly;
-    # column 1 or 2 for label 1 or 2, column 0 for any other label
-    cell = (labels == 1) + 2 * (labels == 2) + 3 * decided + 3 * (decided & (decisions != labels))
-    abstained, right, wrong = np.bincount(cell, minlength=9).reshape(3, 3).tolist()
-    for key, errors, total in (
-        ("conditional_error", sum(wrong), n_dec),
-        ("type1", wrong[1], right[1] + wrong[1]),
-        ("type2", wrong[2], right[2] + wrong[2]),
-        ("type1_marginal", wrong[1], abstained[1] + right[1] + wrong[1]),
-    ):
-        out[key] = errors / total if total else 0.0
-    return out
+    decided, n = decisions != 0, decisions.shape[-1]
+    # a table per row: row 0 abstained, 1 decided rightly, 2 decided wrongly; column 1 or 2 for label 1 or
+    # 2, column 0 for any other label, and for every point without labels
+    cell = 3 * decided
+    if labels is not None:
+        cell = cell + (labels == 1) + 2 * (labels == 2) + 3 * (decided & (decisions != labels))
+    if cell.ndim > 1:  # row i's table in slots 9 i to 9 i + 8
+        cell = cell + 9 * np.arange(len(cell))[:, None]
+    rows = []
+    for abstained, right, wrong in np.bincount(cell.ravel(), minlength=cell.size // n * 9).reshape(-1, 3, 3).tolist():
+        rows.append({"gamma": sum(abstained) / n})
+        if labels is not None:
+            for key, errors, total in (
+                ("conditional_error", sum(wrong), sum(right) + sum(wrong)),
+                ("type1", wrong[1], right[1] + wrong[1]),
+                ("type2", wrong[2], right[2] + wrong[2]),
+                ("type1_marginal", wrong[1], abstained[1] + right[1] + wrong[1]),
+            ):
+                rows[-1][key] = errors / total if total else 0.0
+    return rows[0] if decisions.ndim == 1 else {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
 def _report(rule: Rule, cal: CalibrationSample, keys: tuple, feasible: bool = True, trace=None):
@@ -342,15 +351,22 @@ def _report(rule: Rule, cal: CalibrationSample, keys: tuple, feasible: bool = Tr
 
 
 def _tie_table(values: np.ndarray, mark: Optional[np.ndarray]):
-    """values sorted once; is_edge[r] for r in 0..n, true where ranks 1..r
-    and r+1..n share no value; edge_floor[r], the largest tie edge at or
-    below r; and cum[r], the marked points among ranks 1..r (None without a
-    mark).  Only the sorted values show how the sort ordered ties."""
+    """For n values, or row by row for a C x n stack: the values sorted once; is_edge[..., r] for r
+    in 0..n, true where ranks 1..r and r+1..n share no value; edge_floor[..., r], the largest tie
+    edge at or below r; and cum[..., r], the marked points among ranks 1..r (None without a mark).
+    Only the sorted values show how the sort ordered ties."""
+    n = values.shape[-1]
     order = np.argsort(values)
-    v_sorted = values[order]
-    is_edge = np.concatenate(([True], v_sorted[:-1] < v_sorted[1:], [True]))
-    edge_floor = np.maximum.accumulate(np.where(is_edge, np.arange(len(values) + 1), 0))
-    cum = None if mark is None else np.concatenate(([0], np.cumsum(mark[order])))
+    if values.ndim > 1 and len(values) > 1:  # each rank's position in the flat stack, for flat gathers
+        order += n * np.arange(len(values))[:, None]
+    v_sorted = values.ravel()[order]
+    is_edge = np.ones(values.shape[:-1] + (n + 1,), bool)
+    np.less(v_sorted[..., :-1], v_sorted[..., 1:], out=is_edge[..., 1:-1])
+    edge_floor = np.maximum.accumulate(np.where(is_edge, np.arange(n + 1), 0), axis=-1)
+    if mark is None:
+        return v_sorted, is_edge, edge_floor, None
+    cum = np.zeros(is_edge.shape, np.intp)
+    np.cumsum(mark.ravel()[order], axis=-1, out=cum[..., 1:])
     return v_sorted, is_edge, edge_floor, cum
 
 
@@ -470,16 +486,21 @@ def calibrate_multiclass_fixed_gamma(
 
 
 class _GridChoice(NamedTuple):
-    """What _np_grid_select picked, in the search's value order: class 2 for
-    values <= tau1, class 1 for values >= tau2 (class 2 where both hold),
-    and the trace.  tau0 is the threshold of the gamma = 0 rule under the
-    plain type-I budget (class 2 for values <= tau0, class 1 above)."""
+    """What _np_grid_select picked, in the search's value order: class 2 for values <= tau1, class 1
+    for values >= tau2 (class 2 where both hold), and the trace; tau0 is the gamma = 0 rule's threshold
+    under the plain type-I budget (class 2 for values <= tau0).  Floats, a bool and 1-d trace columns
+    for one sample; for a stack, a row per sample in each but the trace's k and gamma, which all share."""
 
-    tau1: float
-    tau2: float
-    feasible: bool
+    tau1: Union[float, np.ndarray]
+    tau2: Union[float, np.ndarray]
+    feasible: Union[bool, np.ndarray]
     trace: dict
-    tau0: float
+    tau0: Union[float, np.ndarray]
+
+    def row(self, i: int) -> _GridChoice:
+        """A stack's choice for sample i, in the one-sample form."""
+        trace = {name: column[i] if column.ndim > 1 else column for name, column in self.trace.items()}
+        return _GridChoice(float(self.tau1[i]), float(self.tau2[i]), bool(self.feasible[i]), trace, float(self.tau0[i]))
 
 
 def _np_grid_select(
@@ -491,69 +512,96 @@ def _np_grid_select(
     high_prob_delta: Optional[float] = None,
     want_trace: bool = False,
 ) -> _GridChoice:
-    """Shared two-threshold grid search.
+    """Shared two-threshold grid search, on one sample or on each row of a C x n stack of them.
 
     values are ordered so that SMALL means class-2-like (the class-2 block is
     a bottom prefix, abstention the next k ranks, class 1 the rest).  Both
     block edges sit between distinct values, so that thresholds there decide
     exactly these blocks: the class-2 block is the largest one within the
     type-I budget whose edge is a tie edge, and a k whose class-1 edge is
-    not a tie edge is not valid.
+    not a tie edge is not valid.  Each row's choice, tau0 with it, is the one
+    it gets alone.
     """
+    if values.ndim == 1:  # one sample: a stack of one, in the one-sample form
+        options = dict(high_prob_delta=high_prob_delta, want_trace=want_trace)
+        return _np_grid_select(values[None], is_class1[None], alpha1, alpha2, **options).row(0)
     if not (0.0 < alpha1 < 1.0 and 0.0 < alpha2 < 1.0):
         raise ValueError("alpha1 and alpha2 must lie in (0, 1)")
     if high_prob_delta is not None and not 0.0 < high_prob_delta < 1.0:
         raise ValueError("high_prob_delta must lie in (0, 1)")
-    n = len(values)
-    n1 = int(is_class1.sum())
-    if n1 in (0, n):
+    rows, n = values.shape
+    n1 = is_class1.sum(axis=1)
+    if n1.min() == 0 or n1.max() == n:
         raise ValueError("both classes must be present")
-    v_sorted, is_edge, edge_floor, cum1 = _tie_table(values, is_class1)  # cum1[r]: class-1 count among ranks 1..r
+    v_sorted, is_edge, edge_floor, cum1 = _tie_table(values, is_class1)  # cum1[:, r]: class-1 count among ranks 1..r
     ranks = np.arange(0, n + 1)
     gammas = ranks / n
-    budget_counts = _type1_count_budget(n1, (1.0 - gammas) * alpha1, high_prob_delta)
-    # largest tie edge k_tilde with cum1[k_tilde] <= budget (0 = empty block); budgets are whole counts
-    k_tilde = edge_floor[np.searchsorted(cum1[1:], budget_counts, side="right")]
+    levels = (1.0 - gammas) * alpha1
+    budget_at = np.empty((rows, n + 2), np.intp)
+    if high_prob_delta is None:
+        budget_at[:, :-1] = _type1_count_budget(n1[:, None], levels, None)
+    else:
+        budget_at[:, :-1] = [_type1_count_budget(int(m), levels, high_prob_delta) for m in n1]
+    budget_at[:, -1] = _type1_count_budget(n1, alpha1, None)  # tau0's: the plain budget at gamma = 0, whichever selects
+    # largest tie edge k_tilde with cum1[k_tilde] <= budget b (0 = empty block): the edge floor of the rank
+    # before the row's (b + 1)-th class-1 point, or of n where b counts them all.  Row by row, in the flat
+    # rows x (n + 1) layout, before_class1 lists the rank before each class-1 point (0-based rank), then n
+    ends = np.ones((rows, n + 1), bool)
+    np.greater(cum1[:, 1:], cum1[:, :-1], out=ends[:, :-1])
+    before_class1 = np.flatnonzero(ends)
+    if rows > 1:  # row i's entries start after the n1 + 1 of each row before it
+        budget_at += (np.cumsum(n1 + 1) - (n1 + 1))[:, None]
+    k_tilde = edge_floor.ravel()[before_class1[budget_at]]
+    k_tilde, kt0 = k_tilde[:, :-1], k_tilde[:, -1]
+    shift = None if rows == 1 else (n + 1) * np.arange(rows)[:, None]  # row i's start in a flat C x (n + 1) array
+
+    def pick(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """a[i, idx[i]] for each row i of a C x (n + 1) array, by one flat gather."""
+        return a.ravel()[idx if shift is None else idx + shift]
+
     top_start = k_tilde + ranks  # first class-1 rank is top_start + 1
     ts = np.minimum(top_start, n)
-    valid = (top_start <= n) & is_edge[ts]
+    valid = (top_start <= n) & pick(is_edge, ts)
     # class-2 points decided as class 1, over those in either decided block
-    top2 = (n - n1) - (ts - cum1[ts])
-    type2 = np.where(valid, top2 / np.maximum(top2 + k_tilde - cum1[k_tilde], 1), np.inf)
+    top2 = (n - n1[:, None]) - (ts - pick(cum1, ts))
+    type1_count = pick(cum1, k_tilde)
+    type2 = np.where(valid, top2 / np.maximum(top2 + k_tilde - type1_count, 1), np.inf)
 
     # full abstention always meets alpha2 vacuously (empty decided set); it
     # is excluded so feasible=False flags data where no substantive rule works
-    feasible_ks = np.flatnonzero((type2 <= alpha2) & (ranks < n))
+    meets = (type2 <= alpha2) & (ranks < n)
     trace = {}
     if want_trace:
         trace = {
             "k": ranks,
             "gamma": gammas,
             "k_tilde": k_tilde,
-            "type1_count": cum1[k_tilde],
+            "type1_count": type1_count,
             "type2": np.where(valid, type2, np.nan),
             "valid": valid,
         }
+    feasible, k = meets.any(axis=-1), meets.argmax(axis=-1)  # the first k that meets alpha2
+    if not feasible.all():  # else the first with the least type II error
+        k = np.where(feasible, k, np.argmin(np.where(ranks < n, type2, np.inf), axis=-1))
 
-    def below(rank: int) -> float:
-        return as_stable_sort(values, rank - 1, v_sorted[rank - 1]) if rank >= 1 else -np.inf
+    def below(i: int, rank: int) -> float:
+        """Row i's value at rank (1-based), -inf at rank 0; a zero as a stable sort orders the row."""
+        return as_stable_sort(values[i], rank - 1, v_sorted[i, rank - 1]) if rank >= 1 else -np.inf
 
-    feasible = len(feasible_ks) > 0
-    k = int(feasible_ks[0]) if feasible else int(np.argmin(np.where(ranks < n, type2, np.inf)))
-    # class 2 up to rank kt, abstain on the next k ranks, class 1 from rank kt + k + 1
-    kt = int(k_tilde[k])
-    tau1 = below(kt)
-    tau2 = tau1 if k == 0 else below(kt + k + 1) if kt + k < n else np.inf
-    # gamma = 0 under the plain budget, whichever budget selected: the level is alpha1
-    kt0 = edge_floor[np.searchsorted(cum1[1:], _type1_count_budget(n1, np.array([alpha1]), None)[0], side="right")]
-    return _GridChoice(tau1, tau2, feasible, trace, below(int(kt0)))
+    taus = []  # each row's tau1, tau2 and tau0: class 2 up to rank kt, abstain on the next k, class 1 from kt + k + 1
+    for i, (k_i, kt, kt0_i) in enumerate(zip(k.tolist(), k_tilde[np.arange(rows), k].tolist(), kt0.tolist())):
+        tau1 = below(i, kt)
+        taus.append((tau1, tau1 if k_i == 0 else below(i, kt + k_i + 1) if kt + k_i < n else np.inf, below(i, kt0_i)))
+    tau1, tau2, tau0 = np.array(taus).T
+    return _GridChoice(tau1, tau2, feasible, trace, tau0)
 
 
-def _type1_count_budget(n1: int, levels: np.ndarray, high_prob_delta: Optional[float]):
+def _type1_count_budget(n1, levels: np.ndarray, high_prob_delta: Optional[float]):
     """Class-1 count allowed in the class-2 block at each candidate gamma.
 
     Default: the plain empirical budget floor(level * n1) realized through a
-    <= comparison.  With high_prob_delta set, the largest count j <=
+    <= comparison, where n1 may be an array broadcast against the levels.
+    With high_prob_delta set (and n1 an int), the largest count j <=
     floor(level * n1) with P(Binomial(n1, level) <= j - 1) <= delta: the
     order-statistic rank of the NP umbrella algorithm (Tong, Feng & Li,
     Sci. Adv. 2018), used by abstention-free type-I-control baselines.
@@ -640,10 +688,8 @@ def calibrate_np(
     _type1_count_budget); that budget imports scipy.stats (binom, whose CDF
     hook it calls) and scipy.special (ndtri) on first use.
     """
-    scores, labels = _binary_sample(cal, "score")
-    choice = _np_grid_select(
-        scores, labels == 1, alpha1, alpha2, high_prob_delta=high_prob_delta, want_trace=want_trace
-    )
+    s, labels = _binary_sample(cal, "score")
+    choice = _np_grid_select(s, labels == 1, alpha1, alpha2, high_prob_delta=high_prob_delta, want_trace=want_trace)
     return _report(NpRule(tau1=choice.tau1, tau2=choice.tau2), cal, _NP_KEYS, choice.feasible, choice.trace)
 
 

@@ -304,7 +304,8 @@ def _write_manifest(manifest: Path, subcommand: str, digests: dict[str, str], ou
     }
     names = [Path(path).name for path in digests]  # each input's key, or its path as given where two share a name
     for path, name, digest in zip(digests, names, digests.values()):
-        entries[f"sha256_{name if names.count(name) == 1 else path}"] = digest
+        key = name if names.count(name) == 1 else path  # with % and =, which a key cannot hold, as %25 and %3D
+        entries[f"sha256_{key.replace('%', '%25').replace('=', '%3D')}"] = digest
     entries.update(extra)
     write_kv(entries, manifest)
 

@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import gmm
-from .calibration import CalibrationSample, NpRule, SelectiveBinaryRule, _selective_errors
-from .calibration import calibrate_accuracy, calibrate_np
+from .calibration import CalibrationSample, SelectiveBinaryRule, _check_scores, _np_decide, _np_grid_select
+from .calibration import _selective_errors, calibrate_accuracy, calibrate_np  # noqa: F401  perfbench wraps calibrate_np
 from .kvdoc import _start_method, _usable_cpus, write_columns
 from .models import fit_lda, fit_logistic, predict_eta
 from .numerics import as_stable_sort, normal_tail, seeded_stream, sigmoid
@@ -78,21 +78,20 @@ class SimResult:
     aggregates: dict[str, np.ndarray]
 
 
-def _sample_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-CDF normal draws: platform-independent for a fixed stream."""
+def _mixture(u: np.ndarray, delta):
+    """Labels in {1, 2} (equal priors) and observations x | y, from the uniforms u[..., 0, :]
+    and u[..., 1, :]; the normal draws are by inverse CDF, platform-independent for a fixed
+    stream."""
     from scipy import special  # imported here so the CLI starts without scipy
 
-    u = rng.random(size)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return -special.ndtri(u)
+    labels = np.where(u[..., 0, :] < 0.5, 1, 2)
+    centers = np.where(labels == 1, delta, -delta)
+    return centers + -special.ndtri(np.clip(u[..., 1, :], 1e-300, 1.0 - 1e-16)), labels
 
 
 def _draw_mixture(rng: np.random.Generator, n: int, delta: float):
-    """Labels in {1, 2} (equal priors) and observations x | y."""
-    labels = np.where(rng.random(n) < 0.5, 1, 2)
-    centers = np.where(labels == 1, delta, -delta)
-    x = centers + _sample_normal(rng, n)
-    return x, labels
+    """n labels and observations from the mixture at delta, from 2 n of rng's uniforms."""
+    return _mixture(rng.random((2, n)), delta)
 
 
 def oracle_eta(x: np.ndarray, delta: float) -> np.ndarray:
@@ -148,54 +147,77 @@ def run_accuracy_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     replication; aggregates add means and 5th/95th bands.
     """
     keys, metrics = ("delta", "arm"), ("gamma_hat", "test_gamma", "conditional_error")
-    return _run_study(partial(_accuracy_rep, cfg), cfg.reps, workers, keys, metrics)
+    return _run_study(partial(_accuracy_rep, cfg), range(cfg.reps), workers, keys, metrics)
 
 
 # ---------------------------------------------------------------------------
 # type I / type II sweep
 
 
-def _np_rep(cfg: SimConfig, rep: int) -> list[dict]:
-    rng = seeded_stream(cfg.seed, rep)
+# np-sweep stacks at most this many uniforms (each the seed of a few stacked values) at a time: a block of
+# replications (8 at the default sizes), or as many deltas of a replication that draws more, at least one
+_BLOCK_VALUES = 3 << 16
+
+
+def _np_blocks(cfg: SimConfig) -> list[range]:
+    """np-sweep's replications 0..reps-1 in blocks of consecutive ones, bounded by _BLOCK_VALUES."""
+    size = max(1, _BLOCK_VALUES // (2 * (cfg.n_train + cfg.n_cal + cfg.n_test) * len(cfg.delta_grid)))
+    return [range(start, min(start + size, cfg.reps)) for start in range(0, cfg.reps, size)]
+
+
+def _np_rep(cfg: SimConfig, reps: range) -> list[dict]:
+    """The rows of a block of replications, as each (replication, delta) cell gives them alone.
+
+    A cell draws its training, calibration and test splits in turn, each as labels then normals,
+    from its replication's stream.  The block draws each replication's uniforms for all its deltas
+    in one call, or, where they exceed _BLOCK_VALUES, for as many deltas at a time as fit, and
+    hands each such stack of cells to _np_stack.
+    """
+    streams, per_cell = [seeded_stream(cfg.seed, rep) for rep in reps], 2 * (cfg.n_train + cfg.n_cal + cfg.n_test)
+    step = max(1, _BLOCK_VALUES // per_cell)  # every delta at once, unless one replication draws more
     rows = []
-    for delta in cfg.delta_grid:
-        x_tr, y_tr = _draw_mixture(rng, cfg.n_train, delta)
-        x_cal, y_cal = _draw_mixture(rng, cfg.n_cal, delta)
-        x_te, y_te = _draw_mixture(rng, cfg.n_test, delta)
-        score = _fit_scorer(cfg.scorer, x_tr, y_tr, delta)
-        s_cal, s_te = score(x_cal), score(x_te)
-        cal = CalibrationSample(scores=s_cal, labels=y_cal)
-
-        report = calibrate_np(cal, cfg.alpha1, cfg.alpha2, want_trace=True)
-        type2_curve = report.trace["type2"][report.trace["valid"]]  # NaN exactly where not valid
-        curve_p5, curve_p95 = _percentile(type2_curve, 5.0), _percentile(type2_curve, 95.0)
-
-        # abstention-free baseline: the selection's own class-2 block at gamma = 0
-        kt0 = int(report.trace["k_tilde"][0])
-        tau0 = float(np.partition(s_cal, kt0 - 1)[kt0 - 1]) if kt0 >= 1 else -np.inf
-
-        for arm, decisions, gamma_sel in (
-            ("algorithm2", report.rule.apply(s_te), report.gamma_hat),
-            ("np-baseline", NpRule(tau1=tau0, tau2=tau0).apply(s_te), 0.0),
-            ("bayes", SelectiveBinaryRule(tau=0.5).apply(s_te), 0.0),  # decides every score in [0, 1]
-        ):
-            stats = _selective_errors(decisions, y_te)
-            rows.append(
-                {
-                    "delta": delta,
-                    "rep": rep,
-                    "arm": arm,
-                    "gamma_star": gamma_sel,
-                    "test_gamma": stats["gamma"],
-                    "type1": stats["type1"],
-                    "type2": stats["type2"],
-                    "conditional_error": stats["conditional_error"],
-                    "feasible": int(report.feasible) if arm == "algorithm2" else 1,
-                    "cal_type2_curve_p5": curve_p5,
-                    "cal_type2_curve_p95": curve_p95,
-                }
-            )
+    for start in range(0, len(cfg.delta_grid), step):
+        deltas = cfg.delta_grid[start : start + step]
+        rows += _np_stack(cfg, reps, deltas, np.stack([rng.random((len(deltas), per_cell)) for rng in streams]))
     return rows
+
+
+def _np_stack(cfg: SimConfig, reps: range, deltas: tuple, u: np.ndarray) -> list[dict]:
+    """The rows of the cells (rep, delta), rep in reps and delta in deltas, from the uniforms u[i, j] of
+    the i-th rep and the j-th delta: the mixture, the selection, the percentiles and each arm's count
+    table run once on the stack of cells, and only the scorer is fitted cell by cell."""
+    sizes, cells = (cfg.n_train, cfg.n_cal, cfg.n_test), [(rep, d) for rep in reps for d in deltas]
+    # where each split's labels (row 0) and normals (row 1) sit among a cell's uniforms
+    take = np.hstack([2 * sum(sizes[:i]) + np.arange(2 * m).reshape(2, m) for i, m in enumerate(sizes)])
+    x, y = (a.reshape(len(cells), -1) for a in _mixture(u[..., take], np.array(deltas)[:, None]))
+    n_tr, n_cal = sizes[:2]
+    fits = (_fit_scorer(cfg.scorer, x_c[:n_tr], y_c[:n_tr], d) for x_c, y_c, (_, d) in zip(x, y, cells))
+    scores = np.array([score(x_c[n_tr:]) for score, x_c in zip(fits, x)])  # calibration then test, in one call
+    _check_scores(scores.ravel())  # as CalibrationSample checks them
+    is_class1 = y[:, n_tr : n_tr + n_cal] == 1
+    choice = _np_grid_select(scores[:, :n_cal], is_class1, cfg.alpha1, cfg.alpha2, want_trace=True)
+    # NpRule's decisions on each cell's scores by that cell's thresholds
+    algorithm2 = _np_decide(scores, choice.tau1[:, None], choice.tau2[:, None])
+    tau0, test = choice.tau0[:, None], scores[:, n_cal:]  # the baseline: the selection's class-2 block at gamma = 0
+    gamma_hat = _selective_errors(algorithm2[:, :n_cal], None)["gamma"]  # the rule's abstention on its sample
+    arms = {  # arm -> its decisions on the test scores, gamma_star and feasible
+        "algorithm2": (algorithm2[:, n_cal:], gamma_hat, choice.feasible.astype(int)),
+        "np-baseline": (_np_decide(test, tau0, tau0), 0.0, 1),
+        "bayes": (SelectiveBinaryRule.statistic(test)[1], 0.0, 1),  # its prediction, decided at tau = 0.5
+    }
+    band = [_percentile(choice.trace["type2"], q) for q in (5.0, 95.0)]  # NaN exactly where not valid
+    columns = {}  # arm -> metric -> its value in each cell
+    for arm, (decisions, gamma_star, feasible) in arms.items():
+        stats = _selective_errors(decisions, y[:, n_tr + n_cal :])
+        metrics = {"gamma_star": gamma_star, "test_gamma": stats["gamma"]}
+        metrics.update({key: stats[key] for key in ("type1", "type2", "conditional_error")}, feasible=feasible)
+        metrics.update(cal_type2_curve_p5=band[0], cal_type2_curve_p95=band[1])
+        columns[arm] = {key: np.broadcast_to(value, len(cells)).tolist() for key, value in metrics.items()}
+    return [
+        {"delta": d, "rep": rep, "arm": arm, **{key: values[i] for key, values in metrics.items()}}
+        for i, (rep, d) in enumerate(cells)
+        for arm, metrics in columns.items()
+    ]
 
 
 def run_np_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
@@ -204,10 +226,11 @@ def run_np_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     Three arms per cell: the two-threshold procedure, an abstention-free
     baseline holding only the type-I budget, and the plain posterior argmax.
     Each row also carries the 5th/95th band of the achievable type II error
-    over the full abstention grid on the calibration data.
+    over the full abstention grid on the calibration data.  The replications
+    run in blocks (_np_blocks); the rows do not depend on the blocks.
     """
     keys, metrics = ("delta", "arm"), ("gamma_star", "type1", "type2")
-    return _run_study(partial(_np_rep, cfg), cfg.reps, workers, keys, metrics)
+    return _run_study(partial(_np_rep, cfg), _np_blocks(cfg), workers, keys, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +287,7 @@ def run_intro_tradeoff(cfg: SimConfig, workers: int = 1) -> SimResult:
     """
     oracles = [_tradeoff_oracle(delta) for delta in cfg.delta_grid]
     metrics = ("gamma_star", "empirical_gamma", "empirical_conditional_error")
-    return _run_study(partial(_tradeoff_rep, cfg, oracles), cfg.reps, workers, ("delta",), metrics)
+    return _run_study(partial(_tradeoff_rep, cfg, oracles), range(cfg.reps), workers, ("delta",), metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +348,31 @@ def run_consistency_trend(cfg: SimConfig, workers: int = 1) -> SimResult:
     """
     oracle_risk = gmm.threshold_for_gamma(gmm.GmmSpec(_TREND_DELTA), _TREND_GAMMA).risk
     rep_fn = partial(_consistency_rep, oracle_risk, cfg.seed)
-    return _run_study(rep_fn, cfg.reps, workers, ("n_train",), ("risk_gap",))
+    return _run_study(rep_fn, range(cfg.reps), workers, ("n_train",), ("risk_gap",))
 
 
 # ---------------------------------------------------------------------------
 # aggregation and serialization helpers
 
 
-def _percentile(values, q: float) -> float:
-    """Order-statistic percentile (no interpolation beyond nearest rank).
+def _percentile(values, q: float):
+    """Order-statistic percentile (no interpolation beyond nearest rank) along the last
+    axis: a float for a 1-d array, one per row of a stack.
 
     NaNs are dropped.  0.0 and -0.0 compare equal, so when the rank falls
     among the zeros the one returned is the one a stable sort puts there,
     with the zeros in input order.
     """
     vals = np.asarray(values, dtype=float)
-    vals = vals[~np.isnan(vals)]
-    if not vals.size:
-        return math.nan
-    rank = min(vals.size - 1, max(0, math.ceil(q / 100.0 * vals.size) - 1))
-    return as_stable_sort(vals, rank, np.partition(vals, rank)[rank])
+    rows = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1])
+    size = np.count_nonzero(~np.isnan(rows), axis=1)
+    rank = np.minimum(size - 1, np.maximum(0, np.ceil(q / 100.0 * size).astype(int) - 1))
+    # NaNs sort last, after which a row without numbers reads, at its rank -1, the NaN put there
+    ordered = np.sort(np.column_stack((rows, np.full(len(rows), np.nan))), axis=1)
+    pick = ordered[np.arange(len(rows)), rank]
+    for i in np.flatnonzero(pick == 0.0):
+        pick[i] = as_stable_sort(rows[i], rank[i], 0.0)
+    return pick.reshape(vals.shape[:-1]) if vals.ndim > 1 else float(pick[0])
 
 
 def _median(values: np.ndarray) -> float:
@@ -402,20 +430,21 @@ def _parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items, chunksize=math.ceil(len(items) / (4 * processes))))
 
 
-def _rep_columns(rep_fn, rep: int) -> dict:
-    """rep_fn(rep)'s row dicts as one list per key, in the rows' key order."""
-    rows = rep_fn(rep)
+def _rep_columns(rep_fn, item) -> dict:
+    """rep_fn(item)'s row dicts as one list per key, in the rows' key order."""
+    rows = rep_fn(item)
     return {name: [row[name] for row in rows] for name in rows[0]}
 
 
-def _run_study(rep_fn, reps: int, workers: int, keys: tuple, metrics: tuple) -> SimResult:
-    """Run rep_fn on replications 0..reps-1 and aggregate metrics by keys.
+def _run_study(rep_fn, items, workers: int, keys: tuple, metrics: tuple) -> SimResult:
+    """Run rep_fn on each item, a replication or a block of them in replication order, and
+    aggregate metrics by keys.
 
-    rep_fn returns one replication's rows, at least one, as dicts with the
-    same keys in the same order; each worker hands them back as one list per
-    key, and the lists of all replications become one column per key.
+    rep_fn returns the item's rows, at least one, as dicts with the same keys
+    in the same order; each worker hands them back as one list per key, and
+    the lists of all items become one column per key.
     """
-    chunks = _parallel_map(partial(_rep_columns, rep_fn), range(reps), workers)
+    chunks = _parallel_map(partial(_rep_columns, rep_fn), items, workers)
     columns = {name: np.array([value for chunk in chunks for value in chunk[name]]) for name in chunks[0]}
     return SimResult(rows=columns, aggregates=_aggregate(columns, keys, metrics))
 

@@ -83,8 +83,9 @@ def load_kv(text: str) -> dict:
 
 
 def write_kv(entries: dict, path) -> None:
+    text = dump_kv(entries)  # before the file is opened, so that entries dump_kv refuses leave it as it was
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_kv(entries))
+        fh.write(text)
 
 
 # printf-style cell format per dtype kind: floats with 17 significant digits

@@ -1,6 +1,7 @@
 """Tests for the finite-sample calibration procedures."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from indecide import calibration, gmm
 from indecide.calibration import (
     CalibrationSample,
     _np_grid_select,
+    _selective_errors,
     _type1_count_budget,
     MaxScoreRule,
     MlrNpRule,
@@ -168,6 +170,28 @@ class TestRuleSerialization:
         # vars(rule) holds only the numeric thresholds; the rest lives on the class
         assert all(type(value) is float for value in vars(loaded).values())
         assert loaded.to_kv() == {"rule_type": kind, **vars(loaded)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(calibration._RULE_TYPES)), data=st.data())
+    def test_rule_kv_round_trip(self, kind, data):
+        """Rule.from_kv(load_kv(dump_kv(rule.to_kv()))) is a rule of the same type whose
+        thresholds equal the rule's, bit for bit, +-inf and subnormals included.  What it does not
+        keep is the sign of a zero: -0.0 is written as -0, which loads as the integer 0 and
+        becomes the threshold 0.0.  No comparison or decision tells the two apart."""
+        cls = calibration._RULE_TYPES[kind]
+        names = cls.ordered or [f.name for f in dataclasses.fields(cls)]
+        thresholds = st.floats(allow_nan=False) | st.sampled_from(
+            [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1.0, -3.0]
+        )
+        values = sorted(data.draw(st.lists(thresholds, min_size=len(names), max_size=len(names))))
+        rule = cls(**dict(zip(names, values)))  # an ordered rule's thresholds ascend in its order
+        back = Rule.from_kv(load_kv(dump_kv(rule.to_kv())))
+        assert type(back) is cls and back == rule
+        for name, value in vars(rule).items():
+            got = getattr(back, name)
+            assert type(got) is float
+            want = 0.0 if value == 0.0 else value  # -0.0 comes back as 0.0
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (name, value, got)
 
     def test_input_columns(self):
         assert [cls.column for cls in (SelectiveBinaryRule, NpRule, MlrNpRule, MlrSymmetricRule, MaxScoreRule)] == [
@@ -449,6 +473,17 @@ class TestType1Budget:
                     got, ppf_type1_count_budget(n1, levels, delta), err_msg=f"n={n} n1={n1}"
                 )
 
+
+    def test_binom_cdf_hook_gives_binom_cdf(self):
+        # the CI floors step "The binomial CDF hook the type-I budget probes gives binom.cdf's values",
+        # on the installed scipy: the budget's counts are binom.cdf's only while the hook's values are
+        from scipy.stats import binom
+
+        p = np.array([0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0])
+        for n in (1, 2, 7, 60, 257, 1000, 3001, 20000):
+            m = np.unique(np.linspace(0, n - 1, 60).astype(int))[:, None]  # in the support: 0 <= m < n
+            hook, wrapper = binom._cdf(m, n, p), binom.cdf(m, n, p)
+            assert np.array_equal(hook, wrapper), (n, np.argwhere(hook != wrapper)[:5])
 
     @pytest.mark.parametrize("mlr", [False, True], ids=["np", "mlr-np"])
     def test_reports_what_its_rule_does_at_scale(self, mlr):
@@ -855,6 +890,77 @@ def test_every_report_is_what_its_rule_does(kind, data, alpha1, alpha2, gamma):
         assert_cut_row_is_the_rule(report)
 
 
+def grid_choice_bytes(choice) -> tuple:
+    """A one-sample choice's thresholds and trace columns as bytes (zero signs included), feasible,
+    and the types of the thresholds and of feasible."""
+    taus = np.array([choice.tau1, choice.tau2, choice.tau0]).tobytes()
+    types = [type(value) for value in (choice.tau1, choice.tau2, choice.tau0, choice.feasible)]
+    trace = [(name, column.dtype.str, column.tobytes()) for name, column in choice.trace.items()]
+    return taus, choice.feasible, types, trace
+
+
+def k_tilde_by_brute_force(values: np.ndarray, is_class1: np.ndarray, budgets) -> list:
+    """For each budget b, the largest tie edge r (0, n, or a rank r with sorted[r - 1] < sorted[r])
+    whose ranks 1..r hold at most b class-1 points."""
+    order = np.argsort(values, kind="stable")
+    v, class1 = values[order], np.concatenate(([0], np.cumsum(is_class1[order])))
+    edges = [r for r in range(len(v) + 1) if r in (0, len(v)) or v[r - 1] < v[r]]
+    return [max(r for r in edges if class1[r] <= b) for b in budgets]
+
+
+def draw_stack(data, rows: int, n: int, values: list) -> np.ndarray:
+    """A rows x n array of entries drawn from values."""
+    row = st.lists(st.sampled_from(values), min_size=n, max_size=n)
+    return np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    n=st.integers(2, 40),
+    data=st.data(),
+    alpha1=ALPHAS,
+    alpha2=ALPHAS,
+    high_prob_delta=st.none() | st.sampled_from([0.05, 0.3]),
+    want_trace=st.booleans(),
+)
+def test_a_stack_selects_as_its_rows_do_alone(rows, n, data, alpha1, alpha2, high_prob_delta, want_trace):
+    """_np_grid_select on a rows x n stack gives each row the tau1, tau2, feasible, trace and tau0
+    of a call on that row alone, on tie-heavy rows that hold 0.0 and -0.0, the sort ordering ties
+    as numpy's argsort does and as TieOrder does."""
+    values = draw_stack(data, rows, n, [0.0, -0.0, 0.1, 0.25, 0.5, 0.9, 1.0, -1.0])
+    labels = draw_stack(data, rows, n, [True, False])
+    assume(labels.any(axis=1).all() and not labels.all(axis=1).any())
+    options = dict(high_prob_delta=high_prob_delta, want_trace=want_trace)
+    for patch_ties in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if patch_ties:
+                patch.setattr(calibration, "np", TieOrder(np.arange(n)[::-1]))
+            stack = _np_grid_select(values, labels, alpha1, alpha2, **options)
+            alone = [_np_grid_select(values[i], labels[i], alpha1, alpha2, **options) for i in range(rows)]
+        for i in range(rows):
+            assert grid_choice_bytes(stack.row(i)) == grid_choice_bytes(alone[i])
+            assert grid_choice_bytes(alone[i])[2] == [float, float, float, bool]
+    if want_trace:  # the class-2 blocks, against their definition
+        levels = (1.0 - np.arange(n + 1) / n) * alpha1
+        for i in range(rows):
+            budgets = _type1_count_budget(int(labels[i].sum()), levels, high_prob_delta)
+            assert stack.trace["k_tilde"][i].tolist() == k_tilde_by_brute_force(values[i], labels[i], budgets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 4), n=st.integers(1, 30), data=st.data(), labelled=st.booleans())
+def test_selective_errors_of_a_stack_are_its_rows(rows, n, data, labelled):
+    """_selective_errors on a stack gives, row by row, the floats it gives each row alone."""
+    decisions = draw_stack(data, rows, n, [0, 1, 2])
+    labels = draw_stack(data, rows, n, [1, 2, 3]) if labelled else None
+    stack = _selective_errors(decisions, labels)
+    for i in range(rows):
+        alone = _selective_errors(decisions[i], None if labels is None else labels[i])
+        assert all(type(value) is float for value in alone.values())
+        assert {key: float(value[i]) for key, value in stack.items()} == alone
+
+
 class TieOrder:
     """numpy, except that argsort puts tied values in the order of keys (a
     permutation of the positions), so -0.0 and 0.0 may come in any order."""
@@ -865,8 +971,8 @@ class TieOrder:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def argsort(self, values):
-        return np.lexsort((self.keys, values))
+    def argsort(self, values, **kind):  # a sort asked for by kind (a stable one) is numpy's
+        return np.argsort(values, **kind) if kind else np.lexsort((np.broadcast_to(self.keys, values.shape), values))
 
 
 def report_bytes(report) -> tuple:

@@ -795,6 +795,28 @@ class TestManifestHashes:
         for path in (rule, scores):
             assert manifest[f"sha256_{path}"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_names_holding_equals_or_percent_are_recorded(self, tmp_path, monkeypatch):
+        # a key cannot hold "=": calibrate used to write rule.kv and report.kv, then exit 1 with an empty manifest.kv
+        monkeypatch.chdir(tmp_path)
+        cal, scores, config = Path("a=b.csv"), Path("50%=x.csv"), Path("c=d.kv")
+        cal.write_text("score,label\n0.9,1\n0.8,1\n0.3,2\n0.1,2\n")
+        scores.write_text("score\n0.9\n0.5\n")
+        config.write_text("format_version = 1\nreps = 2\n")
+        np_flags = ["--mode", "np", "--alpha1", "0.5", "--alpha2", "0.5"]
+        apply = ["apply", "--rule", "out/rule.kv", "--input", str(scores), "--output", "d.csv"]
+        study = ["experiment", "intro-tradeoff", "--config", str(config), "--out-dir", "e"]
+        for argv, manifest, inputs in (
+            (["calibrate", "--input", str(cal), *np_flags, "--out-dir", "out"], "out/manifest.kv", {"a%3Db.csv": cal}),
+            (apply, "d.csv.manifest.kv", {"rule.kv": Path("out/rule.kv"), "50%25%3Dx.csv": scores}),
+            (study, "e/manifest.kv", {"c%3Dd.kv": config}),
+        ):
+            assert main(argv) == EXIT_OK
+            entries = load_kv(Path(manifest).read_text(encoding="utf-8"))
+            assert {key: value for key, value in entries.items() if key.startswith("sha256_")} == {
+                f"sha256_{key}": hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
+            }
+            assert entries["inputs"] == ";".join(map(str, inputs.values()))
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
     def test_apply_to_a_pipe_writes_no_manifest(self, tmp_path):
         (tmp_path / "rule.kv").write_text("format_version = 1\nrule_type = selective-binary\ntau = 0.8\n")

@@ -89,16 +89,20 @@ class TestAccuracySweep:
         assert same_columns(a.rows, b.rows)
         assert same_columns(a.aggregates, b.aggregates)
 
-    def test_workers_do_not_change_results(self, process_pools):
-        # 11 replications go out in blocks of 2 (the last of 1) on 2 workers, one by one on 3
+    def test_workers_do_not_change_results(self, process_pools, monkeypatch):
+        # accuracy-sweep's 11 replications go out in chunks of 2 (the last of 1) on 2 workers, one by one
+        # on 3; np-sweep stacks them in 2 blocks (6 and 5 replications of 1200 uniforms), one per worker on
+        # 2 workers and on 3
+        monkeypatch.setattr(experiments, "_BLOCK_VALUES", 6 * 1200)
         cfg = self.small_cfg(reps=11)
+        assert experiments._np_blocks(cfg) == [range(0, 6), range(6, 11)]
         for run in (run_accuracy_sweep, run_np_sweep):
             a = run(cfg, workers=1)
             for workers in (2, 3):
                 b = run(cfg, workers=workers)
                 assert same_columns(a.rows, b.rows)
                 assert same_columns(a.aggregates, b.aggregates)
-        assert [(size, chunksize) for size, _, chunksize in process_pools] == [(2, 2), (3, 1)] * 2
+        assert [(size, chunksize) for size, _, chunksize in process_pools] == [(2, 2), (3, 1), (2, 1), (2, 1)]
 
     def test_error_controlled_on_average(self):
         cfg = self.small_cfg(
@@ -117,6 +121,35 @@ class TestNpSweep:
         result = run_np_sweep(cfg)
         assert set(result.rows["arm"]) == {"algorithm2", "np-baseline", "bayes"}
         assert (result.rows["cal_type2_curve_p5"] <= result.rows["cal_type2_curve_p95"] + 1e-12).all()
+
+    def test_blocks_of_replications(self):
+        # 3 * 2^16 uniforms per block, 2 (n_train + n_cal + n_test) per cell: 8 replications of 4 deltas at
+        # the default sizes; 1 where the training or test split alone is large, however small n_cal is
+        cases = {
+            SimConfig(reps=17): [range(0, 8), range(8, 16), range(16, 17)],
+            SimConfig(reps=100, n_cal=10, n_test=10**6): [range(rep, rep + 1) for rep in range(100)],
+            SimConfig(reps=2, n_train=10**5, n_cal=10, delta_grid=(1.0,)): [range(0, 1), range(1, 2)],
+            SimConfig(reps=3, n_train=10, n_cal=10, n_test=10): [range(0, 3)],
+        }
+        for cfg, blocks in cases.items():
+            assert experiments._np_blocks(cfg) == blocks
+            per_rep = 2 * (cfg.n_train + cfg.n_cal + cfg.n_test) * len(cfg.delta_grid)
+            assert all(len(block) == 1 or len(block) * per_rep <= experiments._BLOCK_VALUES for block in blocks)
+
+    def test_a_large_replication_stacks_its_deltas_in_turn(self, monkeypatch):
+        # 2 (300 + 300 + 300) = 1800 uniforms per cell: at the default bound both replications and all three
+        # deltas are one stack; at 3600 each replication is a block that stacks 2 deltas, then 1; at 1800 or
+        # below, 1 at a time; and the rows and aggregates keep their bytes
+        cfg = SimConfig(n_train=300, n_cal=300, n_test=300, reps=2, delta_grid=(0.5, 1.0, 2.0), seed=6)
+        whole, stack, stacks = run_np_sweep(cfg), experiments._np_stack, []
+        monkeypatch.setattr(experiments, "_np_stack", lambda *args: stacks.append(args[2]) or stack(*args))
+        for bound, deltas in ((3600, [(0.5, 1.0), (2.0,)]), (1800, [(0.5,), (1.0,), (2.0,)]), (1, [(0.5,), (1.0,), (2.0,)])):
+            monkeypatch.setattr(experiments, "_BLOCK_VALUES", bound)
+            assert experiments._np_blocks(cfg) == [range(0, 1), range(1, 2)]
+            stacks.clear()
+            part = run_np_sweep(cfg)
+            assert stacks == deltas * 2
+            assert same_columns(whole.rows, part.rows) and same_columns(whole.aggregates, part.aggregates)
 
     def test_indecision_dominates_baseline(self):
         cfg = SimConfig(
@@ -374,6 +407,14 @@ class TestAggregation:
     def test_percentile_equals_sorted_list_oracle(self, values, q, as_array):
         data = np.array(values, dtype=float) if as_array else values
         assert same_float(_percentile(data, q), sorted_list_percentile(values, q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 12), st.data(), st.sampled_from([0.0, 5.0, 50.0, 95.0, 100.0]))
+    def test_percentile_of_a_stack_is_its_rows(self, rows, n, data, q):
+        values = np.array(data.draw(st.lists(st.lists(_TIED, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+        stack = _percentile(values.reshape(rows, n), q)
+        assert stack.shape == (rows,)
+        assert all(same_float(float(stack[i]), _percentile(values[i], q)) for i in range(rows))
 
     def test_percentile_keeps_the_first_of_equal_zeros(self):
         for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], np.array([math.nan, -0.0, 0.0, 0.0])):

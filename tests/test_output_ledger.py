@@ -30,6 +30,7 @@ INPUTS = {
     "x.csv": "x,label\n-2,1\n-1,1\n-0.5,2\n0.5,1\n1,2\n2,2\n",
     "s.csv": "s_1,s_2,label\n0.9,0.1,1\n0.7,0.3,1\n0.6,0.4,2\n0.4,0.6,1\n0.2,0.8,2\n0.1,0.9,2\n",
     "reps3.kv": "format_version = 1\nreps = 3\n",
+    "reps9.kv": "format_version = 1\nreps = 9\n",
     "phase.kv": "format_version = 1\ngrid_points = 40\n",
 }
 
@@ -59,6 +60,11 @@ def commands():
         for workers in ("1", "2"):
             argv = ["experiment", study, "--config", "reps3.kv", "--seed", "5", "--workers", workers]
             yield [*argv, "--out-dir", f"{study}-{workers}"], {EXIT_OK}, None
+    # the CI step "Study bytes at one and two workers": np-sweep's 9 replications at the default sizes are
+    # two blocks of stacked replications, the second partial
+    for workers in ("1", "2"):
+        argv = ["experiment", "np-sweep", "--config", "reps9.kv", "--seed", "5", "--workers", workers]
+        yield [*argv, "--out-dir", f"np-sweep-reps9-{workers}"], {EXIT_OK}, None
     yield ["experiment", "phase", "--config", "phase.kv", "--out-dir", "phase"], {EXIT_OK}, None
 
 
